@@ -12,7 +12,6 @@ generic exponential X = q^x:
 """
 
 from .algebra import (
-    BigRational,
     Monomial,
     ONE,
     PoleError,
@@ -54,7 +53,6 @@ from .partitions import (
     zeros,
 )
 from .pochhammer import (
-    PochArgument,
     flip_poch_identity_check,
     poch,
     poch_multi,
@@ -109,8 +107,6 @@ from .verify import (
     run_suite,
 )
 from .wfunctions import (
-    ExponentPair,
-    GenericX,
     NotAStripError,
     duality_check,
     generic_staircase_args,

@@ -9,15 +9,16 @@ polynomial with positive leading coefficient under graded lex q > t > X.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, NamedTuple, Union
+from itertools import chain
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 from sympy.polys.domains import QQ
 from sympy.polys.rings import PolyElement, ring
 
 __all__ = [
-    "BigRational",
     "Monomial",
     "Polynomial",
     "PoleError",
@@ -43,8 +44,6 @@ __all__ = [
     "parse_rational",
 ]
 
-BigRational = Fraction
-
 _RING, _PQ, _PT, _PX = ring("q,t,X", QQ, "grlex")
 
 #: Sparse multivariate polynomial over the rationals (term map monomial -> coeff).
@@ -55,6 +54,27 @@ _VARS = ("q", "t", "X")
 
 class PoleError(ArithmeticError):
     """An evaluation, substitution or limit hit a vanishing denominator."""
+
+
+#: Entries each memo keeps, read once at import.
+try:
+    _MEMO_SIZE = int(os.environ.get("QTSTIRLING_CACHE_SIZE", "200000"))
+except ValueError:
+    _MEMO_SIZE = 200000
+_MEMOS: list = []
+
+
+def memo(fn: Callable) -> Callable:
+    """Memoise fn in an LRU cache of _MEMO_SIZE entries that clear_cache() empties."""
+    cached = lru_cache(maxsize=_MEMO_SIZE)(fn)
+    _MEMOS.append(cached)
+    return cached
+
+
+def clear_cache():
+    """Empty every memo in the package (observationally transparent)."""
+    for cached in _MEMOS:
+        cached.cache_clear()
 
 
 class Monomial(NamedTuple):
@@ -255,13 +275,13 @@ def _coerce(v):
     return NotImplemented
 
 
-@lru_cache(maxsize=None)
+@memo
 def const(c: Union[int, Fraction]) -> RationalFn:
     """The constant rational function c."""
     return RationalFn(_coerce_poly(c))
 
 
-@lru_cache(maxsize=None)
+@memo
 def monomial_rf(e_q: int = 0, e_t: int = 0, e_X: int = 0) -> RationalFn:
     """The monomial q^e_q * t^e_t * X^e_X; negative exponents go to the denominator."""
     num = {(max(e_q, 0), max(e_t, 0), max(e_X, 0)): QQ(1)}
@@ -286,26 +306,65 @@ ONE = RationalFn(_RING.one, _RING.one, _canon=True)
 Q = monomial_rf(e_q=1)
 T = monomial_rf(e_t=1)
 X = monomial_rf(e_X=1)
-_GEN_Q_RF, _GEN_T_RF, _GEN_X_RF = Q, T, X
 
 
-def _flip_poly(p: Polynomial) -> tuple[Polynomial, int, int]:
-    """Reverse p in q and t: p(1/q, 1/t, X) = reversed / (q^A * t^B)."""
-    if not p:
-        return p, 0, 0
-    a_max = max(m[0] for m in p)
-    b_max = max(m[1] for m in p)
-    rev = {(a_max - m[0], b_max - m[1], m[2]): c for m, c in p.items()}
-    return _RING(rev), a_max, b_max
+# ---------------------------------------------------------------------------
+# monomial substitution: flips, specialisations, limits
+# ---------------------------------------------------------------------------
+
+#: The image of a variable is a pair (c, (a, b, x)) standing for
+#: c * q^a * t^b * X^x, with c == 0 for the image 0.
+_KEEP = ((QQ(1), (1, 0, 0)), (QQ(1), (0, 1, 0)), (QQ(1), (0, 0, 1)))
+_FLIP = ((QQ(1), (-1, 0, 0)), (QQ(1), (0, -1, 0)), _KEEP[2])
+
+
+def _remap(f: RationalFn, images: tuple, pole: str) -> RationalFn:
+    """f with (q, t, X) sent to the three images, canonicalised once.
+
+    A zero image zeroes every term with a positive power of its variable.
+    Exponents may go negative; num and den are shifted by their common
+    minimum exponents, which leaves the quotient unchanged.  Raises
+    PoleError(pole) when the denominator maps to zero.
+    """
+    maps = []
+    for p in (f.num, f.den):
+        out: dict[tuple, object] = {}
+        for monom, c in p.items():
+            exps = [0, 0, 0]
+            for k, (ck, image) in zip(monom, images):
+                if k:
+                    c = c * ck ** k
+                    for j in range(3):
+                        exps[j] += k * image[j]
+            key = tuple(exps)
+            acc = out.get(key)
+            out[key] = c if acc is None else acc + c
+        maps.append({m: c for m, c in out.items() if c})
+    num, den = maps
+    if not den:
+        raise PoleError(pole)
+    low = [min(m[j] for m in chain(num, den)) for j in range(3)]
+    return RationalFn(*(
+        _RING({tuple(e - s for e, s in zip(m, low)): c for m, c in terms.items()})
+        for terms in (num, den)
+    ))
+
+
+def _image(v) -> tuple:
+    """The monomial image a caller passed for one variable."""
+    f = _coerce(v)
+    if f is NotImplemented or (f.num and (len(f.num) != 1 or len(f.den) != 1)):
+        raise ValueError(f"substitution image {v!r} is not a monomial c*q^a*t^b*X^x or 0")
+    if not f.num:
+        return QQ(0), (0, 0, 0)
+    (m_num, c), = f.num.items()
+    (m_den, _), = f.den.items()
+    return c, tuple(a - b for a, b in zip(m_num, m_den))
 
 
 def flip_qt(f: RationalFn) -> RationalFn:
     """The canonical form of f(1/q, 1/t, X).  X itself is never flipped."""
-    rn, an, bn = _flip_poly(f.num)
-    rd, ad, bd = _flip_poly(f.den)
-    num = rn * _RING({(max(ad - an, 0), max(bd - bn, 0), 0): QQ(1)})
-    den = rd * _RING({(max(an - ad, 0), max(bn - bd, 0), 0): QQ(1)})
-    return RationalFn(num, den)
+    return _remap(f, _FLIP, "flip hits a pole")
 
 
 def _eval_poly(p: Polynomial, q0: Fraction, t0: Fraction, X0: Fraction) -> Fraction:
@@ -333,46 +392,19 @@ def evaluate(f: RationalFn, q0, t0, X0=0) -> Fraction:
     return _eval_poly(f.num, q0, t0, X0) / den
 
 
-def _subs_poly(p: Polynomial, images: tuple[RationalFn, RationalFn, RationalFn]) -> RationalFn:
-    total = ZERO
-    powers: dict[tuple[int, int], RationalFn] = {}
-    for (a, b, x), c in p.items():
-        term = const(_to_fraction(c))
-        for idx, e in enumerate((a, b, x)):
-            if e:
-                key = (idx, e)
-                pw = powers.get(key)
-                if pw is None:
-                    pw = powers[key] = images[idx] ** e
-                term = term * pw
-        total = total + term
-    return total
-
-
 def subs_rational(f: RationalFn, q=None, t=None, X=None) -> RationalFn:
-    """Substitute rational-function images for any of q, t, X.
+    """Substitute monomial images for any of q, t, X.
 
+    Each image is a nonzero monomial c * q^a * t^b * X^x (negative exponents
+    allowed, so constants and 1/q count), or 0; an int, Fraction or
+    RationalFn of that form.  Any other image raises ValueError.
     Unspecified variables stay fixed.  Raises PoleError when the
     substituted denominator collapses to zero.
     """
-    images = (
-        _GEN_Q_RF if q is None else _coerce(q),
-        _GEN_T_RF if t is None else _coerce(t),
-        _GEN_X_RF if X is None else _coerce(X),
+    images = tuple(
+        keep if v is None else _image(v) for v, keep in zip((q, t, X), _KEEP)
     )
-    den = _subs_poly(f.den, images)
-    if den.is_zero:
-        raise PoleError("substitution hits a pole")
-    return _subs_poly(f.num, images) / den
-
-
-def _subs_q1_poly(p: Polynomial) -> Polynomial:
-    out: dict[tuple, object] = {}
-    for (a, b, x), c in p.items():
-        key = (0, b, x)
-        acc = out.get(key)
-        out[key] = c if acc is None else acc + c
-    return _RING({k: v for k, v in out.items() if v})
+    return _remap(f, images, "substitution hits a pole")
 
 
 def limit_q_to_1(f: RationalFn, prefactor_order: int = 0) -> RationalFn:
@@ -386,26 +418,16 @@ def limit_q_to_1(f: RationalFn, prefactor_order: int = 0) -> RationalFn:
         raise ValueError("prefactor_order must be nonnegative")
     if prefactor_order:
         f = f / (ONE - Q) ** prefactor_order
-    den = _subs_q1_poly(f.den)
-    if not den:
-        raise PoleError("limit q->1 does not exist at this order")
-    return RationalFn(_subs_q1_poly(f.num), den)
+    return _remap(f, ((QQ(1), (0, 0, 0)), *_KEEP[1:]),
+                  "limit q->1 does not exist at this order")
 
 
 def substitute_t_eq_q_pow(f: RationalFn, alpha: int) -> RationalFn:
     """Substitute t = q^alpha (alpha a positive integer) and re-canonicalize."""
     if alpha < 1:
         raise ValueError("alpha must be a positive integer")
-
-    def sub(p: Polynomial) -> Polynomial:
-        out: dict[tuple, object] = {}
-        for (a, b, x), c in p.items():
-            key = (a + alpha * b, 0, x)
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
-        return _RING({k: v for k, v in out.items() if v})
-
-    return RationalFn(sub(f.num), sub(f.den))
+    return _remap(f, (_KEEP[0], (QQ(1), (alpha, 0, 0)), _KEEP[2]),
+                  "substitution t = q^alpha hits a pole")
 
 
 # ---------------------------------------------------------------------------

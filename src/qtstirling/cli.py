@@ -5,8 +5,10 @@ Usage:
     qtstirling table --kind s1 --bound 2,1 [--format json|csv] --out FILE
     qtstirling eval --expr "s1(2,1;1,0)" --q 1/2 --t 1/3 [--x 2]
 
-`check` exits 0 iff every identity passes.  The cache used by the w-function
-recursion can be capped with the QTSTIRLING_CACHE_SIZE environment variable.
+`check` exits 0 iff every identity passes and 1 otherwise; bad input exits 2
+with a one-line message.  The QTSTIRLING_CACHE_SIZE environment variable caps
+every memo in the package (each an LRU cache of that many entries, 200000 by
+default); it is read once, at start-up.
 """
 
 from __future__ import annotations
@@ -73,14 +75,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args) -> int:
-    cfg = SuiteConfig(
-        n_max=args.n_max,
-        part_max=args.part_max,
-        identities=args.identity,
-        seed=args.seed,
-        output_path=args.out,
-    )
-    reports = run_suite(cfg)
+    try:
+        cfg = SuiteConfig(
+            n_max=args.n_max,
+            part_max=args.part_max,
+            identities=args.identity,
+            seed=args.seed,
+            output_path=args.out,
+        )
+        reports = run_suite(cfg)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     by_id: dict[str, list] = {}
     for rep in reports:
         by_id.setdefault(rep.identity_id, []).append(rep)

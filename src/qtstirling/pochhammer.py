@@ -9,6 +9,7 @@ built from explicit reciprocals so that X is never flipped by accident.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .algebra import ONE, PoleError, Q, RationalFn, monomial_rf, q_pow, t_pow
@@ -16,17 +17,12 @@ from .partitions import Partition, n_stat, n_stat_conj, weight
 from .reports import IdentityReport, equality_report
 
 __all__ = [
-    "PochArgument",
     "poch",
     "poch_partition",
     "poch_partition_flipped",
     "poch_multi",
     "flip_poch_identity_check",
 ]
-
-#: Pochhammer arguments are plain rational functions.
-PochArgument = RationalFn
-
 
 def poch(a: RationalFn, m: int, base: Optional[RationalFn] = None) -> RationalFn:
     """(a; base)_m with base defaulting to q; negative m inverts the product."""
@@ -67,6 +63,26 @@ def poch_multi(args: Sequence[RationalFn], lam: Partition) -> RationalFn:
     out = ONE
     for a in args:
         out = out * poch_partition(a, lam)
+    return out
+
+
+def qt_factor_product(exps: Sequence[int]) -> RationalFn:
+    """prod_i (1 - q t^{n-i})^{e_i} over the n = len(exps) exponents e_i."""
+    n = len(exps)
+    out = ONE
+    for i, e in enumerate(exps, start=1):
+        if e:
+            out = out * (ONE - monomial_rf(e_q=1, e_t=n - i)) ** e
+    return out
+
+
+def pair_poch_product(mu: Partition, c: int, s: int) -> RationalFn:
+    """prod_{i<j} (q^c t^{j-i+s}; q)_{mu_i - mu_j}."""
+    out = ONE
+    for i, j in combinations(range(mu.n), 2):
+        d = mu[i] - mu[j]
+        if d:
+            out = out * poch(monomial_rf(e_q=c, e_t=j - i + s), d)
     return out
 
 

@@ -10,10 +10,9 @@ a multiplicative shift s with the exponential vector z.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence, Union
 
-from .algebra import ONE, RationalFn, X, ZERO, monomial_rf, q_pow, t_pow, x_pow
+from .algebra import ONE, RationalFn, X, ZERO, memo, monomial_rf, q_pow, t_pow, x_pow
 from .partitions import (
     Partition,
     contains,
@@ -22,7 +21,13 @@ from .partitions import (
     subpartitions,
     weight,
 )
-from .pochhammer import poch, poch_partition, poch_partition_flipped
+from .pochhammer import (
+    pair_poch_product,
+    poch,
+    poch_partition,
+    poch_partition_flipped,
+    qt_factor_product,
+)
 from .reports import IdentityReport, equality_report
 from .wfunctions import generic_staircase_args, staircase_args, w_multi
 
@@ -74,35 +79,22 @@ def _z_entries(z: ZVector, n: int) -> tuple:
     return staircase_args(z)
 
 
-@lru_cache(maxsize=None)
+@memo
 def h_product(mu: Partition) -> RationalFn:
     """prod_{i<j} (q t^{j-i})_{mu_i - mu_j} / (q t^{j-i-1})_{mu_i - mu_j}."""
-    out = ONE
-    for i in range(1, mu.n + 1):
-        for j in range(i + 1, mu.n + 1):
-            d = mu[i - 1] - mu[j - 1]
-            if d:
-                out = out * poch(monomial_rf(e_q=1, e_t=j - i), d)
-                out = out / poch(monomial_rf(e_q=1, e_t=j - i - 1), d)
-    return out
+    return pair_poch_product(mu, 1, 0) / pair_poch_product(mu, 1, -1)
 
 
-@lru_cache(maxsize=None)
+@memo
 def g_product(mu: Partition) -> RationalFn:
     """(q t^{n-1}; q, t)_mu = prod_i (q t^{n-i}; q)_{mu_i}."""
     return poch_partition(monomial_rf(e_q=1, e_t=mu.n - 1), mu)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _t_ratio_bracket(mu: Partition) -> RationalFn:
     # prod_{i<j} (t^{j-i})_{mu_i-mu_j} / (t^{j-i+1})_{mu_i-mu_j}
-    out = ONE
-    for i in range(1, mu.n + 1):
-        for j in range(i + 1, mu.n + 1):
-            d = mu[i - 1] - mu[j - 1]
-            if d:
-                out = out * poch(t_pow(j - i), d) / poch(t_pow(j - i + 1), d)
-    return out
+    return pair_poch_product(mu, 0, 0) / pair_poch_product(mu, 0, 1)
 
 
 def qt_binomial(z: ZVector, mu: Partition) -> RationalFn:
@@ -150,9 +142,7 @@ def qt_bracket(z: ZVector, mu: Partition, s: RationalFn = ONE) -> RationalFn:
     """The mu-shifted qt-number [z, s]_mu with multiplicative shift s."""
     n = mu.n
     args = tuple(s * entry for entry in _z_entries(z, n))
-    out = q_pow(weight(mu))
-    for i in range(1, n + 1):
-        out = out * (ONE - monomial_rf(e_q=1, e_t=n - i)) ** (-mu[i - 1])
+    out = q_pow(weight(mu)) * qt_factor_product([-m for m in mu])
     return out * _t_ratio_bracket(mu) * w_multi(mu, args)
 
 
@@ -161,20 +151,15 @@ def qt_number(z: Sequence[int]) -> RationalFn:
     if isinstance(z, Partition):
         z = z.parts
     n = len(z)
-    out = ONE
+    out = qt_factor_product([-1] * n)
     for i in range(1, n + 1):
         out = out * (ONE - monomial_rf(e_q=int(z[i - 1]), e_t=n - i))
-        out = out / (ONE - monomial_rf(e_q=1, e_t=n - i))
     return out
 
 
 def bracket_rect(mu: Partition) -> RationalFn:
     """The bracket at the generic diagonal point, prod_i (X t^{i-1}; 1/q)_{mu_i} / (1-q t^{n-i})^{mu_i}."""
-    n = mu.n
-    out = poch_partition_flipped(X, mu)
-    for i in range(1, n + 1):
-        out = out * (ONE - monomial_rf(e_q=1, e_t=n - i)) ** (-mu[i - 1])
-    return out
+    return poch_partition_flipped(X, mu) * qt_factor_product([-m for m in mu])
 
 
 def bracket_binomial_relation_check(z: ZVector, mu: Partition) -> IdentityReport:
@@ -182,8 +167,7 @@ def bracket_binomial_relation_check(z: ZVector, mu: Partition) -> IdentityReport
     n = mu.n
     lhs = qt_bracket(z, mu)
     pref = t_pow(-2 * n_stat(mu) + (n - 1) * weight(mu)) * g_product(mu)
-    for i in range(1, n + 1):
-        pref = pref * (ONE - monomial_rf(e_q=1, e_t=n - i)) ** (-mu[i - 1])
+    pref = pref * qt_factor_product([-m for m in mu])
     rhs = pref * _t_ratio_bracket(mu) / h_product(mu) * qt_binomial(z, mu)
     if isinstance(z, _XBar):
         z_data = "xbar"

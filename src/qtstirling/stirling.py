@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Callable, NamedTuple
 
@@ -24,6 +23,7 @@ from .algebra import (
     const,
     flip_qt,
     limit_q_to_1,
+    memo,
     monomial_rf,
     substitute_t_eq_q_pow,
     t_pow,
@@ -37,6 +37,7 @@ from .partitions import (
     subpartitions,
     weight,
 )
+from .pochhammer import qt_factor_product
 from .qtnumbers import g_product, h_product, qt_binomial
 from .reports import IdentityReport, equality_report
 from .wfunctions import staircase_args, w_bar, w_hat_multi, w_multi
@@ -73,18 +74,7 @@ class StirlingValue(NamedTuple):
     value: RationalFn
 
 
-def _one_minus_qt_powers(nu: Partition, mu: Partition) -> RationalFn:
-    # prod_i (1 - q t^{n-i})^{mu_i - nu_i}
-    n = nu.n
-    out = ONE
-    for i in range(1, n + 1):
-        e = mu[i - 1] - nu[i - 1]
-        if e:
-            out = out * (ONE - monomial_rf(e_q=1, e_t=n - i)) ** e
-    return out
-
-
-@lru_cache(maxsize=None)
+@memo
 def f_factor(mu: Partition) -> RationalFn:
     """The t-rational factor entering both Stirling limit formulas.
 
@@ -107,7 +97,7 @@ def f_factor(mu: Partition) -> RationalFn:
     return out / const(Fraction(denom))
 
 
-@lru_cache(maxsize=None)
+@memo
 def u_matrix(lam: Partition, mu: Partition) -> RationalFn:
     """u(lam, mu) = q^|mu| t^{2n(mu)} / (q t^{n-1})_mu * h(mu) * w-hat_mu(q^lam t^delta)."""
     if not contains(lam, mu):
@@ -116,7 +106,7 @@ def u_matrix(lam: Partition, mu: Partition) -> RationalFn:
     return pref / g_product(mu) * h_product(mu) * w_hat_multi(mu, staircase_args(lam.parts))
 
 
-@lru_cache(maxsize=None)
+@memo
 def v_matrix(lam: Partition, mu: Partition) -> RationalFn:
     """v(lam, mu) = (-1)^|mu| q^{n(mu')} t^{-n(mu)} * qt_binomial(lam, mu)."""
     if not contains(lam, mu):
@@ -125,7 +115,7 @@ def v_matrix(lam: Partition, mu: Partition) -> RationalFn:
     return sign * monomial_rf(e_q=n_stat_conj(mu), e_t=-n_stat(mu)) * qt_binomial(lam, mu)
 
 
-@lru_cache(maxsize=None)
+@memo
 def u_limit(lam: Partition, mu: Partition) -> RationalFn:
     """lim_{q->1} u(lam, mu, 1/q, 1/t) via the w-bar closed form."""
     if not contains(lam, mu):
@@ -135,7 +125,7 @@ def u_limit(lam: Partition, mu: Partition) -> RationalFn:
     return sign * t_pow(n_stat(mu) - (n - 1) * wt) * w_bar(mu, lam, invert=False) * f_factor(mu)
 
 
-@lru_cache(maxsize=None)
+@memo
 def v_limit(lam: Partition, mu: Partition) -> RationalFn:
     """lim_{q->1} v(lam, mu, 1/q, 1/t) via the w-bar closed form."""
     if not contains(lam, mu):
@@ -154,28 +144,28 @@ def v_limit_direct(lam: Partition, mu: Partition) -> RationalFn:
     return limit_q_to_1(flip_qt(v_matrix(lam, mu)), 0)
 
 
-@lru_cache(maxsize=None)
+@memo
 def s1(nu: Partition, mu: Partition) -> RationalFn:
     """qt-Stirling number of the first kind."""
     if not contains(nu, mu):
         return ZERO
     n = nu.n
     pref = monomial_rf(e_q=n_stat_conj(nu), e_t=-2 * n_stat(mu) + (n - 1) * weight(mu))
-    pref = pref * _one_minus_qt_powers(nu, mu)
+    pref = pref * qt_factor_product([m - v for m, v in zip(mu, nu)])
     total = ZERO
     for lam in partitions_between(mu, nu):
         total = total + u_matrix(nu, lam) * t_pow(-(n - 1) * weight(lam)) * v_limit(lam, mu)
     return pref * total
 
 
-@lru_cache(maxsize=None)
+@memo
 def s2(nu: Partition, mu: Partition) -> RationalFn:
     """qt-Stirling number of the second kind."""
     if not contains(nu, mu):
         return ZERO
     n = nu.n
     pref = monomial_rf(e_q=-n_stat_conj(mu), e_t=2 * n_stat(nu) - (n - 1) * weight(nu))
-    pref = pref * _one_minus_qt_powers(nu, mu)
+    pref = pref * qt_factor_product([m - v for m, v in zip(mu, nu)])
     total = ZERO
     for lam in partitions_between(mu, nu):
         total = total + u_limit(nu, lam) * t_pow((n - 1) * weight(lam)) * v_matrix(lam, mu)

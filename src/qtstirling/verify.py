@@ -54,6 +54,7 @@ from .pochhammer import (
     poch,
     poch_partition,
     poch_partition_flipped,
+    qt_factor_product,
 )
 from .qtnumbers import (
     XBAR,
@@ -85,7 +86,6 @@ from .stirling import (
     valgebra_multiply,
 )
 from .wfunctions import (
-    GenericX,
     duality_check,
     generic_staircase_args,
     h_factor,
@@ -191,12 +191,7 @@ def _limit_bracket(mu: Partition) -> RationalFn:
 
 def _inv_qt_powers(mu: Partition) -> RationalFn:
     # prod_i (1 - q t^{n-i})^{-mu_i}
-    n = mu.n
-    out = ONE
-    for i in range(1, n + 1):
-        if mu[i - 1]:
-            out = out * (ONE - monomial_rf(e_q=1, e_t=n - i)) ** (-mu[i - 1])
-    return out
+    return qt_factor_product([-m for m in mu])
 
 
 def _expansion_s1_sum(nu: Partition, restrict: Optional[Callable[[Partition], bool]] = None) -> RationalFn:
@@ -419,7 +414,7 @@ def _chk_w_rect(cfg: SuiteConfig) -> Iterator[IdentityReport]:
 def _chk_w_staircase(cfg: SuiteConfig) -> Iterator[IdentityReport]:
     for n, cap in cfg.w_boxes():
         for mu in partitions_in_box(n, cap):
-            lhs = w_staircase(mu, GenericX(0))
+            lhs = w_staircase(mu, X)
             rhs = w_multi(mu, generic_staircase_args(n))
             yield equality_report("w-staircase", {"mu": list(mu.parts)}, lhs, rhs)
 
@@ -784,21 +779,28 @@ def emit_table(kind: str, bound: Partition, fmt: str = "json", path: Optional[st
     return text
 
 
-_EVAL_EXPRS: dict[str, Callable[..., RationalFn]] = {
-    "qt_number": lambda z: qt_number(z),
-    "binomial": lambda z, mu: qt_binomial(z, Partition(mu)),
-    "bracket": lambda z, mu: qt_bracket(z, Partition(mu)),
-    "bracket_rect": lambda mu: bracket_rect(Partition(mu)),
-    "gaussian": lambda mk: gaussian_binomial(*mk),
-    "s1": lambda nu, mu: s1(Partition(nu), Partition(mu)),
-    "s2": lambda nu, mu: s2(Partition(nu), Partition(mu)),
-    "u": lambda lam, mu: u_matrix(Partition(lam), Partition(mu)),
-    "v": lambda lam, mu: v_matrix(Partition(lam), Partition(mu)),
-    "f": lambda mu: f_factor(Partition(mu)),
-    "h": lambda lam, mu: h_factor(Partition(lam), Partition(mu)),
-    "w": lambda mu, z: w_multi(Partition(mu), staircase_args(z)),
-    "w_hat": lambda mu, z: w_hat_multi(Partition(mu), staircase_args(z)),
-    "w_staircase": lambda mu: w_staircase(Partition(mu), GenericX(0)),
+def _gaussian(mk: tuple[int, ...]) -> RationalFn:
+    if len(mk) != 2:
+        raise ValueError(f"gaussian takes one group m,k; got {mk}")
+    return gaussian_binomial(*mk)
+
+
+#: name -> (number of ';'-separated integer groups, builder)
+_EVAL_EXPRS: dict[str, tuple[int, Callable[..., RationalFn]]] = {
+    "qt_number": (1, lambda z: qt_number(z)),
+    "binomial": (2, lambda z, mu: qt_binomial(z, Partition(mu))),
+    "bracket": (2, lambda z, mu: qt_bracket(z, Partition(mu))),
+    "bracket_rect": (1, lambda mu: bracket_rect(Partition(mu))),
+    "gaussian": (1, _gaussian),
+    "s1": (2, lambda nu, mu: s1(Partition(nu), Partition(mu))),
+    "s2": (2, lambda nu, mu: s2(Partition(nu), Partition(mu))),
+    "u": (2, lambda lam, mu: u_matrix(Partition(lam), Partition(mu))),
+    "v": (2, lambda lam, mu: v_matrix(Partition(lam), Partition(mu))),
+    "f": (1, lambda mu: f_factor(Partition(mu))),
+    "h": (2, lambda lam, mu: h_factor(Partition(lam), Partition(mu))),
+    "w": (2, lambda mu, z: w_multi(Partition(mu), staircase_args(z))),
+    "w_hat": (2, lambda mu, z: w_hat_multi(Partition(mu), staircase_args(z))),
+    "w_staircase": (1, lambda mu: w_staircase(Partition(mu), X)),
 }
 
 
@@ -820,7 +822,10 @@ def parse_expression(expr: str) -> RationalFn:
         if not chunk:
             continue
         groups.append(tuple(int(v) for v in chunk.split(",")))
-    return _EVAL_EXPRS[name](*groups)
+    arity, build = _EVAL_EXPRS[name]
+    if len(groups) != arity:
+        raise ValueError(f"{name} takes {arity} argument group(s), got {len(groups)}")
+    return build(*groups)
 
 
 def eval_point(expr: str, q0, t0, x0=0) -> Fraction:

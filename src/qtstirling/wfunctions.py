@@ -12,17 +12,16 @@ when arguments specialize to staircase points.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 from .algebra import (
     ONE,
     RationalFn,
     ZERO,
+    clear_cache,
     flip_qt,
     limit_q_to_1,
+    memo,
     monomial_rf,
     q_pow,
     subs_rational,
@@ -37,13 +36,10 @@ from .partitions import (
     n_stat_conj,
     weight,
 )
-from .pochhammer import poch, poch_partition_flipped
+from .pochhammer import pair_poch_product, poch, poch_partition_flipped
 from .reports import IdentityReport, equality_report, zero_report
 
 __all__ = [
-    "ExponentPair",
-    "GenericX",
-    "ArgEntry",
     "NotAStripError",
     "h_factor",
     "w_skew_single",
@@ -64,36 +60,6 @@ class NotAStripError(ValueError):
     """The skew pair is not a horizontal strip."""
 
 
-@dataclass(frozen=True)
-class ExponentPair:
-    """Argument entry q^k_q * t^k_t."""
-
-    k_q: int
-    k_t: int
-
-    def as_rational(self) -> RationalFn:
-        return monomial_rf(e_q=self.k_q, e_t=self.k_t)
-
-
-@dataclass(frozen=True)
-class GenericX:
-    """Argument entry X * t^k_t, X standing for a generic q^x."""
-
-    k_t: int
-
-    def as_rational(self) -> RationalFn:
-        return monomial_rf(e_t=self.k_t, e_X=1)
-
-
-ArgEntry = Union[ExponentPair, GenericX, RationalFn]
-
-
-def _as_rational(entry: ArgEntry) -> RationalFn:
-    if isinstance(entry, RationalFn):
-        return entry
-    return entry.as_rational()
-
-
 def staircase_args(z: Sequence[int], scale: RationalFn = ONE) -> tuple[RationalFn, ...]:
     """Arguments scale * q^{z_i} * t^{n-i} for an integer vector z."""
     n = len(z)
@@ -105,7 +71,7 @@ def generic_staircase_args(n: int) -> tuple[RationalFn, ...]:
     return tuple(monomial_rf(e_t=n - 1 - i, e_X=1) for i in range(n))
 
 
-@lru_cache(maxsize=None)
+@memo
 def h_factor(lam: Partition, mu: Partition) -> RationalFn:
     """The interlacing factor of the skew closed forms (equals 1 for lam = mu)."""
     if not is_horizontal_strip(lam, mu):
@@ -136,53 +102,31 @@ def _strip_poch_ratio(lam: Partition, mu: Partition, x: RationalFn) -> RationalF
     return out
 
 
-@lru_cache(maxsize=None)
-def w_skew_single(lam: Partition, mu: Partition, x: ArgEntry) -> RationalFn:
+@memo
+def w_skew_single(lam: Partition, mu: Partition, x: RationalFn) -> RationalFn:
     """Single-variable skew w; zero when lam/mu is not a horizontal strip."""
     if not is_horizontal_strip(lam, mu):
         return ZERO
-    x = _as_rational(x)
     d = weight(lam) - weight(mu)
     sign = -1 if d % 2 else 1
     pref = sign * x ** d * q_pow(n_stat_conj(mu) - n_stat_conj(lam) - d)
     return pref * h_factor(lam, mu) * _strip_poch_ratio(lam, mu, x)
 
 
-@lru_cache(maxsize=None)
-def w_hat_skew_single(lam: Partition, mu: Partition, x: ArgEntry) -> RationalFn:
+@memo
+def w_hat_skew_single(lam: Partition, mu: Partition, x: RationalFn) -> RationalFn:
     """Single-variable skew dual w-hat; zero off horizontal strips."""
     if not is_horizontal_strip(lam, mu):
         return ZERO
-    x = _as_rational(x)
     pref = t_pow(-n_stat(lam) + weight(mu) + n_stat(mu))
     return pref * h_factor(lam, mu) * _strip_poch_ratio(lam, mu, x)
 
 
-_CACHE: dict = {}
-
-
-def _cache_cap() -> int:
-    try:
-        return int(os.environ.get("QTSTIRLING_CACHE_SIZE", "200000"))
-    except ValueError:
-        return 200000
-
-
-def clear_cache():
-    """Drop all memoized w values (observationally transparent)."""
-    _CACHE.clear()
-    h_factor.cache_clear()
-    w_skew_single.cache_clear()
-    w_hat_skew_single.cache_clear()
-
-
+@memo
 def _w_rec(lam: Partition, xs: tuple[RationalFn, ...], dual: bool) -> RationalFn:
+    # called with positional arguments only, so that every call shares one memo key
     if not xs:
         return ONE if weight(lam) == 0 else ZERO
-    key = (dual, lam.parts, xs)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
     y = xs[0]
     rest = xs[1:]
     ell = len(rest)
@@ -199,60 +143,30 @@ def _w_rec(lam: Partition, xs: tuple[RationalFn, ...], dual: bool) -> RationalFn
         if not dual:
             term = t_pow(ell * (weight(lam) - weight(nu))) * term
         total = total + term
-    if len(_CACHE) >= _cache_cap():
-        _CACHE.clear()
-    _CACHE[key] = total
     return total
 
 
-def _argument_tuple(mu: Partition, xs: Sequence[ArgEntry]) -> tuple[RationalFn, ...]:
-    xs = tuple(_as_rational(e) for e in xs)
+def _argument_tuple(mu: Partition, xs: Sequence[RationalFn]) -> tuple[RationalFn, ...]:
+    xs = tuple(xs)
     if len(xs) != mu.n:
         raise ValueError(f"need {mu.n} arguments for {mu}, got {len(xs)}")
     return xs
 
 
-def w_multi(mu: Partition, xs: Sequence[ArgEntry]) -> RationalFn:
+def w_multi(mu: Partition, xs: Sequence[RationalFn]) -> RationalFn:
     """w_mu(x_1, ..., x_n; q, t) via the horizontal-strip recursion."""
-    return _w_rec(mu, _argument_tuple(mu, xs), dual=False)
+    return _w_rec(mu, _argument_tuple(mu, xs), False)
 
 
-def w_hat_multi(mu: Partition, xs: Sequence[ArgEntry]) -> RationalFn:
+def w_hat_multi(mu: Partition, xs: Sequence[RationalFn]) -> RationalFn:
     """Dual w-hat_mu(x_1, ..., x_n; q, t) via the strip recursion without t-weights."""
-    return _w_rec(mu, _argument_tuple(mu, xs), dual=True)
+    return _w_rec(mu, _argument_tuple(mu, xs), True)
 
 
-def _w_hat_multi_literal(mu: Partition, xs: Sequence[ArgEntry]) -> RationalFn:
-    """The other (rejected) reading of the dual recursion, kept for comparison.
-
-    It repeats the full skew pair lam/mu in the summand instead of passing to
-    the intermediate partition, and fails the duality relation; see tests.
-    """
-    xs = _argument_tuple(mu, xs)
-
-    def rec(lam: Partition, args: tuple[RationalFn, ...]) -> RationalFn:
-        if len(args) == 1:
-            return w_hat_skew_single(lam, Partition((0,) * lam.n), args[0])
-        y, rest = args[0], args[1:]
-        ell = len(rest)
-        s = ZERO
-        for nu in horizontal_strip_predecessors(lam):
-            s = s + w_hat_skew_single(lam, nu, y * t_pow(-ell))
-        return s * rec(lam, rest)
-
-    return rec(mu, xs)
-
-
-def w_staircase(mu: Partition, x: ArgEntry) -> RationalFn:
+def w_staircase(mu: Partition, x: RationalFn) -> RationalFn:
     """Closed form of w_mu at the staircase specialization (x t^{n-1}, ..., x t, x)."""
-    x = _as_rational(x)
     out = q_pow(-weight(mu)) * poch_partition_flipped(x, mu)
-    for i in range(1, mu.n + 1):
-        for j in range(i + 1, mu.n + 1):
-            d = mu[i - 1] - mu[j - 1]
-            if d:
-                out = out * poch(t_pow(j - i + 1), d) / poch(t_pow(j - i), d)
-    return out
+    return out * pair_poch_product(mu, 0, 1) / pair_poch_product(mu, 0, 0)
 
 
 def w_vanishing_check(mu: Partition, lam: Partition) -> IdentityReport:
@@ -263,7 +177,7 @@ def w_vanishing_check(mu: Partition, lam: Partition) -> IdentityReport:
     return zero_report("w-vanishing", {"mu": list(mu.parts), "lam": list(lam.parts)}, value)
 
 
-def duality_check(mu: Partition, xs: Sequence[ArgEntry]) -> IdentityReport:
+def duality_check(mu: Partition, xs: Sequence[RationalFn]) -> IdentityReport:
     """Check w-hat_mu(x; q, t) = q^-|mu| t^{-2n(mu)+(n-1)|mu|} w_mu(1/x; 1/q, 1/t).
 
     The t-exponent is the one consistent with the recursion-built dual

@@ -213,3 +213,69 @@ def test_denominator_normalization(f):
         assert c.denominator == 1
         g = gcd(g, int(c))
     assert g == 1
+
+
+# -- monomial substitution against a term-by-term reference -------------------
+
+def _subs_reference(f, images):
+    """f with q, t, X replaced by images, summed term by term in RationalFn arithmetic."""
+
+    def subs_poly(p):
+        total = ZERO
+        for monom, c in poly_terms(p):
+            term = const(c)
+            for image, e in zip(images, monom):
+                term = term * image**e
+            total = total + term
+        return total
+
+    den = subs_poly(f.den)
+    if den.is_zero:
+        raise PoleError("reference substitution hits a pole")
+    return subs_poly(f.num) / den
+
+
+_images = st.one_of(
+    st.just(ZERO),
+    st.integers(-3, 3).filter(bool).map(const),
+    st.tuples(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+        st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2),
+    ).map(lambda c: const(c[0]) * monomial_rf(*c[1:])),
+)
+
+
+def _same_or_both_pole(got, want):
+    try:
+        expected = want()
+    except PoleError:
+        with pytest.raises(PoleError):
+            got()
+        return
+    assert got() == expected
+
+
+@given(rationals(), _images, _images, _images)
+@settings(max_examples=80, deadline=None)
+def test_subs_rational_matches_reference(f, q, t, x):
+    _same_or_both_pole(lambda: subs_rational(f, q=q, t=t, X=x),
+                       lambda: _subs_reference(f, (q, t, x)))
+    _same_or_both_pole(lambda: subs_rational(f, t=t),
+                       lambda: _subs_reference(f, (Q, t, X)))
+
+
+@given(rationals(), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_flip_limit_specialise_match_reference(f, alpha):
+    assert flip_qt(f) == _subs_reference(f, (Q.inverse(), T.inverse(), X))
+    _same_or_both_pole(lambda: substitute_t_eq_q_pow(f, alpha),
+                       lambda: _subs_reference(f, (Q, Q**alpha, X)))
+    _same_or_both_pole(lambda: limit_q_to_1(f),
+                       lambda: _subs_reference(f, (ONE, T, X)))
+
+
+def test_subs_rational_rejects_non_monomial_image():
+    with pytest.raises(ValueError):
+        subs_rational(Q, q=ONE + T)
+    with pytest.raises(ValueError):
+        subs_rational(Q, X=Q / (ONE - T))

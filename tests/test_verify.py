@@ -198,3 +198,24 @@ def test_cli_table_and_eval(tmp_path):
 def test_cli_eval_pole_exit_code():
     proc = _run_cli("eval", "--expr", "qt_number(2,1)", "--q", "1", "--t", "1")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("check", "--identity", "bogus"),
+    ("check", "--n-max", "0"),
+    ("check", "--part-max", "-1"),
+    ("eval", "--expr", "s1(2,1)", "--q", "1/2", "--t", "1/3"),
+    ("eval", "--expr", "gaussian(2;1)", "--q", "2", "--t", "0"),
+])
+def test_cli_bad_input_exit_code(args):
+    proc = _run_cli(*args)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_eval_arity_mismatch_is_value_error():
+    with pytest.raises(ValueError):
+        eval_point("s1(2,1)", 1, 1)
+    with pytest.raises(ValueError):
+        eval_point("qt_number(1;1)", 1, 1)

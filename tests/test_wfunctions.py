@@ -16,11 +16,16 @@ from qtstirling.algebra import (
     subs_rational,
     t_pow,
 )
-from qtstirling.partitions import Partition, partitions_in_box, rectangle, weight, zeros
+from qtstirling.partitions import (
+    Partition,
+    horizontal_strip_predecessors,
+    partitions_in_box,
+    rectangle,
+    weight,
+    zeros,
+)
 from qtstirling.pochhammer import poch, poch_partition_flipped
 from qtstirling.wfunctions import (
-    ExponentPair,
-    GenericX,
     NotAStripError,
     clear_cache,
     duality_check,
@@ -34,7 +39,6 @@ from qtstirling.wfunctions import (
     w_skew_single,
     w_staircase,
     w_vanishing_check,
-    _w_hat_multi_literal,
 )
 
 P = Partition
@@ -49,8 +53,6 @@ def rect_oracle(k, xs):
 
 
 def test_argument_entries():
-    assert ExponentPair(2, 1).as_rational() == Q**2 * T
-    assert GenericX(3).as_rational() == X * T**3
     assert staircase_args((2, 1)) == (Q**2 * T, Q)
     assert generic_staircase_args(2) == (X * T, X)
 
@@ -116,16 +118,16 @@ def test_w_multi_staircase_closed_form():
     mu = P((1, 1))
     closed = q_pow(-2) * poch_partition_flipped(X, mu)
     assert w_multi(mu, (X * T, X)) == closed
-    assert w_staircase(mu, GenericX(0)) == closed
+    assert w_staircase(mu, X) == closed
 
     for parts in [(1,), (2, 1), (3, 1), (2, 2, 1)]:
         mu = P(parts)
-        assert w_staircase(mu, GenericX(0)) == w_multi(mu, generic_staircase_args(mu.n))
+        assert w_staircase(mu, X) == w_multi(mu, generic_staircase_args(mu.n))
 
 
 def test_w_staircase_closed_form_value():
-    assert w_staircase(P((1,)), GenericX(0)) == (ONE - X) / Q
-    assert w_staircase(zeros(2), GenericX(0)) == ONE
+    assert w_staircase(P((1,)), X) == (ONE - X) / Q
+    assert w_staircase(zeros(2), X) == ONE
 
 
 def test_vanishing():
@@ -165,6 +167,26 @@ def test_duality_rejected_exponent_reading():
     assert lhs == accepted
 
 
+def _w_hat_multi_literal(mu, xs):
+    """The other (rejected) reading of the dual recursion.
+
+    It repeats the full skew pair lam/mu in the summand instead of passing to
+    the intermediate partition, and fails the duality relation.
+    """
+
+    def rec(lam, args):
+        if len(args) == 1:
+            return w_hat_skew_single(lam, Partition((0,) * lam.n), args[0])
+        y, rest = args[0], args[1:]
+        ell = len(rest)
+        s = ZERO
+        for nu in horizontal_strip_predecessors(lam):
+            s = s + w_hat_skew_single(lam, nu, y * t_pow(-ell))
+        return s * rec(lam, rest)
+
+    return rec(mu, tuple(xs))
+
+
 def test_dual_recursion_literal_reading_rejected():
     # repeating the full skew pair in the summand breaks duality
     mu = P((1, 1))
@@ -196,13 +218,59 @@ def test_cache_transparency():
     assert w_multi(mu, xs) == value
 
 
-def test_cache_cap_env(monkeypatch):
-    monkeypatch.setenv("QTSTIRLING_CACHE_SIZE", "4")
+def test_cache_cap_env():
+    # the cap is read once, at import, so it takes a fresh interpreter
+    import os
+    import subprocess
+    import sys
+
+    import qtstirling
+
+    code = (
+        "from qtstirling.algebra import canonical_str\n"
+        "from qtstirling.partitions import Partition\n"
+        "from qtstirling.wfunctions import _w_rec, generic_staircase_args, w_multi\n"
+        "print(canonical_str(w_multi(Partition((2, 2)), generic_staircase_args(2))))\n"
+        "print(_w_rec.cache_info().maxsize)\n"
+    )
+    src = os.path.dirname(os.path.dirname(qtstirling.__file__))
+    env = {**os.environ, "QTSTIRLING_CACHE_SIZE": "4", "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    value, maxsize = proc.stdout.splitlines()
+    assert value == canonical_str(rect_oracle(2, generic_staircase_args(2)))
+    assert maxsize == "4"
+
+
+def _package_memos():
+    import importlib
+    import pkgutil
+
+    import qtstirling
+
+    memos = {}
+    for info in pkgutil.iter_modules(qtstirling.__path__):
+        module = importlib.import_module(f"qtstirling.{info.name}")
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_info", None)):
+                memos[id(value)] = value
+    return list(memos.values())
+
+
+def test_clear_cache_empties_every_memo():
+    from qtstirling.stirling import s1, s2, u_matrix, v_matrix
+
+    nu, mu = P((2, 1)), P((1, 0))
+    s1(nu, mu)
+    s2(nu, mu)
+    u_matrix(nu, mu)
+    v_matrix(nu, mu)
+    w_multi(P((2, 1)), generic_staircase_args(2))
+    memos = _package_memos()
+    assert all(f.cache_info().currsize for f in (s1, s2, u_matrix, v_matrix))
     clear_cache()
-    mu = P((2, 2))
-    expected = rect_oracle(2, generic_staircase_args(2))
-    assert w_multi(mu, generic_staircase_args(2)) == expected
-    clear_cache()
+    assert {f.__name__: f.cache_info().currsize for f in memos} == {f.__name__: 0 for f in memos}
 
 
 def test_concurrent_reads_consistent():
