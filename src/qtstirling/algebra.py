@@ -5,6 +5,15 @@ three indeterminates q, t, X.  X stands for the generic exponential q^x, so
 every quantity in the library lives in this one field.  Canonical form:
 numerator and denominator coprime, denominator an integer-primitive
 polynomial with positive leading coefficient under graded lex q > t > X.
+
+The operators keep that form without a full gcd.  Canonical operands are
+coprime, so a product a/b * c/d needs only the cross gcds (a, d) and
+(c, b); a sum follows Henrici: with g = gcd(b, d) the only common factor
+left in a*(d/g) + c*(b/g) over (b/g)*(d/g)*g divides g.  Every gcd divided
+out is scaled to an integer-primitive polynomial with positive leading
+coefficient, so by Gauss's lemma the new denominator is already in
+canonical form.  Only values built from outside (`RationalFn(num, den)`,
+substitution, parsing) run the full reduction `_canonical`.
 """
 
 from __future__ import annotations
@@ -116,25 +125,62 @@ def _poly_key(p: Polynomial) -> frozenset:
     return frozenset((m, int(c.numerator), int(c.denominator)) for m, c in p.items())
 
 
+_P1 = _RING.one
+
+
+def _shift(p: Polynomial, low: tuple) -> Polynomial:
+    """p divided by the monomial q^low[0] t^low[1] X^low[2]."""
+    a, b, x = low
+    return _RING.dtype({(i - a, j - b, k - x): c for (i, j, k), c in p.items()})
+
+
+def _gcd_parts(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(h, f/h, g/h) for a gcd h of the nonzero f and g.
+
+    h is integer-primitive with positive leading coefficient, so f/h and
+    g/h keep those properties of f and g.  When f or g has one term, h is
+    the monomial of the minimum exponents over the terms of both, found
+    without a coefficient gcd; otherwise it is PolyElement.gcd's.
+    """
+    if len(f) == 1 or len(g) == 1:
+        low = tuple(map(min, zip(*chain(f, g))))
+        if not any(low):
+            return _P1, f, g
+        return _RING.dtype({low: QQ(1)}), _shift(f, low), _shift(g, low)
+    h = f.gcd(g)
+    if h.is_ground:
+        return _P1, f, g
+    h = h.primitive()[1]
+    if h.LC < 0:  # sympy's gcd is not always monic under this ring's order
+        h = -h
+    return h, f.exquo(h), g.exquo(h)
+
+
+def _unit_normal(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """num/den with den scaled to integer-primitive with positive leading coefficient."""
+    c, den = den.primitive()
+    if den.LC < 0:
+        c, den = -c, -den
+    if c != 1:
+        num = num.quo_ground(c)
+    return num, den
+
+
 def _canonical(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Reduce num/den: remove gcd and content, fix denominator sign."""
+    """Full reduction of num/den: remove the gcd, then fix content and sign.
+
+    Only values built from outside the operators need it.  The operators
+    rely on the invariant it establishes (num and den coprime, den
+    integer-primitive with positive leading coefficient): products divide
+    out the two cross gcds, sums follow Henrici, inverses swap and fix
+    content and sign, and none of them calls this function.
+    """
     if not den:
         raise ZeroDivisionError("division by the zero rational function")
     if not num:
         return _RING.zero, _RING.one
-    g = num.gcd(den)
-    if g != _RING.one:
-        num = num.exquo(g)
-        den = den.exquo(g)
-    c_num, num = num.primitive()
-    c_den, den = den.primitive()
-    if den.LC < 0:
-        den = -den
-        num = -num
-    scale = c_num / c_den
-    if scale != 1:
-        num = num.mul_ground(scale)
-    return num, den
+    _, num, den = _gcd_parts(num, den)
+    return _unit_normal(num, den)
 
 
 class RationalFn:
@@ -194,10 +240,16 @@ class RationalFn:
             return self
         if not self.num:
             return other
-        g = self.den.gcd(other.den)
-        da = self.den.exquo(g)
-        db = other.den.exquo(g)
-        return RationalFn(self.num * db + other.num * da, da * other.den)
+        # Henrici: num/den below share no factor outside g = gcd(b, d).
+        g, b, d = _gcd_parts(self.den, other.den)
+        num = self.num * d + other.num * b
+        if not num:
+            return ZERO
+        den = b * d
+        if g != _P1:
+            _, num, g = _gcd_parts(num, g)
+            den = den * g
+        return RationalFn(num, den, _canon=True)
 
     __radd__ = __add__
 
@@ -219,11 +271,9 @@ class RationalFn:
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
-        g1 = self.num.gcd(other.den)
-        g2 = other.num.gcd(self.den)
-        num = self.num.exquo(g1) * other.num.exquo(g2)
-        den = self.den.exquo(g2) * other.den.exquo(g1)
-        return RationalFn(num, den)
+        _, a, d = _gcd_parts(self.num, other.den)
+        _, c, b = _gcd_parts(other.num, self.den)
+        return RationalFn(a * c, b * d, _canon=True)
 
     __rmul__ = __mul__
 
@@ -239,7 +289,7 @@ class RationalFn:
     def inverse(self) -> "RationalFn":
         if not self.num:
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFn(self.den, self.num)
+        return RationalFn(*_unit_normal(self.den, self.num), _canon=True)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):

@@ -5,8 +5,9 @@ Usage:
     qtstirling table --kind s1 --bound 2,1 [--format json|csv] --out FILE
     qtstirling eval --expr "s1(2,1;1,0)" --q 1/2 --t 1/3 [--x 2]
 
-`check` exits 0 iff every identity passes and 1 otherwise; bad input exits 2
-with a one-line message.  The QTSTIRLING_CACHE_SIZE environment variable caps
+`check` exits 0 iff every identity passes and 1 otherwise; bad input,
+including an --out path that cannot be written, exits 2 with a one-line
+message.  The QTSTIRLING_CACHE_SIZE environment variable caps
 every memo in the package (each an LRU cache of that many entries, 200000 by
 default); it is read once, at start-up.
 """
@@ -41,10 +42,19 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"bad rational {text!r}: zero denominator")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error on one line (exit 2)."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qtstirling",
         description="Exact verification of qt-Stirling and qt-binomial identities.",
     )
@@ -84,7 +94,7 @@ def _cmd_check(args) -> int:
             output_path=args.out,
         )
         reports = run_suite(cfg)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     by_id: dict[str, list] = {}
@@ -104,7 +114,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    text = emit_table(args.kind, args.bound, args.format, args.out)
+    try:
+        text = emit_table(args.kind, args.bound, args.format, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if not args.out:
         sys.stdout.write(text)
     return 0

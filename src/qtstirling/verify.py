@@ -809,7 +809,8 @@ def parse_expression(expr: str) -> RationalFn:
     """Evaluate an expression id of the form name(ints;ints;...) symbolically.
 
     Each ';'-separated group of comma-separated integers is one argument of
-    the quantity named; a wrong number of groups is a ValueError.
+    the quantity named; an empty group or a wrong number of groups is a
+    ValueError.
     Examples: "qt_number(2,1)", "s1(2,1;1,0)", "binomial(2;1)", "gaussian(2;1)".
     """
     expr = expr.strip()
@@ -823,7 +824,7 @@ def parse_expression(expr: str) -> RationalFn:
     for chunk in inner.split(";"):
         chunk = chunk.strip()
         if not chunk:
-            continue
+            raise ValueError(f"empty argument group in {expr!r}")
         groups.append(tuple(int(v) for v in chunk.split(",")))
     arity, build = _EVAL_EXPRS[name]
     if len(groups) != arity:

@@ -207,6 +207,11 @@ def test_cli_eval_pole_exit_code():
     ("check", "--part-max", "-1"),
     ("eval", "--expr", "s1(2,1)", "--q", "1/2", "--t", "1/3"),
     ("eval", "--expr", "gaussian(2,1)", "--q", "2", "--t", "0"),
+    ("eval", "--expr", "gaussian(2;;1)", "--q", "2", "--t", "0"),
+    ("eval", "--expr", "qt_number(2,1)", "--q", "1/0", "--t", "2"),
+    ("check", "--n-max", "1", "--part-max", "1", "--identity", "stirling-zero",
+     "--out", "/nonexistent/dir/r.json"),
+    ("table", "--kind", "s1", "--bound", "1", "--out", "/nonexistent/dir/x.json"),
 ])
 def test_cli_bad_input_exit_code(args):
     proc = _run_cli(*args)
@@ -224,3 +229,7 @@ def test_eval_arity_mismatch_is_value_error():
         eval_point("gaussian(2,1)", 2, 0)
     with pytest.raises(ValueError):
         eval_point("gaussian(2;1,0)", 2, 0)
+    with pytest.raises(ValueError):
+        eval_point("gaussian(2;;1)", 2, 0)
+    with pytest.raises(ValueError):
+        eval_point("s1(;2,1;1,0;)", 2, 3)
