@@ -22,6 +22,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from math import lcm
 from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 from sympy.polys.domains import QQ
@@ -417,29 +418,46 @@ def flip_qt(f: RationalFn) -> RationalFn:
     return _remap(f, _FLIP, "flip hits a pole")
 
 
-def _eval_poly(p: Polynomial, q0: Fraction, t0: Fraction, X0: Fraction) -> Fraction:
-    total = Fraction(0)
-    powers: dict[tuple[int, int], Fraction] = {}
-    for (a, b, x), c in p.items():
-        val = _to_fraction(c)
-        for idx, (base, e) in enumerate(((q0, a), (t0, b), (X0, x))):
-            if e:
-                key = (idx, e)
-                pw = powers.get(key)
-                if pw is None:
-                    pw = powers[key] = base ** e
-                val *= pw
-        total += val
-    return total
+def _scaled_powers(x: Fraction, top: int) -> list[int]:
+    """[a^i * b^(top - i) for i in 0..top], where x = a/b in lowest terms."""
+    a, b = x.numerator, x.denominator
+    up, down = [1], [1]
+    for _ in range(top):
+        up.append(up[-1] * a)
+        down.append(down[-1] * b)
+    return [u * down[top - i] for i, u in enumerate(up)]
+
+
+def _integer_sum(p: Polynomial, tables: list[list[int]]) -> tuple[int, int]:
+    """(s, L): L is the lcm of p's coefficient denominators and s the
+    integer sum of L*c * tq[i] * tt[j] * tX[k] over the terms c q^i t^j X^k."""
+    scale = lcm(*(int(c.denominator) for c in p.values()))
+    tq, tt, tx = tables
+    total = 0
+    for (i, j, k), c in p.items():
+        total += int(c.numerator) * (scale // int(c.denominator)) * tq[i] * tt[j] * tx[k]
+    return total, scale
 
 
 def evaluate(f: RationalFn, q0, t0, X0=0) -> Fraction:
-    """Exact value of f at a rational point; PoleError on a vanishing denominator."""
-    q0, t0, X0 = Fraction(q0), Fraction(t0), Fraction(X0)
-    den = _eval_poly(f.den, q0, t0, X0)
+    """Exact value of f at a rational point, computed over the integers.
+
+    With q0 = a/b and D the largest power of q in num and den together,
+    each q^i becomes a^i b^(D - i): both sums gain the same factor b^D,
+    which cancels in the quotient; likewise for t and X.  Each polynomial
+    is also scaled by the lcm of its coefficient denominators, so both
+    sums are integers and one Fraction is built at the end.  Raises
+    PoleError exactly when the scaled denominator sum is 0.
+    """
+    point = (Fraction(q0), Fraction(t0), Fraction(X0))
+    monoms = list(chain(f.num, f.den))
+    tables = [_scaled_powers(x, max(m[v] for m in monoms)) for v, x in enumerate(point)]
+    den, den_scale = _integer_sum(f.den, tables)
     if den == 0:
+        q0, t0, X0 = point
         raise PoleError(f"denominator vanishes at q={q0}, t={t0}, X={X0}")
-    return _eval_poly(f.num, q0, t0, X0) / den
+    num, num_scale = _integer_sum(f.num, tables)
+    return Fraction(num * den_scale, den * num_scale)
 
 
 def subs_rational(f: RationalFn, q=None, t=None, X=None) -> RationalFn:

@@ -7,7 +7,10 @@ Usage:
 
 `check` exits 0 iff every identity passes and 1 otherwise; bad input,
 including an --out path that cannot be written, exits 2 with a one-line
-message.  The QTSTIRLING_CACHE_SIZE environment variable caps
+message before any identity or table entry is computed.  `eval` builds its
+one id once per process: the memo behind it (verify.parse_expression) pays
+off only for library callers that request an id again, at other points.
+The QTSTIRLING_CACHE_SIZE environment variable caps
 every memo in the package (each an LRU cache of that many entries, 200000 by
 default); it is read once, at start-up.
 """
@@ -26,7 +29,6 @@ from .verify import (
     emit_table,
     eval_point,
     run_suite,
-    write_report,
 )
 
 

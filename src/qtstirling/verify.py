@@ -11,13 +11,15 @@ part_max for every n.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import random
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from .algebra import (
     ONE,
@@ -29,6 +31,7 @@ from .algebra import (
     canonical_str,
     evaluate,
     limit_q_to_1,
+    memo,
     monomial_rf,
     q_pow,
     subs_rational,
@@ -702,33 +705,38 @@ MANIFEST: tuple[str, ...] = tuple(_REGISTRY)
 
 
 def run_suite(cfg: SuiteConfig) -> list[IdentityReport]:
-    """Run all (or the selected) identities; failures are data, not exceptions."""
+    """Run all (or the selected) identities; failures are data, not exceptions.
+
+    The report file, if any, is opened before the first identity runs, so an
+    unwritable path raises OSError at once.
+    """
     selected = cfg.identities if cfg.identities else list(_REGISTRY)
     unknown = [i for i in selected if i not in _REGISTRY]
     if unknown:
         raise ValueError(f"unknown identities: {unknown}")
     reports: list[IdentityReport] = []
-    for identity_id in _REGISTRY:
-        if identity_id not in selected:
-            continue
-        started = time.perf_counter()
-        try:
-            for report in _REGISTRY[identity_id](cfg):
-                report.elapsed = time.perf_counter() - started
-                started = time.perf_counter()
-                reports.append(report)
-        except Exception as exc:  # a PoleError here is a genuine failure
-            reports.append(IdentityReport(identity_id, {}, passed=False,
-                                          witness=f"{type(exc).__name__}: {exc}"))
-    if cfg.output_path:
-        write_report(reports, cfg.output_path)
+    with _open_output(cfg.output_path) as fh:
+        for identity_id in _REGISTRY:
+            if identity_id not in selected:
+                continue
+            started = time.perf_counter()
+            try:
+                for report in _REGISTRY[identity_id](cfg):
+                    report.elapsed = time.perf_counter() - started
+                    started = time.perf_counter()
+                    reports.append(report)
+            except Exception as exc:  # a PoleError here is a genuine failure
+                reports.append(IdentityReport(identity_id, {}, passed=False,
+                                              witness=f"{type(exc).__name__}: {exc}"))
+        if fh is not None:
+            json.dump([r.to_json_dict() for r in reports], fh, indent=2)
+            fh.write("\n")
     return reports
 
 
-def write_report(reports: Sequence[IdentityReport], path: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump([r.to_json_dict() for r in reports], fh, indent=2)
-        fh.write("\n")
+def _open_output(path: Optional[str]):
+    """The file at path opened for writing, or a context yielding None without a path."""
+    return open(path, "w", encoding="utf-8", newline="\n") if path else nullcontext()
 
 
 # ---------------------------------------------------------------------------
@@ -744,37 +752,39 @@ _TABLE_KINDS: dict[str, Callable[[Partition, Partition], RationalFn]] = {
 
 
 def emit_table(kind: str, bound: Partition, fmt: str = "json", path: Optional[str] = None) -> str:
-    """Write all entries (nu, mu, value) for mu <= nu <= bound; returns the text."""
+    """Write all entries (nu, mu, value) for mu <= nu <= bound; returns the text.
+
+    The file at path is opened before any entry is computed, so an
+    unwritable path raises OSError at once.
+    """
     if kind not in _TABLE_KINDS:
         raise ValueError(f"unknown table kind {kind!r}")
-    fn = _TABLE_KINDS[kind]
-    entries = []
-    for nu in subpartitions(bound):
-        for mu in subpartitions(nu):
-            entries.append((nu, mu, canonical_str(fn(nu, mu))))
-    if fmt == "json":
-        doc = {
-            "n": bound.n,
-            "bound": list(bound.parts),
-            "entries": [
-                {"nu": list(nu.parts), "mu": list(mu.parts), "value": value}
-                for nu, mu, value in entries
-            ],
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    elif fmt == "csv":
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator="\n")
-        writer.writerow(["nu", "mu", "value"])
-        for nu, mu, value in entries:
-            writer.writerow([",".join(map(str, nu.parts)), ",".join(map(str, mu.parts)), value])
-        text = buf.getvalue()
-    else:
+    if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    fn = _TABLE_KINDS[kind]
+    with _open_output(path) as fh:
+        entries = []
+        for nu in subpartitions(bound):
+            for mu in subpartitions(nu):
+                entries.append((nu, mu, canonical_str(fn(nu, mu))))
+        if fmt == "json":
+            doc = {
+                "n": bound.n,
+                "bound": list(bound.parts),
+                "entries": [
+                    {"nu": list(nu.parts), "mu": list(mu.parts), "value": value}
+                    for nu, mu, value in entries
+                ],
+            }
+            text = json.dumps(doc, indent=2) + "\n"
+        else:
+            buf = io.StringIO()
+            writer = csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator="\n")
+            writer.writerow(["nu", "mu", "value"])
+            for nu, mu, value in entries:
+                writer.writerow([",".join(map(str, nu.parts)), ",".join(map(str, mu.parts)), value])
+            text = buf.getvalue()
+        if fh is not None:
             fh.write(text)
     return text
 
@@ -805,12 +815,19 @@ _EVAL_EXPRS: dict[str, tuple[int, Callable[..., RationalFn]]] = {
 }
 
 
+@memo
+def _expression_value(name: str, groups: tuple[tuple[int, ...], ...]) -> RationalFn:
+    return _EVAL_EXPRS[name][1](*groups)
+
+
 def parse_expression(expr: str) -> RationalFn:
     """Evaluate an expression id of the form name(ints;ints;...) symbolically.
 
     Each ';'-separated group of comma-separated integers is one argument of
     the quantity named; an empty group or a wrong number of groups is a
-    ValueError.
+    ValueError.  Values are memoised under (name, integer groups), so
+    spellings of one id that differ only in whitespace share an entry;
+    a build that raises stores nothing.
     Examples: "qt_number(2,1)", "s1(2,1;1,0)", "binomial(2;1)", "gaussian(2;1)".
     """
     expr = expr.strip()
@@ -826,12 +843,16 @@ def parse_expression(expr: str) -> RationalFn:
         if not chunk:
             raise ValueError(f"empty argument group in {expr!r}")
         groups.append(tuple(int(v) for v in chunk.split(",")))
-    arity, build = _EVAL_EXPRS[name]
+    arity = _EVAL_EXPRS[name][0]
     if len(groups) != arity:
         raise ValueError(f"{name} takes {arity} argument group(s), got {len(groups)}")
-    return build(*groups)
+    return _expression_value(name, tuple(groups))
 
 
 def eval_point(expr: str, q0, t0, x0=0) -> Fraction:
-    """Exact rational value of a library quantity at a rational point."""
+    """Exact rational value of a library quantity at a rational point.
+
+    The rational function comes from parse_expression's memo, so a repeated
+    id costs one lookup plus one integer evaluation (algebra.evaluate).
+    """
     return evaluate(parse_expression(expr), q0, t0, x0)

@@ -355,3 +355,41 @@ def test_operators_match_reference_reduction(f, g, k):
         want = _reference(num, den)
         assert got == want, op
         assert canonical_str(got) == canonical_str(want), op
+
+
+# -- point evaluation against a Fraction-per-term reference --------------------
+
+def _eval_poly_reference(p, q0, t0, X0):
+    """p at a rational point, summed one Fraction term at a time."""
+    total = Fraction(0)
+    for (a, b, x), c in poly_terms(p):
+        total += c * q0**a * t0**b * X0**x
+    return total
+
+
+#: _operands times a rational constant, so that num has rational coefficients.
+_eval_operands = st.tuples(
+    _operands, st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool),
+).map(lambda fc: fc[0] * fc[1])
+
+_coords = st.one_of(st.just(Fraction(0)),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=5))
+
+
+@given(_eval_operands, _coords, _coords, st.one_of(st.none(), _coords))
+@example(ONE + Q, Fraction(1, 3), Fraction(0), None)
+@example((ONE + Q) * Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(1, 2))
+@example(ONE / (ONE - Q * T), Fraction(-3, 2), Fraction(-2, 3), Fraction(0))
+@example(ZERO, Fraction(0), Fraction(0), None)
+@settings(max_examples=300, deadline=None)
+def test_evaluate_matches_fraction_reference(f, q0, t0, X0):
+    point = (q0, t0) if X0 is None else (q0, t0, X0)
+    X0 = Fraction(0) if X0 is None else X0
+    den = _eval_poly_reference(f.den, q0, t0, X0)
+    if den == 0:
+        with pytest.raises(PoleError):
+            evaluate(f, *point)
+        return
+    got = evaluate(f, *point)
+    assert isinstance(got, Fraction)
+    assert got == _eval_poly_reference(f.num, q0, t0, X0) / den

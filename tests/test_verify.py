@@ -7,10 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+from qtstirling import cli, verify
+from qtstirling.algebra import clear_cache
 from qtstirling.partitions import Partition
 from qtstirling.verify import (
+    _EVAL_EXPRS,
     MANIFEST,
     SuiteConfig,
+    _expression_value,
     check_root_vanishing,
     check_x0_sums,
     classical_stirling1,
@@ -18,6 +22,7 @@ from qtstirling.verify import (
     emit_table,
     eval_point,
     falling_factorial_coefficients,
+    parse_expression,
     registered_identities,
     run_suite,
 )
@@ -233,3 +238,64 @@ def test_eval_arity_mismatch_is_value_error():
         eval_point("gaussian(2;;1)", 2, 0)
     with pytest.raises(ValueError):
         eval_point("s1(;2,1;1,0;)", 2, 3)
+
+
+# -- the eval memo ------------------------------------------------------------
+
+#: One small instance of every eval id.
+_SMALL_IDS = (
+    "qt_number(2,1)", "binomial(2,1;1,0)", "bracket(2,1;1,0)", "bracket_rect(1,1)",
+    "gaussian(2;1)", "s1(2,1;1,0)", "s2(2,1;1,0)", "u(2,1;1,0)", "v(2,1;1,0)",
+    "f(2,1)", "h(2,1;1,0)", "w(1,0;2,1)", "w_hat(1,0;2,1)", "w_staircase(2,1)",
+)
+
+
+def test_small_ids_cover_every_eval_id():
+    assert sorted(expr.partition("(")[0] for expr in _SMALL_IDS) == sorted(_EVAL_EXPRS)
+
+
+@pytest.mark.parametrize("expr", _SMALL_IDS)
+def test_eval_memo_is_transparent(expr):
+    points = [(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)), (Fraction(-2, 3), Fraction(3), 0)]
+    eval_point(expr, 7, 11)
+    warm = [eval_point(expr, *pt) for pt in points]
+    clear_cache()
+    assert [eval_point(expr, *pt) for pt in points] == warm
+
+
+def test_eval_memo_shares_whitespace_variants():
+    assert parse_expression(" s1( 2,1 ; 1,0 ) ") is parse_expression("s1(2,1;1,0)")
+
+
+def test_eval_memo_stores_no_error():
+    parse_expression("s1(2,1;1,0)")
+    size = _expression_value.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError):  # (1) over (2) is not a horizontal strip
+            parse_expression("h(1;2)")
+        assert _expression_value.cache_info().currsize == size
+
+
+# -- an unwritable --out fails before any work --------------------------------
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Stub one identity and one table kind with builders that fail if called."""
+
+    def never(*args):
+        pytest.fail("computed before the output path was opened")
+
+    monkeypatch.setitem(verify._REGISTRY, "stirling-zero", never)
+    monkeypatch.setitem(verify._TABLE_KINDS, "s1", never)
+
+
+@pytest.mark.parametrize("args", [
+    ("check", "--identity", "stirling-zero", "--out", "/nonexistent/dir/r.json"),
+    ("table", "--kind", "s1", "--bound", "1", "--out", "/nonexistent/dir/t.json"),
+])
+def test_unwritable_out_fails_before_any_work(no_work, capsys, args):
+    assert cli.main(list(args)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("error: ")

@@ -232,15 +232,18 @@ def test_cache_cap_env():
         "from qtstirling.wfunctions import _w_rec, generic_staircase_args, w_multi\n"
         "print(canonical_str(w_multi(Partition((2, 2)), generic_staircase_args(2))))\n"
         "print(_w_rec.cache_info().maxsize)\n"
+        "from qtstirling.verify import _expression_value\n"
+        "print(_expression_value.cache_info().maxsize)\n"
     )
     src = os.path.dirname(os.path.dirname(qtstirling.__file__))
     env = {**os.environ, "QTSTIRLING_CACHE_SIZE": "4", "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    value, maxsize = proc.stdout.splitlines()
+    value, maxsize, eval_maxsize = proc.stdout.splitlines()
     assert value == canonical_str(rect_oracle(2, generic_staircase_args(2)))
     assert maxsize == "4"
+    assert eval_maxsize == "4"
 
 
 def _package_memos():
@@ -260,6 +263,7 @@ def _package_memos():
 
 def test_clear_cache_empties_every_memo():
     from qtstirling.stirling import s1, s2, u_matrix, v_matrix
+    from qtstirling.verify import _expression_value, parse_expression
 
     nu, mu = P((2, 1)), P((1, 0))
     s1(nu, mu)
@@ -267,8 +271,11 @@ def test_clear_cache_empties_every_memo():
     u_matrix(nu, mu)
     v_matrix(nu, mu)
     w_multi(P((2, 1)), generic_staircase_args(2))
+    parse_expression("binomial(2,1;1,0)")
     memos = _package_memos()
-    assert all(f.cache_info().currsize for f in (s1, s2, u_matrix, v_matrix))
+    assert _expression_value in memos
+    assert all(f.cache_info().currsize
+               for f in (s1, s2, u_matrix, v_matrix, _expression_value))
     clear_cache()
     assert {f.__name__: f.cache_info().currsize for f in memos} == {f.__name__: 0 for f in memos}
 
