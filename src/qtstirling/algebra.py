@@ -1,18 +1,27 @@
 """Exact arithmetic in Q(q, t, X).
 
-Values are reduced ratios of sparse polynomials over the rationals in the
-three indeterminates q, t, X.  X stands for the generic exponential q^x, so
-every quantity in the library lives in this one field.  Canonical form:
-numerator and denominator coprime, denominator an integer-primitive
-polynomial with positive leading coefficient under graded lex q > t > X.
+Values are reduced ratios of sparse polynomials in the three
+indeterminates q, t, X.  X stands for the generic exponential q^x, so
+every quantity in the library lives in this one field.
 
-The operators keep that form without a full gcd.  Canonical operands are
-coprime, so a product a/b * c/d needs only the cross gcds (a, d) and
-(c, b); a sum follows Henrici: with g = gcd(b, d) the only common factor
-left in a*(d/g) + c*(b/g) over (b/g)*(d/g)*g divides g.  Every gcd divided
-out is scaled to an integer-primitive polynomial with positive leading
-coefficient, so by Gauss's lemma the new denominator is already in
-canonical form.  Only values built from outside (`RationalFn(num, den)`,
+A RationalFn stores its value as a pair (n, d) of polynomials in one
+integer ring ZZ[q, t, X] under graded lex q > t > X.  The pair is
+canonical: n and d are coprime over ZZ, integer content included, and the
+leading coefficient of d is positive.  So no product, sum, gcd or
+evaluation ever meets a rational coefficient.  Rationals enter only
+through `const`, the images of a substitution, `parse_rational` and
+`RationalFn(num, den)` on polynomials over QQ, and are cleared to
+integers there.  The public polynomial face stays over QQ: `polynomial`,
+`poly_terms`, and the read-only views `f.num` and `f.den`, in which den is
+integer-primitive with positive leading coefficient.
+
+The operators keep the pair canonical without a full gcd.  Canonical
+operands are coprime, so a product a/b * c/d needs only the cross gcds
+(a, d) and (c, b); a sum follows Henrici: with g = gcd(b, d) the only
+common factor left in a*(d/g) + c*(b/g) over (b/g)*(d/g)*g divides g.
+Every gcd divided out has a positive leading coefficient, and leading
+coefficients multiply under a monomial order, so the new denominator's
+stays positive.  Only values built from outside (`RationalFn(num, den)`,
 substitution, parsing) run the full reduction `_canonical`.
 """
 
@@ -22,10 +31,10 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.rings import PolyElement, ring
 
 __all__ = [
@@ -54,9 +63,15 @@ __all__ = [
     "parse_rational",
 ]
 
-_RING, _PQ, _PT, _PX = ring("q,t,X", QQ, "grlex")
+#: The public face: `polynomial`, `poly_terms`, `.num` and `.den` are over QQ.
+_RING = ring("q,t,X", QQ, "grlex")[0]
+#: The ring of every stored pair.
+_ZRING = ring("q,t,X", ZZ, "grlex")[0]
+_zpoly = _ZRING.dtype  # integer polynomial from a term map, coefficients as given
+_Z1 = _ZRING.one
+_ORIGIN = (0, 0, 0)
 
-#: Sparse multivariate polynomial over the rationals (term map monomial -> coeff).
+#: Sparse multivariate polynomial (term map monomial -> coeff).
 Polynomial = PolyElement
 
 _VARS = ("q", "t", "X")
@@ -99,20 +114,14 @@ def _to_fraction(c) -> Fraction:
     return Fraction(int(c.numerator), int(c.denominator))
 
 
-def _to_coeff(c) -> object:
-    if isinstance(c, int):
-        return QQ(c)
-    return QQ(int(c.numerator), int(c.denominator))
-
-
 def polynomial(terms: Mapping[tuple, Union[int, Fraction]]) -> Polynomial:
-    """Build a polynomial from a term map {(e_q, e_t, e_X): coefficient}."""
+    """Build a polynomial over QQ from a term map {(e_q, e_t, e_X): coefficient}."""
     out = {}
     for monom, c in terms.items():
         monom = tuple(int(e) for e in monom)
         if len(monom) != 3 or any(e < 0 for e in monom):
             raise ValueError(f"bad monomial {monom!r}")
-        out[monom] = _to_coeff(c)
+        out[monom] = QQ(int(c.numerator), int(c.denominator))
     return _RING(out)
 
 
@@ -122,140 +131,189 @@ def poly_terms(p: Polynomial) -> Iterator[tuple[Monomial, Fraction]]:
         yield Monomial(*monom), _to_fraction(c)
 
 
-def _poly_key(p: Polynomial) -> frozenset:
-    return frozenset((m, int(c.numerator), int(c.denominator)) for m, c in p.items())
+def _ground(c: int) -> Polynomial:
+    """The constant integer polynomial c."""
+    return _zpoly({_ORIGIN: ZZ(c)}) if c else _ZRING.zero
 
 
-_P1 = _RING.one
+def _integer_parts(v) -> tuple[Polynomial, int]:
+    """(p, L) with v == p / L, p over ZZ and L a positive integer.
+
+    v is an int, a Fraction or a polynomial over QQ; L is then the lcm of
+    its coefficient denominators.
+    """
+    if isinstance(v, PolyElement):
+        scale = lcm(*(int(c.denominator) for c in v.values()))
+        return _zpoly({m: ZZ(int(c.numerator) * (scale // int(c.denominator)))
+                       for m, c in v.items()}), scale
+    if isinstance(v, (int, Fraction)):
+        v = Fraction(v)
+        return _ground(v.numerator), v.denominator
+    raise TypeError(f"cannot build a polynomial from {type(v).__name__}")
 
 
-def _shift(p: Polynomial, low: tuple) -> Polynomial:
-    """p divided by the monomial q^low[0] t^low[1] X^low[2]."""
+def _content(p: Polynomial) -> int:
+    """The gcd of p's integer coefficients (positive for nonzero p)."""
+    return gcd(*p.values())
+
+
+def _shift(p: Polynomial, low: tuple, c: int) -> Polynomial:
+    """p divided by c * q^low[0] t^low[1] X^low[2], which divides it exactly."""
     a, b, x = low
-    return _RING.dtype({(i - a, j - b, k - x): c for (i, j, k), c in p.items()})
+    return _zpoly({(i - a, j - b, k - x): v // c for (i, j, k), v in p.items()})
 
 
 def _gcd_parts(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """(h, f/h, g/h) for a gcd h of the nonzero f and g.
+    """(h, f/h, g/h) for h = gcd(f, g) over ZZ of the nonzero f and g.
 
-    h is integer-primitive with positive leading coefficient, so f/h and
-    g/h keep those properties of f and g.  When f or g has one term, h is
-    the monomial of the minimum exponents over the terms of both, found
-    without a coefficient gcd; otherwise it is PolyElement.gcd's.
+    h includes the integer content and has a positive leading coefficient.
+    When f or g has one term, h is the monomial of the minimum exponents
+    over the terms of both times the integer gcd of all their
+    coefficients, found without sympy.  Otherwise h is PolyElement.gcd's
+    and the cofactors come from exact division.
     """
     if len(f) == 1 or len(g) == 1:
         low = tuple(map(min, zip(*chain(f, g))))
-        if not any(low):
-            return _P1, f, g
-        return _RING.dtype({low: QQ(1)}), _shift(f, low), _shift(g, low)
+        c = gcd(*f.values(), *g.values())
+        if c == 1 and not any(low):
+            return _Z1, f, g
+        return _zpoly({low: ZZ(c)}), _shift(f, low, c), _shift(g, low, c)
     h = f.gcd(g)
     if h.is_ground:
-        return _P1, f, g
-    h = h.primitive()[1]
-    if h.LC < 0:  # sympy's gcd is not always monic under this ring's order
+        c = abs(h[_ORIGIN])
+        if c == 1:
+            return _Z1, f, g
+        return _ground(c), _shift(f, _ORIGIN, c), _shift(g, _ORIGIN, c)
+    if h.LC < 0:  # sympy's gcd is not always positive under this ring's order
         h = -h
     return h, f.exquo(h), g.exquo(h)
 
 
-def _unit_normal(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """num/den with den scaled to integer-primitive with positive leading coefficient."""
-    c, den = den.primitive()
-    if den.LC < 0:
-        c, den = -c, -den
-    if c != 1:
-        num = num.quo_ground(c)
-    return num, den
-
-
 def _canonical(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Full reduction of num/den: remove the gcd, then fix content and sign.
+    """Full reduction of the integer pair num/den: remove the gcd, then fix the sign.
 
     Only values built from outside the operators need it.  The operators
-    rely on the invariant it establishes (num and den coprime, den
-    integer-primitive with positive leading coefficient): products divide
-    out the two cross gcds, sums follow Henrici, inverses swap and fix
-    content and sign, and none of them calls this function.
+    rely on the invariant it establishes (num and den coprime over ZZ, den
+    with positive leading coefficient): products divide out the two cross
+    gcds, sums follow Henrici, inverses swap and fix the sign, and none of
+    them calls this function.
     """
     if not den:
         raise ZeroDivisionError("division by the zero rational function")
     if not num:
-        return _RING.zero, _RING.one
+        return _ZRING.zero, _ZRING.one
     _, num, den = _gcd_parts(num, den)
-    return _unit_normal(num, den)
+    if den.LC < 0:
+        num, den = -num, -den
+    return num, den
+
+
+def _qq_view(p: Polynomial, scale: int) -> Polynomial:
+    """The integer polynomial p divided by scale, over QQ."""
+    return _RING.dtype({m: QQ(int(c), scale) for m, c in p.items()})
 
 
 class RationalFn:
     """A reduced rational function in q, t, X; immutable and hashable.
 
+    Stored as the canonical integer pair (n, d) the module docstring
+    describes.  `num` and `den` are read-only views over QQ, scaled so that
+    den is integer-primitive with positive leading coefficient.
+
     Supports +, -, *, /, ** (integer exponent, negative inverts) with
     automatic coercion of ints and Fractions.  Structural equality of the
-    canonical form coincides with equality of values.
+    canonical form coincides with equality of values, and a constant
+    hashes like its Fraction value, so `ONE == 1` and `hash(ONE) == hash(1)`.
+
+    `RationalFn(num, den)` takes ints, Fractions or polynomials over QQ and
+    reduces them; with `_canon=True` the caller vouches that num/den are
+    already in the form of the views, and nothing is reduced.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("_n", "_d", "_hash")
 
     def __init__(self, num, den=None, _canon=False):
-        num = _coerce_poly(num)
-        den = _RING.one if den is None else _coerce_poly(den)
+        num, num_scale = _integer_parts(num)
+        den, den_scale = (_Z1, 1) if den is None else _integer_parts(den)
+        # num/den == (num * den_scale) / (den * num_scale)
+        if den_scale != 1:
+            num = num.mul_ground(ZZ(den_scale))
+        if num_scale != 1:
+            den = den.mul_ground(ZZ(num_scale))
         if not _canon:
             num, den = _canonical(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
+        _set_n(self, num)
+        _set_d(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFn is immutable")
 
     @property
+    def num(self) -> Polynomial:
+        """The numerator over QQ, matching `den`."""
+        return _qq_view(self._n, _content(self._d))
+
+    @property
+    def den(self) -> Polynomial:
+        """The denominator over QQ: integer-primitive, positive leading coefficient."""
+        return _qq_view(self._d, _content(self._d))
+
+    @property
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._n
 
     @property
     def is_one(self) -> bool:
-        return self.num == self.den
+        return self._n == self._d
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = const(other)
         if not isinstance(other, RationalFn):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        # PolyElement caches its own hash, which can go stale after the
-        # in-place arithmetic sympy uses internally; hash the term data.
-        h = self._hash
-        if h is None:
-            h = hash((_poly_key(self.num), _poly_key(self.den)))
-            object.__setattr__(self, "_hash", h)
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        n, d = self._n, self._d
+        if d.is_ground and n.is_ground:  # a constant hashes like its Fraction value
+            h = hash(Fraction(int(n.get(_ORIGIN, 0)), int(d[_ORIGIN])))
+        else:
+            # PolyElement caches its own hash, which can go stale after the
+            # in-place arithmetic sympy uses internally; hash the term data.
+            h = hash((frozenset(n.items()), frozenset(d.items())))
+        _set_hash(self, h)
         return h
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.num:
+        if not other._n:
             return self
-        if not self.num:
+        if not self._n:
             return other
         # Henrici: num/den below share no factor outside g = gcd(b, d).
-        g, b, d = _gcd_parts(self.den, other.den)
-        num = self.num * d + other.num * b
+        g, b, d = _gcd_parts(self._d, other._d)
+        num = self._n * d + other._n * b
         if not num:
             return ZERO
         den = b * d
-        if g != _P1:
+        if g is not _Z1:
             _, num, g = _gcd_parts(num, g)
             den = den * g
-        return RationalFn(num, den, _canon=True)
+        return _make(num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFn(-self.num, self.den, _canon=True)
+        return _make(-self._n, self._d)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -264,17 +322,20 @@ class RationalFn:
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.num or not other.num:
+        if not self._n or not other._n:
             return ZERO
-        _, a, d = _gcd_parts(self.num, other.den)
-        _, c, b = _gcd_parts(other.num, self.den)
-        return RationalFn(a * c, b * d, _canon=True)
+        _, a, d = _gcd_parts(self._n, other._d)
+        _, c, b = _gcd_parts(other._n, self._d)
+        return _make(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -285,12 +346,18 @@ class RationalFn:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
 
     def inverse(self) -> "RationalFn":
-        if not self.num:
+        n, d = self._n, self._d
+        if not n:
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFn(*_unit_normal(self.den, self.num), _canon=True)
+        if n.LC < 0:
+            return _make(-d, -n)
+        return _make(d, n)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -299,7 +366,7 @@ class RationalFn:
             return self.inverse() ** (-k)
         if k == 0:
             return ONE
-        return RationalFn(self.num ** k, self.den ** k, _canon=True)
+        return _make(self._n ** k, self._d ** k)
 
     def __repr__(self):
         return f"RationalFn({canonical_str(self)!r})"
@@ -308,14 +375,17 @@ class RationalFn:
         return canonical_str(self)
 
 
-def _coerce_poly(v) -> Polynomial:
-    if isinstance(v, PolyElement):
-        return v
-    if isinstance(v, int):
-        return _RING.ground_new(QQ(v))
-    if isinstance(v, Fraction):
-        return _RING.ground_new(QQ(v.numerator, v.denominator))
-    raise TypeError(f"cannot build a polynomial from {type(v).__name__}")
+_set_n = RationalFn._n.__set__
+_set_d = RationalFn._d.__set__
+_set_hash = RationalFn._hash.__set__
+
+
+def _make(n: Polynomial, d: Polynomial) -> RationalFn:
+    """The RationalFn of an integer pair that is already canonical."""
+    f = object.__new__(RationalFn)
+    _set_n(f, n)
+    _set_d(f, d)
+    return f
 
 
 def _coerce(v):
@@ -329,15 +399,16 @@ def _coerce(v):
 @memo
 def const(c: Union[int, Fraction]) -> RationalFn:
     """The constant rational function c."""
-    return RationalFn(_coerce_poly(c))
+    c = Fraction(c)
+    return _make(_ground(c.numerator), _ground(c.denominator))
 
 
 @memo
 def monomial_rf(e_q: int = 0, e_t: int = 0, e_X: int = 0) -> RationalFn:
     """The monomial q^e_q * t^e_t * X^e_X; negative exponents go to the denominator."""
-    num = {(max(e_q, 0), max(e_t, 0), max(e_X, 0)): QQ(1)}
-    den = {(max(-e_q, 0), max(-e_t, 0), max(-e_X, 0)): QQ(1)}
-    return RationalFn(_RING(num), _RING(den), _canon=True)
+    num = (max(e_q, 0), max(e_t, 0), max(e_X, 0))
+    den = (max(-e_q, 0), max(-e_t, 0), max(-e_X, 0))
+    return _make(_zpoly({num: ZZ.one}), _zpoly({den: ZZ.one}))
 
 
 def q_pow(k: int) -> RationalFn:
@@ -352,8 +423,8 @@ def x_pow(k: int) -> RationalFn:
     return monomial_rf(e_X=k)
 
 
-ZERO = RationalFn(_RING.zero, _RING.one, _canon=True)
-ONE = RationalFn(_RING.one, _RING.one, _canon=True)
+ZERO = _make(_ZRING.zero, _ZRING.one)
+ONE = _make(_ZRING.one, _ZRING.one)
 Q = monomial_rf(e_q=1)
 T = monomial_rf(e_t=1)
 X = monomial_rf(e_X=1)
@@ -364,58 +435,9 @@ X = monomial_rf(e_X=1)
 # ---------------------------------------------------------------------------
 
 #: The image of a variable is a pair (c, (a, b, x)) standing for
-#: c * q^a * t^b * X^x, with c == 0 for the image 0.
-_KEEP = ((QQ(1), (1, 0, 0)), (QQ(1), (0, 1, 0)), (QQ(1), (0, 0, 1)))
-_FLIP = ((QQ(1), (-1, 0, 0)), (QQ(1), (0, -1, 0)), _KEEP[2])
-
-
-def _remap(f: RationalFn, images: tuple, pole: str) -> RationalFn:
-    """f with (q, t, X) sent to the three images, canonicalised once.
-
-    A zero image zeroes every term with a positive power of its variable.
-    Exponents may go negative; num and den are shifted by their common
-    minimum exponents, which leaves the quotient unchanged.  Raises
-    PoleError(pole) when the denominator maps to zero.
-    """
-    maps = []
-    for p in (f.num, f.den):
-        out: dict[tuple, object] = {}
-        for monom, c in p.items():
-            exps = [0, 0, 0]
-            for k, (ck, image) in zip(monom, images):
-                if k:
-                    c = c * ck ** k
-                    for j in range(3):
-                        exps[j] += k * image[j]
-            key = tuple(exps)
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
-        maps.append({m: c for m, c in out.items() if c})
-    num, den = maps
-    if not den:
-        raise PoleError(pole)
-    low = [min(m[j] for m in chain(num, den)) for j in range(3)]
-    return RationalFn(*(
-        _RING({tuple(e - s for e, s in zip(m, low)): c for m, c in terms.items()})
-        for terms in (num, den)
-    ))
-
-
-def _image(v) -> tuple:
-    """The monomial image a caller passed for one variable."""
-    f = _coerce(v)
-    if f is NotImplemented or (f.num and (len(f.num) != 1 or len(f.den) != 1)):
-        raise ValueError(f"substitution image {v!r} is not a monomial c*q^a*t^b*X^x or 0")
-    if not f.num:
-        return QQ(0), (0, 0, 0)
-    (m_num, c), = f.num.items()
-    (m_den, _), = f.den.items()
-    return c, tuple(a - b for a, b in zip(m_num, m_den))
-
-
-def flip_qt(f: RationalFn) -> RationalFn:
-    """The canonical form of f(1/q, 1/t, X).  X itself is never flipped."""
-    return _remap(f, _FLIP, "flip hits a pole")
+#: c * q^a * t^b * X^x, with c a rational, and c == 0 for the image 0.
+_KEEP = ((1, (1, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1)))
+_FLIP = ((1, (-1, 0, 0)), (1, (0, -1, 0)), _KEEP[2])
 
 
 def _scaled_powers(x: Fraction, top: int) -> list[int]:
@@ -428,15 +450,68 @@ def _scaled_powers(x: Fraction, top: int) -> list[int]:
     return [u * down[top - i] for i, u in enumerate(up)]
 
 
-def _integer_sum(p: Polynomial, tables: list[list[int]]) -> tuple[int, int]:
-    """(s, L): L is the lcm of p's coefficient denominators and s the
-    integer sum of L*c * tq[i] * tt[j] * tX[k] over the terms c q^i t^j X^k."""
-    scale = lcm(*(int(c.denominator) for c in p.values()))
+def _remap(f: RationalFn, images: tuple, pole: str) -> RationalFn:
+    """f with (q, t, X) sent to the three images, canonicalised once.
+
+    A zero image zeroes every term with a positive power of its variable.
+    An image constant c = a/b turns q^i into a^i b^(D - i) times the image
+    monomial to the i, D the largest power of q in num and den together:
+    both gain the factor b^D, which cancels, so coefficients stay integers.
+    Exponents may go negative; num and den are shifted by their common
+    minimum exponents, which leaves the quotient unchanged.  Raises
+    PoleError(pole) when the denominator maps to zero.
+    """
+    n, d = f._n, f._d
+    tables = [None if c == 1 else _scaled_powers(Fraction(c), max(m[v] for m in chain(n, d)))
+              for v, (c, _) in enumerate(images)]
+    maps = []
+    for p in (n, d):
+        out: dict[tuple, int] = {}
+        for monom, c in p.items():
+            exps = [0, 0, 0]
+            for k, (_, image), table in zip(monom, images, tables):
+                if table is not None:
+                    c = c * table[k]
+                if k:
+                    for j in range(3):
+                        exps[j] += k * image[j]
+            key = tuple(exps)
+            out[key] = out.get(key, 0) + c
+        maps.append({m: c for m, c in out.items() if c})
+    num, den = maps
+    if not den:
+        raise PoleError(pole)
+    low = [min(m[j] for m in chain(num, den)) for j in range(3)]
+    return _make(*_canonical(*(
+        _zpoly({tuple(e - s for e, s in zip(m, low)): c for m, c in terms.items()})
+        for terms in (num, den)
+    )))
+
+
+def _image(v) -> tuple:
+    """The monomial image a caller passed for one variable."""
+    f = _coerce(v)
+    if f is NotImplemented or (f._n and (len(f._n) != 1 or len(f._d) != 1)):
+        raise ValueError(f"substitution image {v!r} is not a monomial c*q^a*t^b*X^x or 0")
+    if not f._n:
+        return 0, (0, 0, 0)
+    (m_num, a), = f._n.items()
+    (m_den, b), = f._d.items()
+    return Fraction(int(a), int(b)), tuple(x - y for x, y in zip(m_num, m_den))
+
+
+def flip_qt(f: RationalFn) -> RationalFn:
+    """The canonical form of f(1/q, 1/t, X).  X itself is never flipped."""
+    return _remap(f, _FLIP, "flip hits a pole")
+
+
+def _integer_sum(p: Polynomial, tables: list[list[int]]) -> int:
+    """The sum of c * tq[i] * tt[j] * tX[k] over the terms c q^i t^j X^k of p."""
     tq, tt, tx = tables
     total = 0
     for (i, j, k), c in p.items():
-        total += int(c.numerator) * (scale // int(c.denominator)) * tq[i] * tt[j] * tx[k]
-    return total, scale
+        total += c * tq[i] * tt[j] * tx[k]
+    return int(total)
 
 
 def evaluate(f: RationalFn, q0, t0, X0=0) -> Fraction:
@@ -444,20 +519,19 @@ def evaluate(f: RationalFn, q0, t0, X0=0) -> Fraction:
 
     With q0 = a/b and D the largest power of q in num and den together,
     each q^i becomes a^i b^(D - i): both sums gain the same factor b^D,
-    which cancels in the quotient; likewise for t and X.  Each polynomial
-    is also scaled by the lcm of its coefficient denominators, so both
-    sums are integers and one Fraction is built at the end.  Raises
-    PoleError exactly when the scaled denominator sum is 0.
+    which cancels in the quotient; likewise for t and X.  The pair's
+    coefficients are integers, so both sums are integers and one Fraction
+    is built at the end.  Raises PoleError exactly when the denominator
+    sum is 0.
     """
     point = (Fraction(q0), Fraction(t0), Fraction(X0))
-    monoms = list(chain(f.num, f.den))
+    monoms = list(chain(f._n, f._d))
     tables = [_scaled_powers(x, max(m[v] for m in monoms)) for v, x in enumerate(point)]
-    den, den_scale = _integer_sum(f.den, tables)
+    den = _integer_sum(f._d, tables)
     if den == 0:
         q0, t0, X0 = point
         raise PoleError(f"denominator vanishes at q={q0}, t={t0}, X={X0}")
-    num, num_scale = _integer_sum(f.num, tables)
-    return Fraction(num * den_scale, den * num_scale)
+    return Fraction(_integer_sum(f._n, tables), den)
 
 
 def subs_rational(f: RationalFn, q=None, t=None, X=None) -> RationalFn:
@@ -486,7 +560,7 @@ def limit_q_to_1(f: RationalFn, prefactor_order: int = 0) -> RationalFn:
         raise ValueError("prefactor_order must be nonnegative")
     if prefactor_order:
         f = f / (ONE - Q) ** prefactor_order
-    return _remap(f, ((QQ(1), (0, 0, 0)), *_KEEP[1:]),
+    return _remap(f, ((1, (0, 0, 0)), *_KEEP[1:]),
                   "limit q->1 does not exist at this order")
 
 
@@ -494,7 +568,7 @@ def substitute_t_eq_q_pow(f: RationalFn, alpha: int) -> RationalFn:
     """Substitute t = q^alpha (alpha a positive integer) and re-canonicalize."""
     if alpha < 1:
         raise ValueError("alpha must be a positive integer")
-    return _remap(f, (_KEEP[0], (QQ(1), (alpha, 0, 0)), _KEEP[2]),
+    return _remap(f, (_KEEP[0], (1, (alpha, 0, 0)), _KEEP[2]),
                   "substitution t = q^alpha hits a pole")
 
 
@@ -530,8 +604,11 @@ def _poly_str(p: Polynomial) -> str:
 
 
 def canonical_str(f: RationalFn) -> str:
-    """Serialize in the canonical grammar, e.g. "(q^2*t - 1)/(q - 1)"."""
-    if f.den == _RING.one:
+    """Serialize in the canonical grammar, e.g. "(q^2*t - 1)/(q - 1)".
+
+    The coefficients are those of the views `num` and `den`.
+    """
+    if f._d.is_ground:
         return _poly_str(f.num)
     return f"({_poly_str(f.num)})/({_poly_str(f.den)})"
 

@@ -1,10 +1,13 @@
 """Exact-arithmetic core: canonical forms, flips, limits, parsing."""
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.rings import PolyElement
 
 from qtstirling.algebra import (
     ONE,
@@ -355,6 +358,60 @@ def test_operators_match_reference_reduction(f, g, k):
         want = _reference(num, den)
         assert got == want, op
         assert canonical_str(got) == canonical_str(want), op
+
+
+# -- the stored integer pair ---------------------------------------------------
+
+@given(_operands, _operands, st.integers(-3, 3))
+@settings(max_examples=100, deadline=None)
+def test_operators_keep_the_integer_pair_canonical(f, g, k):
+    results = [f, g, f + g, f - g, f * g, -f]
+    if g:
+        results.append(f / g)
+    if f:
+        results.append(f.inverse())
+    if k >= 0 or f:
+        results.append(f**k)
+    for h in results:
+        n, d = h._n, h._d
+        assert n.ring.domain == ZZ and d.ring.domain == ZZ
+        assert n.gcd(d) == d.ring.one  # coprime over ZZ, integer content included
+        assert d.LC > 0
+
+
+def test_multi_term_products_reach_polyelement_gcd(monkeypatch):
+    f = (ONE + T) / (ONE - Q**2)
+    g = (ONE - Q) / (ONE + Q * T)
+    calls = []
+    gcd = PolyElement.gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(PolyElement, "gcd", counted)
+    assert f * g == (ONE + T) / ((ONE + Q) * (ONE + Q * T))
+    assert calls
+    assert all(a.ring.domain == ZZ and b.ring.domain == ZZ for a, b in calls)
+
+
+# -- the hash/equality contract and reflected operators ------------------------
+
+@pytest.mark.parametrize("f, value", [(ONE, 1), (ZERO, 0),
+                                      (const(Fraction(-3, 2)), Fraction(-3, 2))])
+def test_constants_hash_like_their_value(f, value):
+    assert f == value and value == f
+    assert hash(f) == hash(value)
+    assert {value: "a"}.get(f) == "a"
+    assert {f: "a"}.get(value) == "a"
+
+
+@pytest.mark.parametrize("f", [ZERO, ONE, Q / (ONE - T)])
+@pytest.mark.parametrize("op", [operator.sub, operator.truediv])
+def test_reflected_operators_reject_other_types(f, op):
+    # str has no - or /, so Python's own TypeError names both operand types
+    with pytest.raises(TypeError, match="'str' and 'RationalFn'"):
+        op("a", f)
 
 
 # -- point evaluation against a Fraction-per-term reference --------------------

@@ -1,5 +1,6 @@
 """Suite plumbing: registry completeness, determinism, tables, eval, CLI."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -151,6 +152,19 @@ def test_emit_table_csv(tmp_path):
     assert lines[0] == '"nu","mu","value"'
     assert all(line.count('"') >= 6 for line in lines[1:])
     assert any('"1,1"' in line for line in lines[1:])
+
+
+#: SHA-256 of table text that the arithmetic kernel must reproduce byte for byte.
+_TABLE_DIGESTS = [
+    ("s1", (2, 2, 1), "d92314b6070d0c756f59a83beda5ad3e2955ce471d8124d718d4b6a5029d4156"),
+    ("s2", (3, 2), "ed55c52523735c75e5a333bd14381f6bb9f5e263e9a6a9e67940293bf2862f7a"),
+]
+
+
+@pytest.mark.parametrize("kind, bound, digest", _TABLE_DIGESTS)
+def test_emit_table_bytes_are_pinned(kind, bound, digest):
+    text = emit_table(kind, P(bound), "csv")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_emit_table_rejects_unknown():
