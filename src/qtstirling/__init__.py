@@ -53,7 +53,6 @@ from .partitions import (
     zeros,
 )
 from .pochhammer import (
-    flip_poch_identity_check,
     poch,
     poch_multi,
     poch_partition,
@@ -61,9 +60,6 @@ from .pochhammer import (
 )
 from .qtnumbers import (
     XBAR,
-    BinomialIndex,
-    binomial_theorem_check,
-    bracket_binomial_relation_check,
     bracket_rect,
     g_product,
     gaussian_binomial,
@@ -76,20 +72,16 @@ from .qtnumbers import (
 from .reports import IdentityReport
 from .stirling import (
     PartitionMatrix,
-    StirlingValue,
     f_factor,
-    hg_flip_check,
     identity_matrix,
     matrix_from_function,
     ordinary_alpha_stirling,
     s1,
     s2,
-    stirling_inversion_check,
     stirling_matrix,
     u_limit,
     u_limit_direct,
     u_matrix,
-    uv_inversion_check,
     v_limit,
     v_limit_direct,
     v_matrix,
@@ -98,8 +90,7 @@ from .stirling import (
 from .verify import (
     MANIFEST,
     SuiteConfig,
-    check_root_vanishing,
-    check_x0_sums,
+    check_identity,
     classical_stirling1,
     classical_stirling2,
     emit_table,
@@ -108,7 +99,6 @@ from .verify import (
 )
 from .wfunctions import (
     NotAStripError,
-    duality_check,
     generic_staircase_args,
     h_factor,
     staircase_args,
@@ -118,7 +108,6 @@ from .wfunctions import (
     w_multi,
     w_skew_single,
     w_staircase,
-    w_vanishing_check,
 )
 
 __version__ = "0.1.0"

@@ -167,11 +167,15 @@ def _gcd_parts(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, Po
     """(h, f/h, g/h) for h = gcd(f, g) over ZZ of the nonzero f and g.
 
     h includes the integer content and has a positive leading coefficient.
+    When f or g is the constant 1 (most often the denominator of a
+    polynomial operand), h is 1 at once, before any term is walked.
     When f or g has one term, h is the monomial of the minimum exponents
     over the terms of both times the integer gcd of all their
     coefficients, found without sympy.  Otherwise h is PolyElement.gcd's
     and the cofactors come from exact division.
     """
+    if (len(f) == 1 and f.get(_ORIGIN) == 1) or (len(g) == 1 and g.get(_ORIGIN) == 1):
+        return _Z1, f, g
     if len(f) == 1 or len(g) == 1:
         low = tuple(map(min, zip(*chain(f, g))))
         c = gcd(*f.values(), *g.values())

@@ -13,15 +13,13 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .algebra import ONE, PoleError, Q, RationalFn, monomial_rf, q_pow, t_pow
-from .partitions import Partition, n_stat, n_stat_conj, weight
-from .reports import IdentityReport, equality_report
+from .partitions import Partition
 
 __all__ = [
     "poch",
     "poch_partition",
     "poch_partition_flipped",
     "poch_multi",
-    "flip_poch_identity_check",
 ]
 
 def poch(a: RationalFn, m: int, base: Optional[RationalFn] = None) -> RationalFn:
@@ -85,11 +83,3 @@ def pair_poch_product(mu: Partition, c: int, s: int) -> RationalFn:
             out = out * poch(monomial_rf(e_q=c, e_t=j - i + s), d)
     return out
 
-
-def flip_poch_identity_check(x: RationalFn, mu: Partition) -> IdentityReport:
-    """Check x^|mu| (1/x; q, t)_mu = (-1)^|mu| q^{n(mu')} t^{-n(mu)} (x; 1/q, 1/t)_mu."""
-    w = weight(mu)
-    lhs = x ** w * poch_partition(x.inverse(), mu)
-    sign = -1 if w % 2 else 1
-    rhs = sign * monomial_rf(e_q=n_stat_conj(mu), e_t=-n_stat(mu)) * poch_partition_flipped(x, mu)
-    return equality_report("flip-formula", {"mu": list(mu.parts), "x": str(x)}, lhs, rhs)

@@ -9,16 +9,13 @@ a multiplicative shift s with the exponential vector z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .algebra import ONE, RationalFn, X, ZERO, memo, monomial_rf, q_pow, t_pow, x_pow
+from .algebra import ONE, RationalFn, X, ZERO, memo, monomial_rf, q_pow, t_pow
 from .partitions import (
     Partition,
     contains,
     n_stat,
-    n_stat_conj,
-    subpartitions,
     weight,
 )
 from .pochhammer import (
@@ -28,23 +25,19 @@ from .pochhammer import (
     poch_partition_flipped,
     qt_factor_product,
 )
-from .reports import IdentityReport, equality_report
 from .wfunctions import generic_staircase_args, staircase_args, w_multi
 
 __all__ = [
     "XBAR",
-    "BinomialIndex",
     "ZVector",
     "h_product",
     "g_product",
     "qt_binomial",
     "qt_binomial_rect",
     "gaussian_binomial",
-    "binomial_theorem_check",
     "qt_bracket",
     "qt_number",
     "bracket_rect",
-    "bracket_binomial_relation_check",
 ]
 
 
@@ -58,14 +51,6 @@ class _XBar:
 XBAR = _XBar()
 
 ZVector = Union[Partition, Sequence[int], _XBar]
-
-
-@dataclass(frozen=True)
-class BinomialIndex:
-    """Index pair of a qt-binomial: exponent source z over partition mu."""
-
-    z: tuple
-    mu: Partition
 
 
 def _z_entries(z: ZVector, n: int) -> tuple:
@@ -126,18 +111,6 @@ def gaussian_binomial(m: int, k: int) -> RationalFn:
     return poch(_Q, m) / (poch(_Q, m - k) * poch(_Q, k))
 
 
-def binomial_theorem_check(lam: Partition) -> IdentityReport:
-    """Terminating binomial theorem: (X)_lam expanded over sub-binomials."""
-    lhs = poch_partition(X, lam)
-    rhs = ZERO
-    for mu in subpartitions(lam):
-        wt = weight(mu)
-        sign = -1 if wt % 2 else 1
-        coeff = sign * monomial_rf(e_q=n_stat_conj(mu), e_t=-n_stat(mu))
-        rhs = rhs + coeff * qt_binomial(lam, mu) * x_pow(wt)
-    return equality_report("binomial-theorem", {"lam": list(lam.parts)}, lhs, rhs)
-
-
 def qt_bracket(z: ZVector, mu: Partition, s: RationalFn = ONE) -> RationalFn:
     """The mu-shifted qt-number [z, s]_mu with multiplicative shift s."""
     n = mu.n
@@ -161,20 +134,3 @@ def bracket_rect(mu: Partition) -> RationalFn:
     """The bracket at the generic diagonal point, prod_i (X t^{i-1}; 1/q)_{mu_i} / (1-q t^{n-i})^{mu_i}."""
     return poch_partition_flipped(X, mu) * qt_factor_product([-m for m in mu])
 
-
-def bracket_binomial_relation_check(z: ZVector, mu: Partition) -> IdentityReport:
-    """[z]_mu against the prefactored qt-binomial form."""
-    n = mu.n
-    lhs = qt_bracket(z, mu)
-    pref = t_pow(-2 * n_stat(mu) + (n - 1) * weight(mu)) * g_product(mu)
-    pref = pref * qt_factor_product([-m for m in mu])
-    rhs = pref * _t_ratio_bracket(mu) / h_product(mu) * qt_binomial(z, mu)
-    if isinstance(z, _XBar):
-        z_data = "xbar"
-    elif isinstance(z, Partition):
-        z_data = list(z.parts)
-    else:
-        z_data = list(z)
-    return equality_report(
-        "bracket-binomial-relation", {"z": z_data, "mu": list(mu.parts)}, lhs, rhs
-    )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -33,8 +32,7 @@ class IdentityReport:
         return out
 
 
-def equality_report(identity_id: str, index_data: dict, lhs: RationalFn, rhs: RationalFn,
-                    started: Optional[float] = None) -> IdentityReport:
+def equality_report(identity_id: str, index_data: dict, lhs: RationalFn, rhs: RationalFn) -> IdentityReport:
     """Report asserting lhs == rhs; the witness is the canonical LHS - RHS."""
     passed = lhs == rhs
     return IdentityReport(
@@ -42,12 +40,10 @@ def equality_report(identity_id: str, index_data: dict, lhs: RationalFn, rhs: Ra
         index_data=index_data,
         passed=passed,
         witness=None if passed else canonical_str(lhs - rhs),
-        elapsed=0.0 if started is None else time.perf_counter() - started,
     )
 
 
-def zero_report(identity_id: str, index_data: dict, value: RationalFn,
-                started: Optional[float] = None) -> IdentityReport:
+def zero_report(identity_id: str, index_data: dict, value: RationalFn) -> IdentityReport:
     """Report asserting value == 0."""
     passed = value.is_zero
     return IdentityReport(
@@ -55,5 +51,4 @@ def zero_report(identity_id: str, index_data: dict, value: RationalFn,
         index_data=index_data,
         passed=passed,
         witness=None if passed else canonical_str(value),
-        elapsed=0.0 if started is None else time.perf_counter() - started,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .algebra import (
     ONE,
@@ -39,11 +39,9 @@ from .partitions import (
 )
 from .pochhammer import qt_factor_product
 from .qtnumbers import g_product, h_product, qt_binomial
-from .reports import IdentityReport, equality_report
-from .wfunctions import staircase_args, w_bar, w_hat_multi, w_multi
+from .wfunctions import staircase_args, w_bar, w_hat_multi
 
 __all__ = [
-    "StirlingValue",
     "PartitionMatrix",
     "f_factor",
     "u_matrix",
@@ -54,24 +52,12 @@ __all__ = [
     "v_limit_direct",
     "s1",
     "s2",
-    "uv_inversion_check",
     "valgebra_multiply",
     "identity_matrix",
     "matrix_from_function",
     "stirling_matrix",
-    "stirling_inversion_check",
-    "hg_flip_check",
     "ordinary_alpha_stirling",
 ]
-
-
-class StirlingValue(NamedTuple):
-    """One table entry: s_kind(nu, mu) = value."""
-
-    kind: str
-    nu: Partition
-    mu: Partition
-    value: RationalFn
 
 
 @memo
@@ -172,20 +158,6 @@ def s2(nu: Partition, mu: Partition) -> RationalFn:
     return pref * total
 
 
-def uv_inversion_check(nu: Partition) -> IdentityReport:
-    """sum_{mu <= lam <= nu} u(nu, lam) v(lam, mu) = delta_{nu, mu} for every mu <= nu."""
-    for mu in subpartitions(nu):
-        total = ZERO
-        for lam in partitions_between(mu, nu):
-            total = total + u_matrix(nu, lam) * v_matrix(lam, mu)
-        expected = ONE if mu == nu else ZERO
-        if total != expected:
-            return equality_report(
-                "uv-inversion", {"nu": list(nu.parts), "mu": list(mu.parts)}, total, expected
-            )
-    return IdentityReport("uv-inversion", {"nu": list(nu.parts)}, passed=True)
-
-
 # ---------------------------------------------------------------------------
 # the V-algebra of inclusion-triangular partition matrices
 # ---------------------------------------------------------------------------
@@ -255,34 +227,6 @@ def stirling_matrix(kind: str, bound: Partition) -> PartitionMatrix:
     """The matrix of s1 or s2 values on all pairs within the bound."""
     fn = {"s1": s1, "s2": s2, "u": u_matrix, "v": v_matrix}[kind]
     return matrix_from_function(bound, fn)
-
-
-def stirling_inversion_check(bound: Partition) -> IdentityReport:
-    """S1 * S2 = S2 * S1 = identity in the V-algebra on the given bound."""
-    m1 = stirling_matrix("s1", bound)
-    m2 = stirling_matrix("s2", bound)
-    ident = identity_matrix(bound)
-    ok = valgebra_multiply(m1, m2) == ident and valgebra_multiply(m2, m1) == ident
-    return IdentityReport(
-        "stirling-inversion", {"bound": list(bound.parts)}, passed=ok,
-        witness=None if ok else "matrix product differs from identity",
-    )
-
-
-def hg_flip_check(mu: Partition) -> IdentityReport:
-    """Flip covariance of the pair products h and g."""
-    n, wt = mu.n, weight(mu)
-    h = h_product(mu)
-    ok_h = flip_qt(h) == t_pow(2 * n_stat(mu) - (n - 1) * wt) * h
-    g = g_product(mu)
-    sign = -1 if wt % 2 else 1
-    ok_g = flip_qt(g) == sign * monomial_rf(
-        e_q=-wt - n_stat_conj(mu), e_t=n_stat(mu) - (n - 1) * wt
-    ) * g
-    return IdentityReport(
-        "h-g-flip", {"mu": list(mu.parts)}, passed=ok_h and ok_g,
-        witness=None if (ok_h and ok_g) else f"h ok: {ok_h}, g ok: {ok_g}",
-    )
 
 
 def ordinary_alpha_stirling(kind: str, nu: Partition, mu: Partition, alpha: int) -> RationalFn:

@@ -1,11 +1,17 @@
 """Identity-verification suite, table emission and exact point evaluation.
 
-Every identity the library claims is registered here under a stable id and
-checked by exact rational-function equality over configurable desk-scale
-index bounds.  Default bounds: partitions with parts up to part_max for
-ambient n <= 2, and parts up to min(part_max, 2) for n = 3, which keeps a
-full run in the minutes range.  The w-function layer runs at the full
-part_max for every n.
+Every identity the library claims is one row of the table `_TABLE` below,
+under a stable id, and is checked by exact rational-function equality over
+configurable desk-scale index bounds.  A row enumerates index dicts from the
+bounds (and, for the sampled identities, the seed) and checks each one: an
+"equal" row gives (lhs, rhs), a "zero" row a value that must vanish, a
+"holds" row a bool, and a "record" row named flags that join the report.
+One runner turns each index dict and verdict into an IdentityReport whose
+index_data is the indices as JSON; `check_identity` runs one row at chosen
+indices.  Two rows generate their reports themselves and still build each
+check through their row.  Default bounds: partitions with parts up to
+part_max for ambient n <= 2, and parts up to min(part_max, 2) for n = 3.
+The w-function layer runs at the full part_max for every n.
 """
 
 from __future__ import annotations
@@ -18,8 +24,10 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from typing import Callable, Iterator, Optional
+from functools import partial
+from itertools import permutations, product
+from math import prod
+from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 from .algebra import (
     ONE,
@@ -30,6 +38,7 @@ from .algebra import (
     ZERO,
     canonical_str,
     evaluate,
+    flip_qt,
     limit_q_to_1,
     memo,
     monomial_rf,
@@ -53,7 +62,6 @@ from .partitions import (
     zeros,
 )
 from .pochhammer import (
-    flip_poch_identity_check,
     poch,
     poch_partition,
     poch_partition_flipped,
@@ -61,10 +69,11 @@ from .pochhammer import (
 )
 from .qtnumbers import (
     XBAR,
-    binomial_theorem_check,
-    bracket_binomial_relation_check,
+    _t_ratio_bracket,
     bracket_rect,
+    g_product,
     gaussian_binomial,
+    h_product,
     qt_binomial,
     qt_binomial_rect,
     qt_bracket,
@@ -73,23 +82,19 @@ from .qtnumbers import (
 from .reports import IdentityReport, equality_report, zero_report
 from .stirling import (
     f_factor,
-    hg_flip_check,
     identity_matrix,
     s1,
     s2,
-    stirling_inversion_check,
     stirling_matrix,
     u_limit,
     u_limit_direct,
     u_matrix,
-    uv_inversion_check,
     v_limit,
     v_limit_direct,
     v_matrix,
     valgebra_multiply,
 )
 from .wfunctions import (
-    duality_check,
     generic_staircase_args,
     h_factor,
     staircase_args,
@@ -98,7 +103,6 @@ from .wfunctions import (
     w_multi,
     w_skew_single,
     w_staircase,
-    w_vanishing_check,
 )
 
 __all__ = [
@@ -106,8 +110,7 @@ __all__ = [
     "MANIFEST",
     "registered_identities",
     "run_suite",
-    "check_x0_sums",
-    "check_root_vanishing",
+    "check_identity",
     "emit_table",
     "eval_point",
     "classical_stirling1",
@@ -178,7 +181,7 @@ def classical_stirling2(m: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# section-4 checks
+# checks of the identities that take more than an expression
 # ---------------------------------------------------------------------------
 
 def _limit_bracket(mu: Partition) -> RationalFn:
@@ -219,7 +222,7 @@ def _expansion_s2_sum(nu: Partition, restrict: Optional[Callable[[Partition], bo
     return total
 
 
-def check_x0_sums(nu: Partition) -> IdentityReport:
+def _x0_sums(nu: Partition) -> tuple[dict, Optional[str]]:
     """The x = 0 summation identities for both kinds.
 
     The first-kind sum is run under both candidate t-exponent readings
@@ -242,18 +245,13 @@ def check_x0_sums(nu: Partition) -> IdentityReport:
         total = total + coeff * s2(nu, mu) * _inv_qt_powers(mu)
     outcomes["s2"] = total == lhs
     passed = outcomes["s1_exponent_minus"] and outcomes["s2"]
-    return IdentityReport(
-        "x0-sums",
-        {"nu": list(nu.parts), **outcomes},
-        passed=passed,
-        witness=None if passed else f"outcomes: {outcomes}",
-    )
+    return outcomes, None if passed else f"outcomes: {outcomes}"
 
 
-def check_root_vanishing(nu: Partition, j: int, m_j: int) -> IdentityReport:
-    """Root vanishing of the bracket expansion at X = q^{m_j} t^{1-j}.
+def _root_vanishing(nu: Partition, j: int, m: int) -> tuple[dict, Optional[str]]:
+    """Root vanishing of the bracket expansion at X = q^m t^{1-j}.
 
-    For m_j = 0 the restricted-support sums are asserted as well: the
+    For m = 0 the restricted-support sums are asserted as well: the
     first-kind survivors have mu_{n+1-j} = 0 (the limit-bracket factor
     kills the rest) and the second-kind survivors have mu_j = 0 (the
     bracket itself vanishes otherwise); the second-kind identity needs
@@ -262,13 +260,13 @@ def check_root_vanishing(nu: Partition, j: int, m_j: int) -> IdentityReport:
     n = nu.n
     if not 1 <= j <= n:
         raise ValueError(f"j must lie in 1..{n}")
-    if not 0 <= m_j < nu[j - 1]:
-        raise ValueError(f"m_j must lie in 0..{nu[j - 1] - 1}")
-    root = monomial_rf(e_q=m_j, e_t=1 - j)
+    if not 0 <= m < nu[j - 1]:
+        raise ValueError(f"m must lie in 0..{nu[j - 1] - 1}")
+    root = monomial_rf(e_q=m, e_t=1 - j)
     checks: dict[str, bool] = {}
     full = subs_rational(_expansion_s1_sum(nu), X=root)
     checks["s1_full_sum"] = full.is_zero
-    if m_j == 0:
+    if m == 0:
         restricted = subs_rational(
             _expansion_s1_sum(nu, restrict=lambda mu: mu[n - j] == 0), X=root
         )
@@ -278,31 +276,236 @@ def check_root_vanishing(nu: Partition, j: int, m_j: int) -> IdentityReport:
                 _expansion_s2_sum(nu, restrict=lambda mu: mu[j - 1] == 0 and mu != nu), X=root
             )
             checks["s2_restricted"] = restricted2.is_zero
-    passed = all(checks.values())
-    return IdentityReport(
-        "root-vanishing",
-        {"nu": list(nu.parts), "j": j, "m": m_j, **checks},
-        passed=passed,
-        witness=None if passed else f"checks: {checks}",
-    )
+    return checks, None if all(checks.values()) else f"checks: {checks}"
+
+
+def _uv_inversion(nu: Partition) -> tuple[dict, Optional[str]]:
+    """sum_{mu <= lam <= nu} u(nu, lam) v(lam, mu) = delta_{nu, mu} for every mu <= nu.
+
+    A failure records the first mu where the sum is off, and LHS - RHS there.
+    """
+    for mu in subpartitions(nu):
+        total = ZERO
+        for lam in partitions_between(mu, nu):
+            total = total + u_matrix(nu, lam) * v_matrix(lam, mu)
+        expected = ONE if mu == nu else ZERO
+        if total != expected:
+            return {"mu": mu}, canonical_str(total - expected)
+    return {}, None
+
+
+def _inclusion_order(n: int, part_max: int) -> bool:
+    """Reflexivity, antisymmetry and transitivity of inclusion on one box."""
+    box = list(partitions_in_box(n, part_max))
+    ok = all(contains(lam, lam) for lam in box)
+    for a in box:
+        for b in box:
+            if contains(a, b) and contains(b, a) and a != b:
+                ok = False
+            for c in box:
+                if contains(a, b) and contains(b, c) and not contains(a, c):
+                    ok = False
+    return ok
+
+
+def _limit_rule(mu: Partition, x: RationalFn) -> tuple[RationalFn, RationalFn]:
+    # a^|mu| (x/a)_mu at a -> 0, with X standing in for a
+    wt = weight(mu)
+    value = subs_rational(x_pow(wt) * poch_partition(x * x_pow(-1), mu), X=ZERO)
+    sign = -1 if wt % 2 else 1
+    return value, sign * x ** wt * monomial_rf(e_q=n_stat_conj(mu), e_t=-n_stat(mu))
+
+
+def _flip_formula(mu: Partition, x: RationalFn) -> tuple[RationalFn, RationalFn]:
+    """x^|mu| (1/x; q, t)_mu = (-1)^|mu| q^{n(mu')} t^{-n(mu)} (x; 1/q, 1/t)_mu."""
+    w = weight(mu)
+    lhs = x ** w * poch_partition(x.inverse(), mu)
+    sign = -1 if w % 2 else 1
+    return lhs, sign * monomial_rf(e_q=n_stat_conj(mu), e_t=-n_stat(mu)) * poch_partition_flipped(x, mu)
+
+
+def _w_rect(n: int, k: int, args: tuple[RationalFn, ...]) -> tuple[RationalFn, RationalFn]:
+    """w at the rectangle (k^n) is q^{-nk} prod_x (q^{1-k} x; q)_k."""
+    lhs = w_multi(rectangle(k, n), args)
+    return lhs, prod((poch(q_pow(1 - k) * x, k) for x in args), start=q_pow(-n * k))
+
+
+def _w_vanishing(mu: Partition, lam: Partition) -> RationalFn:
+    """w_mu(q^lam t^delta), which vanishes when mu is not contained in lam."""
+    if contains(lam, mu):
+        raise ValueError("vanishing check requires mu not contained in lam")
+    return w_multi(mu, staircase_args(lam.parts))
+
+
+def _w_symmetric(mu: Partition, args: tuple[RationalFn, ...]) -> bool:
+    base = w_multi(mu, args)
+    return all(w_multi(mu, perm) == base for perm in permutations(args))
+
+
+def _w_duality(mu: Partition, args: tuple[RationalFn, ...]) -> tuple[RationalFn, RationalFn]:
+    """w-hat_mu(x; q, t) = q^-|mu| t^{-2n(mu)+(n-1)|mu|} w_mu(1/x; 1/q, 1/t).
+
+    The t-exponent is the one consistent with the recursion-built dual
+    function (the normalization the u change-of-basis needs); the variant
+    with -(n-1)|mu| belongs to a dual rescaled by t^{2(n-1)|mu|} and fails
+    here for every nonempty mu when n > 1.  Both are exercised in tests.
+    """
+    n, wt = mu.n, weight(mu)
+    lhs = w_hat_multi(mu, args)
+    flipped = subs_rational(w_multi(mu, args), q=q_pow(-1), t=t_pow(-1), X=monomial_rf(e_X=-1))
+    return lhs, monomial_rf(e_q=-wt, e_t=-2 * n_stat(mu) + (n - 1) * wt) * flipped
+
+
+def _w_bar_exists(mu: Partition, lam: Partition) -> bool:
+    for invert in (False, True):
+        w_bar(mu, lam, invert=invert)  # PoleError would escape as failure
+    return True
+
+
+def _gaussian_reduction(m: int, k: int) -> bool:
+    value = qt_binomial(Partition((m,)), Partition((k,)))
+    t_free = value == subs_rational(value, t=7)
+    return value == gaussian_binomial(m, k) and t_free
+
+
+def _binomial_theorem(lam: Partition) -> tuple[RationalFn, RationalFn]:
+    """Terminating binomial theorem: (X)_lam expanded over sub-binomials."""
+    lhs = poch_partition(X, lam)
+    rhs = ZERO
+    for mu in subpartitions(lam):
+        wt = weight(mu)
+        sign = -1 if wt % 2 else 1
+        coeff = sign * monomial_rf(e_q=n_stat_conj(mu), e_t=-n_stat(mu))
+        rhs = rhs + coeff * qt_binomial(lam, mu) * x_pow(wt)
+    return lhs, rhs
+
+
+def _qt_number_agrees(z: tuple[int, ...]) -> bool:
+    """[z]_(1^n) as bracket and as binomial both equal the qt-number [z]."""
+    ones = rectangle(1, len(z))
+    lhs = qt_bracket(z, ones)
+    mid = qt_binomial(z, ones)
+    rhs = qt_number(z)
+    return lhs == rhs and mid == rhs
+
+
+def _bracket_binomial_relation(z, mu: Partition) -> tuple[RationalFn, RationalFn]:
+    """[z]_mu against the prefactored qt-binomial form."""
+    n = mu.n
+    lhs = qt_bracket(z, mu)
+    pref = t_pow(-2 * n_stat(mu) + (n - 1) * weight(mu)) * g_product(mu)
+    pref = pref * qt_factor_product([-m for m in mu])
+    return lhs, pref * _t_ratio_bracket(mu) / h_product(mu) * qt_binomial(z, mu)
+
+
+def _hg_flip(mu: Partition) -> tuple[bool, bool]:
+    """Flip covariance of the pair products h and g: (h holds, g holds)."""
+    n, wt = mu.n, weight(mu)
+    h = h_product(mu)
+    ok_h = flip_qt(h) == t_pow(2 * n_stat(mu) - (n - 1) * wt) * h
+    g = g_product(mu)
+    sign = -1 if wt % 2 else 1
+    ok_g = flip_qt(g) == sign * monomial_rf(
+        e_q=-wt - n_stat_conj(mu), e_t=n_stat(mu) - (n - 1) * wt
+    ) * g
+    return ok_h, ok_g
+
+
+def _stirling_inversion(bound: Partition) -> bool:
+    """S1 * S2 = S2 * S1 = identity in the V-algebra on the given bound."""
+    m1 = stirling_matrix("s1", bound)
+    m2 = stirling_matrix("s2", bound)
+    ident = identity_matrix(bound)
+    return valgebra_multiply(m1, m2) == ident and valgebra_multiply(m2, m1) == ident
+
+
+def _valgebra_identity(bound: Partition) -> bool:
+    a = stirling_matrix("s1", bound)
+    delta = identity_matrix(bound)
+    return valgebra_multiply(delta, a) == a and valgebra_multiply(a, delta) == a
+
+
+def _classical_values(m: int, k: int) -> tuple[RationalFn, RationalFn]:
+    """s1 and s2 of ((m), (k)) at t = q, q -> 1."""
+    nu, mu = Partition((m,)), Partition((k,))
+    return (limit_q_to_1(substitute_t_eq_q_pow(s1(nu, mu), 1)),
+            limit_q_to_1(substitute_t_eq_q_pow(s2(nu, mu), 1)))
 
 
 # ---------------------------------------------------------------------------
-# identity registry
+# the identity table
 # ---------------------------------------------------------------------------
 
-_REGISTRY: dict[str, Callable[[SuiteConfig], Iterator[IdentityReport]]] = {}
+@dataclass(frozen=True)
+class _Row:
+    """One identity: an index enumerator and a check of those indices.
+
+    indices(cfg) yields index dicts; check(**indices) gives, by kind,
+    (lhs, rhs) for "equal", a value that must vanish for "zero", a bool for
+    "holds" (witness, a string or a function of the indices, explains a
+    failure), and (flags, witness or None) for "record", whose flags join
+    the index data.  A row with generate yields its reports itself, as
+    generate(identity_id, row, cfg), and has no indices.
+    """
+
+    kind: str
+    indices: Optional[Callable[[SuiteConfig], Iterable[dict]]]
+    check: Callable[..., Any]
+    witness: Union[str, Callable[..., str], None] = None
+    generate: Optional[Callable[[str, "_Row", SuiteConfig], Iterator[IdentityReport]]] = None
+
+    def reports(self, identity_id: str, cfg: SuiteConfig) -> Iterator[IdentityReport]:
+        if self.generate is not None:
+            return self.generate(identity_id, self, cfg)
+        return (self.report(identity_id, indices) for indices in self.indices(cfg))
+
+    def report(self, identity_id: str, indices: dict) -> IdentityReport:
+        verdict = self.check(**indices)
+        data = {key: _plain(value) for key, value in indices.items()}
+        if self.kind == "equal":
+            return equality_report(identity_id, data, *verdict)
+        if self.kind == "zero":
+            return zero_report(identity_id, data, verdict)
+        if self.kind == "holds":
+            if verdict:
+                return IdentityReport(identity_id, data, passed=True)
+            witness = self.witness(**indices) if callable(self.witness) else self.witness
+            return IdentityReport(identity_id, data, passed=False, witness=witness)
+        flags, witness = verdict
+        data.update({key: _plain(value) for key, value in flags.items()})
+        return IdentityReport(identity_id, data, passed=witness is None, witness=witness)
 
 
-def _identity(identity_id: str):
-    def wrap(fn):
-        _REGISTRY[identity_id] = fn
-        return fn
-    return wrap
+def _plain(value):
+    """An index as report JSON: a partition as its parts, a function as its canonical string."""
+    if isinstance(value, Partition):
+        return list(value.parts)
+    if isinstance(value, RationalFn):
+        return str(value)
+    if value is XBAR:
+        return "xbar"
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
-def registered_identities() -> list[str]:
-    return list(_REGISTRY)
+def _boxed(boxes: str, indices: Callable[..., Iterable[dict]],
+           draw: Optional[Callable[[random.Random, int], Any]] = None):
+    """Enumerator of indices(n, cap) over every box (n, cap) of cfg.<boxes>().
+
+    With draw, indices(n, cap, draw(rng, n)) also gets values drawn once per
+    box from one random.Random(cfg.seed) per run.
+    """
+    def enumerate_indices(cfg: SuiteConfig) -> Iterator[dict]:
+        rng = random.Random(cfg.seed) if draw else None
+        for n, cap in getattr(cfg, boxes)():
+            yield from (indices(n, cap) if draw is None else indices(n, cap, draw(rng, n)))
+    return enumerate_indices
+
+
+def _each(boxes: str, key: str):
+    """Enumerator of {key: p} for every partition p of every box of cfg.<boxes>()."""
+    return _boxed(boxes, lambda n, cap: ({key: p} for p in partitions_in_box(n, cap)))
 
 
 def _sample_exponent_args(rng: random.Random, n: int) -> tuple[RationalFn, ...]:
@@ -310,120 +513,16 @@ def _sample_exponent_args(rng: random.Random, n: int) -> tuple[RationalFn, ...]:
     return tuple(monomial_rf(e_q=e, e_t=rng.randrange(0, 3)) for e in exps)
 
 
-@_identity("inclusion-order")
-def _chk_inclusion(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.stirling_boxes():
-        box = list(partitions_in_box(n, cap))
-        ok = all(contains(lam, lam) for lam in box)
-        for a in box:
-            for b in box:
-                if contains(a, b) and contains(b, a) and a != b:
-                    ok = False
-                for c in box:
-                    if contains(a, b) and contains(b, c) and not contains(a, c):
-                        ok = False
-        yield IdentityReport("inclusion-order", {"n": n, "part_max": cap}, passed=ok,
-                             witness=None if ok else "partial-order axiom violated")
-
-
-@_identity("poch-recurrence")
-def _chk_poch_rec(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    a = X * t_pow(1)
-    for m in range(0, 7):
-        lhs = poch(a, m + 1)
-        rhs = poch(a, m) * (ONE - a * q_pow(m))
-        yield equality_report("poch-recurrence", {"m": m}, lhs, rhs)
-
-
-@_identity("poch-negative-index")
-def _chk_poch_neg(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    a = X
-    for m in range(1, 6):
-        lhs = poch(a, -m) * poch(a * q_pow(-m), m)
-        yield equality_report("poch-negative-index", {"m": m}, lhs, ONE)
-
-
-@_identity("poch-partition-single-part")
-def _chk_poch_single(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    a = X
-    for m in range(0, 7):
-        lhs = poch_partition(a, Partition((m,)))
-        yield equality_report("poch-partition-single-part", {"m": m}, lhs, poch(a, m))
-
-
-@_identity("flip-formula")
-def _chk_flip(cfg: SuiteConfig) -> Iterator[IdentityReport]:
+def _h_factor_indices(cfg: SuiteConfig) -> Iterator[dict]:
     for n, cap in cfg.w_boxes():
         for mu in partitions_in_box(n, cap):
-            yield flip_poch_identity_check(X, mu)
-
-
-@_identity("limit-rule")
-def _chk_limit_rule(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    # a^|mu| (x/a)_mu at a -> 0, with X standing in for a
-    points = (monomial_rf(e_q=2, e_t=1), t_pow(3) * q_pow(1), q_pow(1))
-    for n, cap in cfg.stirling_boxes():
-        for mu in partitions_in_box(n, cap):
-            wt = weight(mu)
-            for x0 in points:
-                value = subs_rational(x_pow(wt) * poch_partition(x0 * x_pow(-1), mu), X=ZERO)
-                sign = -1 if wt % 2 else 1
-                expect = sign * x0 ** wt * monomial_rf(e_q=n_stat_conj(mu), e_t=-n_stat(mu))
-                yield equality_report("limit-rule", {"mu": list(mu.parts), "x": str(x0)}, value, expect)
-
-
-@_identity("h-factor-normalization")
-def _chk_h_norm(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.w_boxes():
-        for mu in partitions_in_box(n, cap):
-            yield equality_report("h-factor-normalization", {"mu": list(mu.parts)},
-                                  h_factor(mu, mu), ONE)
+            yield {"mu": mu}
     for m in range(1, 5):
         # any single-row skew pair: both index products are empty
-        yield equality_report("h-factor-normalization", {"lam": [m], "mu": [m - 1]},
-                              h_factor(Partition((m,)), Partition((m - 1,))), ONE)
+        yield {"lam": Partition((m,)), "mu": Partition((m - 1,))}
 
 
-@_identity("w-skew-triangularity")
-def _chk_skew_tri(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.w_boxes():
-        box = list(partitions_in_box(n, cap))
-        for lam in box:
-            for mu in box:
-                if is_horizontal_strip(lam, mu):
-                    continue
-                yield zero_report("w-skew-triangularity",
-                                  {"lam": list(lam.parts), "mu": list(mu.parts)},
-                                  w_skew_single(lam, mu, X))
-
-
-@_identity("w-rect")
-def _chk_w_rect(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    rng = random.Random(cfg.seed)
-    for n, cap in cfg.w_boxes():
-        arg_sets = [_sample_exponent_args(rng, n), generic_staircase_args(n)]
-        for k in range(0, cap + 1):
-            mu = rectangle(k, n)
-            for xs in arg_sets:
-                lhs = w_multi(mu, xs)
-                rhs = q_pow(-n * k)
-                for x in xs:
-                    rhs = rhs * poch(q_pow(1 - k) * x, k)
-                yield equality_report("w-rect", {"n": n, "k": k, "args": [str(x) for x in xs]},
-                                      lhs, rhs)
-
-
-@_identity("w-staircase")
-def _chk_w_staircase(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.w_boxes():
-        for mu in partitions_in_box(n, cap):
-            lhs = w_staircase(mu, X)
-            rhs = w_multi(mu, generic_staircase_args(n))
-            yield equality_report("w-staircase", {"mu": list(mu.parts)}, lhs, rhs)
-
-
-@_identity("w-vanishing")
-def _chk_w_vanishing(cfg: SuiteConfig) -> Iterator[IdentityReport]:
+def _w_vanishing_reports(identity_id: str, row: _Row, cfg: SuiteConfig) -> Iterator[IdentityReport]:
     for n, cap in cfg.w_boxes():
         box = list(partitions_in_box(n, cap))
         zero_on_contained: list[tuple] = []
@@ -433,275 +532,176 @@ def _chk_w_vanishing(cfg: SuiteConfig) -> Iterator[IdentityReport]:
                     if weight(mu) and w_multi(mu, staircase_args(lam.parts)).is_zero:
                         zero_on_contained.append((mu.parts, lam.parts))
                     continue
-                yield w_vanishing_check(mu, lam)
+                yield row.report(identity_id, {"mu": mu, "lam": lam})
         if zero_on_contained:
             # flagged for review, not a failure: the theory does not pin these down
-            yield IdentityReport("w-vanishing",
+            yield IdentityReport(identity_id,
                                  {"n": n, "flagged_zero_on_contained": zero_on_contained},
                                  passed=True)
 
 
-@_identity("w-symmetry")
-def _chk_w_symmetry(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    rng = random.Random(cfg.seed)
-    for n, cap in cfg.w_boxes():
-        xs = _sample_exponent_args(rng, n)
-        for mu in partitions_in_box(n, cap):
-            base = w_multi(mu, xs)
-            ok = all(w_multi(mu, perm) == base for perm in permutations(xs))
-            yield IdentityReport("w-symmetry",
-                                 {"mu": list(mu.parts), "args": [str(x) for x in xs]},
-                                 passed=ok,
-                                 witness=None if ok else "permuted value differs")
-
-
-@_identity("w-duality")
-def _chk_w_duality(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    rng = random.Random(cfg.seed)
-    for n, cap in cfg.w_boxes():
-        arg_sets = [generic_staircase_args(n), _sample_exponent_args(rng, n)]
-        for mu in partitions_in_box(n, cap):
-            for xs in arg_sets:
-                yield duality_check(mu, xs)
-
-
-@_identity("w-bar-limit-exists")
-def _chk_w_bar_exists(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.stirling_boxes():
-        box = list(partitions_in_box(n, cap))
-        for mu in box:
-            for lam in box:
-                if not contains(lam, mu):
-                    continue
-                for invert in (False, True):
-                    w_bar(mu, lam, invert=invert)  # PoleError would escape as failure
-                yield IdentityReport("w-bar-limit-exists",
-                                     {"mu": list(mu.parts), "lam": list(lam.parts)}, passed=True)
-
-
-@_identity("gaussian-reduction")
-def _chk_gaussian(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for m in range(0, 7):
-        for k in range(0, m + 1):
-            value = qt_binomial(Partition((m,)), Partition((k,)))
-            t_free = value == subs_rational(value, t=7)
-            ok = value == gaussian_binomial(m, k) and t_free
-            yield IdentityReport("gaussian-reduction", {"m": m, "k": k}, passed=ok,
-                                 witness=None if ok else canonical_str(value))
-
-
-@_identity("qt-binomial-rect")
-def _chk_binom_rect(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.stirling_boxes():
-        for mu in partitions_in_box(n, cap):
-            yield equality_report("qt-binomial-rect", {"mu": list(mu.parts)},
-                                  qt_binomial(XBAR, mu), qt_binomial_rect(mu))
-
-
-@_identity("binomial-theorem")
-def _chk_binom_thm(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.stirling_boxes():
-        for lam in partitions_in_box(n, cap):
-            yield binomial_theorem_check(lam)
-
-
-@_identity("qt-number-reduction")
-def _chk_qt_number(cfg: SuiteConfig) -> Iterator[IdentityReport]:
+def _qt_number_reports(identity_id: str, row: _Row, cfg: SuiteConfig) -> Iterator[IdentityReport]:
     rng = random.Random(cfg.seed)
     for n, cap in cfg.stirling_boxes():
-        ones = rectangle(1, n)
         for _ in range(2):
-            z = tuple(rng.randrange(0, 5) for _ in range(n))
-            lhs = qt_bracket(z, ones)
-            mid = qt_binomial(z, ones)
-            rhs = qt_number(z)
-            ok = lhs == rhs and mid == rhs
-            yield IdentityReport("qt-number-reduction", {"z": list(z)}, passed=ok,
-                                 witness=None if ok else canonical_str(lhs - rhs))
+            yield row.report(identity_id, {"z": tuple(rng.randrange(0, 5) for _ in range(n))})
     for m in range(0, 6):
         lhs = qt_number((m,))
         rhs = (ONE - q_pow(m)) / (ONE - Q)
-        yield equality_report("qt-number-reduction", {"z": [m], "n": 1}, lhs, rhs)
+        yield equality_report(identity_id, {"z": [m], "n": 1}, lhs, rhs)
 
 
-@_identity("bracket-rect")
-def _chk_bracket_rect(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.stirling_boxes():
-        for mu in partitions_in_box(n, cap):
-            lhs = qt_bracket(XBAR, mu)
-            yield equality_report("bracket-rect", {"mu": list(mu.parts)}, lhs, bracket_rect(mu))
+#: (lam, mu) for lam in every Stirling box and mu <= lam.
+_LAM_MU = _boxed("stirling_boxes", lambda n, cap: (
+    {"lam": lam, "mu": mu} for lam in partitions_in_box(n, cap) for mu in subpartitions(lam)))
+#: the points x of limit-rule
+_LIMIT_POINTS = (monomial_rf(e_q=2, e_t=1), t_pow(3) * q_pow(1), q_pow(1))
 
+_TABLE: dict[str, _Row] = {
+    "inclusion-order": _Row(
+        "holds", _boxed("stirling_boxes", lambda n, cap: [{"n": n, "part_max": cap}]),
+        _inclusion_order, "partial-order axiom violated"),
+    "poch-recurrence": _Row(
+        "equal", lambda cfg: ({"m": m} for m in range(7)),
+        lambda m: (poch(X * T, m + 1), poch(X * T, m) * (ONE - X * T * q_pow(m)))),
+    "poch-negative-index": _Row(
+        "equal", lambda cfg: ({"m": m} for m in range(1, 6)),
+        lambda m: (poch(X, -m) * poch(X * q_pow(-m), m), ONE)),
+    "poch-partition-single-part": _Row(
+        "equal", lambda cfg: ({"m": m} for m in range(7)),
+        lambda m: (poch_partition(X, Partition((m,))), poch(X, m))),
+    "flip-formula": _Row(
+        "equal", _boxed("w_boxes", lambda n, cap: (
+            {"mu": mu, "x": X} for mu in partitions_in_box(n, cap))),
+        _flip_formula),
+    "limit-rule": _Row(
+        "equal", _boxed("stirling_boxes", lambda n, cap: (
+            {"mu": mu, "x": x} for mu in partitions_in_box(n, cap) for x in _LIMIT_POINTS)),
+        _limit_rule),
+    "h-factor-normalization": _Row(
+        "equal", _h_factor_indices, lambda mu, lam=None: (h_factor(mu if lam is None else lam, mu), ONE)),
+    "w-skew-triangularity": _Row(
+        "zero", _boxed("w_boxes", lambda n, cap: (
+            {"lam": lam, "mu": mu} for lam, mu in product(partitions_in_box(n, cap), repeat=2)
+            if not is_horizontal_strip(lam, mu))),
+        lambda lam, mu: w_skew_single(lam, mu, X)),
+    "w-rect": _Row(
+        "equal", _boxed("w_boxes", lambda n, cap, arg_sets: (
+            {"n": n, "k": k, "args": xs} for k in range(cap + 1) for xs in arg_sets),
+            draw=lambda rng, n: [_sample_exponent_args(rng, n), generic_staircase_args(n)]),
+        _w_rect),
+    "w-staircase": _Row(
+        "equal", _each("w_boxes", "mu"),
+        lambda mu: (w_staircase(mu, X), w_multi(mu, generic_staircase_args(mu.n)))),
+    "w-vanishing": _Row("zero", None, _w_vanishing, generate=_w_vanishing_reports),
+    "w-symmetry": _Row(
+        "holds", _boxed("w_boxes", lambda n, cap, xs: (
+            {"mu": mu, "args": xs} for mu in partitions_in_box(n, cap)), draw=_sample_exponent_args),
+        _w_symmetric, "permuted value differs"),
+    "w-duality": _Row(
+        "equal", _boxed("w_boxes", lambda n, cap, arg_sets: (
+            {"mu": mu, "args": xs} for mu in partitions_in_box(n, cap) for xs in arg_sets),
+            draw=lambda rng, n: [generic_staircase_args(n), _sample_exponent_args(rng, n)]),
+        _w_duality),
+    "w-bar-limit-exists": _Row(
+        "holds", _boxed("stirling_boxes", lambda n, cap: (
+            {"mu": mu, "lam": lam} for mu, lam in product(partitions_in_box(n, cap), repeat=2)
+            if contains(lam, mu))),
+        _w_bar_exists),
+    "gaussian-reduction": _Row(
+        "holds", lambda cfg: ({"m": m, "k": k} for m in range(7) for k in range(m + 1)),
+        _gaussian_reduction,
+        lambda m, k: canonical_str(qt_binomial(Partition((m,)), Partition((k,))))),
+    "qt-binomial-rect": _Row(
+        "equal", _each("stirling_boxes", "mu"), lambda mu: (qt_binomial(XBAR, mu), qt_binomial_rect(mu))),
+    "binomial-theorem": _Row("equal", _each("stirling_boxes", "lam"), _binomial_theorem),
+    "qt-number-reduction": _Row(
+        "holds", None, _qt_number_agrees,
+        lambda z: canonical_str(qt_bracket(z, rectangle(1, len(z))) - qt_number(z)),
+        generate=_qt_number_reports),
+    "bracket-rect": _Row(
+        "equal", _each("stirling_boxes", "mu"), lambda mu: (qt_bracket(XBAR, mu), bracket_rect(mu))),
+    "bracket-binomial-relation": _Row(
+        "equal", _boxed("stirling_boxes", lambda n, cap, zs: (
+            {"z": z, "mu": mu} for mu in partitions_in_box(n, cap) for z in zs),
+            draw=lambda rng, n: [tuple(rng.randrange(0, 5) for _ in range(n)), XBAR]),
+        _bracket_binomial_relation),
+    "change-of-basis-u": _Row(
+        "equal", _each("stirling_boxes", "lam"),
+        lambda lam: (poch_partition_flipped(X, lam),
+                     sum((u_matrix(lam, mu) * x_pow(weight(mu)) for mu in subpartitions(lam)), ZERO))),
+    "change-of-basis-v": _Row(
+        "equal", _each("stirling_boxes", "lam"),
+        lambda lam: (x_pow(weight(lam)),
+                     sum((v_matrix(lam, mu) * poch_partition_flipped(X, mu) for mu in subpartitions(lam)),
+                         ZERO))),
+    "uv-inversion": _Row("record", _each("stirling_boxes", "nu"), _uv_inversion),
+    "h-g-flip": _Row(
+        "holds", _each("stirling_boxes", "mu"), lambda mu: all(_hg_flip(mu)),
+        lambda mu: "h ok: {}, g ok: {}".format(*_hg_flip(mu))),
+    "u-limit-closed-form": _Row(
+        "equal", _LAM_MU, lambda lam, mu: (u_limit(lam, mu), u_limit_direct(lam, mu))),
+    "v-limit-closed-form": _Row(
+        "equal", _LAM_MU, lambda lam, mu: (v_limit(lam, mu), v_limit_direct(lam, mu))),
+    "stirling-diagonal": _Row(
+        "holds", _each("stirling_boxes", "lam"), lambda lam: s1(lam, lam) == ONE and s2(lam, lam) == ONE,
+        lambda lam: f"s1: {canonical_str(s1(lam, lam))}, s2: {canonical_str(s2(lam, lam))}"),
+    "stirling-zero": _Row(
+        "holds", _boxed("stirling_boxes", lambda n, cap: (
+            {"lam": lam} for lam in partitions_in_box(n, cap) if lam[n - 1] != 0)),
+        lambda lam: s1(lam, zeros(lam.n)).is_zero and s2(lam, zeros(lam.n)).is_zero,
+        "nonzero value at the empty partition"),
+    "defining-expansion-s1": _Row(
+        "equal", _each("stirling_boxes", "nu"), lambda nu: (bracket_rect(nu), _expansion_s1_sum(nu))),
+    "defining-expansion-s2": _Row(
+        "equal", _each("stirling_boxes", "nu"), lambda nu: (_limit_bracket(nu), _expansion_s2_sum(nu))),
+    "stirling-inversion": _Row(
+        "holds", _boxed("stirling_boxes", lambda n, cap: [{"bound": rectangle(cap, n)}]),
+        _stirling_inversion, "matrix product differs from identity"),
+    "valgebra-identity": _Row(
+        "holds", _boxed("stirling_boxes", lambda n, cap: [{"bound": rectangle(min(cap, 2), n)}]),
+        _valgebra_identity, "identity matrix is not neutral"),
+    "adjacent-weight": _Row(
+        "equal", _boxed("stirling_boxes", lambda n, cap: (
+            {"nu": nu, "mu": mu} for nu in partitions_in_box(n, cap) for mu in subpartitions(nu)
+            if weight(nu) - weight(mu) == 1)),
+        lambda nu, mu: (s1(nu, mu), -s2(nu, mu))),
+    "x0-sums": _Row("record", _each("stirling_boxes", "nu"), _x0_sums),
+    "root-vanishing": _Row(
+        "record", _boxed("stirling_boxes", lambda n, cap: (
+            {"nu": nu, "j": j, "m": m} for nu in partitions_in_box(n, cap)
+            for j in range(1, n + 1) for m in range(nu[j - 1]))),
+        _root_vanishing),
+    "classical-stirling": _Row(
+        "holds", lambda cfg: ({"m": m, "k": k} for m in range(6) for k in range(m + 1)),
+        lambda m, k: _classical_values(m, k) == (classical_stirling1(m, k), classical_stirling2(m, k)),
+        lambda m, k: "got ({}, {}), want ({}, {})".format(
+            *map(canonical_str, _classical_values(m, k)),
+            classical_stirling1(m, k), classical_stirling2(m, k))),
+}
 
-@_identity("bracket-binomial-relation")
-def _chk_bracket_binom(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    rng = random.Random(cfg.seed)
-    for n, cap in cfg.stirling_boxes():
-        zs = [tuple(rng.randrange(0, 5) for _ in range(n)), XBAR]
-        for mu in partitions_in_box(n, cap):
-            for z in zs:
-                yield bracket_binomial_relation_check(z, mu)
-
-
-@_identity("change-of-basis-u")
-def _chk_basis_u(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.stirling_boxes():
-        for lam in partitions_in_box(n, cap):
-            lhs = poch_partition_flipped(X, lam)
-            rhs = ZERO
-            for mu in subpartitions(lam):
-                rhs = rhs + u_matrix(lam, mu) * x_pow(weight(mu))
-            yield equality_report("change-of-basis-u", {"lam": list(lam.parts)}, lhs, rhs)
-
-
-@_identity("change-of-basis-v")
-def _chk_basis_v(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.stirling_boxes():
-        for lam in partitions_in_box(n, cap):
-            lhs = x_pow(weight(lam))
-            rhs = ZERO
-            for mu in subpartitions(lam):
-                rhs = rhs + v_matrix(lam, mu) * poch_partition_flipped(X, mu)
-            yield equality_report("change-of-basis-v", {"lam": list(lam.parts)}, lhs, rhs)
-
-
-@_identity("uv-inversion")
-def _chk_uv_inv(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.stirling_boxes():
-        for nu in partitions_in_box(n, cap):
-            yield uv_inversion_check(nu)
-
-
-@_identity("h-g-flip")
-def _chk_hg(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.stirling_boxes():
-        for mu in partitions_in_box(n, cap):
-            yield hg_flip_check(mu)
-
-
-@_identity("u-limit-closed-form")
-def _chk_u_limit(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.stirling_boxes():
-        box = list(partitions_in_box(n, cap))
-        for lam in box:
-            for mu in subpartitions(lam):
-                yield equality_report("u-limit-closed-form",
-                                      {"lam": list(lam.parts), "mu": list(mu.parts)},
-                                      u_limit(lam, mu), u_limit_direct(lam, mu))
-
-
-@_identity("v-limit-closed-form")
-def _chk_v_limit(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.stirling_boxes():
-        box = list(partitions_in_box(n, cap))
-        for lam in box:
-            for mu in subpartitions(lam):
-                yield equality_report("v-limit-closed-form",
-                                      {"lam": list(lam.parts), "mu": list(mu.parts)},
-                                      v_limit(lam, mu), v_limit_direct(lam, mu))
-
-
-@_identity("stirling-diagonal")
-def _chk_diag(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.stirling_boxes():
-        for lam in partitions_in_box(n, cap):
-            ok = s1(lam, lam) == ONE and s2(lam, lam) == ONE
-            yield IdentityReport("stirling-diagonal", {"lam": list(lam.parts)}, passed=ok,
-                                 witness=None if ok else
-                                 f"s1: {canonical_str(s1(lam, lam))}, s2: {canonical_str(s2(lam, lam))}")
-
-
-@_identity("stirling-zero")
-def _chk_zero(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.stirling_boxes():
-        origin = zeros(n)
-        for lam in partitions_in_box(n, cap):
-            if lam[n - 1] == 0:
-                continue
-            ok = s1(lam, origin).is_zero and s2(lam, origin).is_zero
-            yield IdentityReport("stirling-zero", {"lam": list(lam.parts)}, passed=ok,
-                                 witness=None if ok else "nonzero value at the empty partition")
-
-
-@_identity("defining-expansion-s1")
-def _chk_defn_s1(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.stirling_boxes():
-        for nu in partitions_in_box(n, cap):
-            yield equality_report("defining-expansion-s1", {"nu": list(nu.parts)},
-                                  bracket_rect(nu), _expansion_s1_sum(nu))
-
-
-@_identity("defining-expansion-s2")
-def _chk_defn_s2(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.stirling_boxes():
-        for nu in partitions_in_box(n, cap):
-            yield equality_report("defining-expansion-s2", {"nu": list(nu.parts)},
-                                  _limit_bracket(nu), _expansion_s2_sum(nu))
-
-
-@_identity("stirling-inversion")
-def _chk_stirling_inv(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.stirling_boxes():
-        yield stirling_inversion_check(rectangle(cap, n))
-
-
-@_identity("valgebra-identity")
-def _chk_valgebra(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.stirling_boxes():
-        bound = rectangle(min(cap, 2), n)
-        a = stirling_matrix("s1", bound)
-        delta = identity_matrix(bound)
-        ok = valgebra_multiply(delta, a) == a and valgebra_multiply(a, delta) == a
-        yield IdentityReport("valgebra-identity", {"bound": list(bound.parts)}, passed=ok,
-                             witness=None if ok else "identity matrix is not neutral")
-
-
-@_identity("adjacent-weight")
-def _chk_adjacent(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.stirling_boxes():
-        box = list(partitions_in_box(n, cap))
-        for nu in box:
-            for mu in subpartitions(nu):
-                if weight(nu) - weight(mu) != 1:
-                    continue
-                lhs, rhs = s1(nu, mu), s2(nu, mu)
-                ok = lhs == -rhs
-                yield IdentityReport("adjacent-weight",
-                                     {"nu": list(nu.parts), "mu": list(mu.parts)}, passed=ok,
-                                     witness=None if ok else canonical_str(lhs + rhs))
-
-
-@_identity("x0-sums")
-def _chk_x0(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.stirling_boxes():
-        for nu in partitions_in_box(n, cap):
-            yield check_x0_sums(nu)
-
-
-@_identity("root-vanishing")
-def _chk_roots(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.stirling_boxes():
-        for nu in partitions_in_box(n, cap):
-            for j in range(1, n + 1):
-                for m_j in range(0, nu[j - 1]):
-                    yield check_root_vanishing(nu, j, m_j)
-
-
-@_identity("classical-stirling")
-def _chk_classical(cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for m in range(0, 6):
-        for k in range(0, m + 1):
-            v1 = limit_q_to_1(substitute_t_eq_q_pow(s1(Partition((m,)), Partition((k,))), 1))
-            v2 = limit_q_to_1(substitute_t_eq_q_pow(s2(Partition((m,)), Partition((k,))), 1))
-            c1 = classical_stirling1(m, k)
-            c2 = classical_stirling2(m, k)
-            ok = v1 == c1 and v2 == c2
-            yield IdentityReport("classical-stirling", {"m": m, "k": k}, passed=ok,
-                                 witness=None if ok else
-                                 f"got ({canonical_str(v1)}, {canonical_str(v2)}), want ({c1}, {c2})")
-
+_REGISTRY: dict[str, Callable[[SuiteConfig], Iterator[IdentityReport]]] = {
+    identity_id: partial(row.reports, identity_id) for identity_id, row in _TABLE.items()
+}
 
 #: Every identity the suite must register; the completeness test enumerates this.
 MANIFEST: tuple[str, ...] = tuple(_REGISTRY)
+
+
+def registered_identities() -> list[str]:
+    return list(_REGISTRY)
+
+
+def check_identity(identity_id: str, **indices) -> IdentityReport:
+    """Check one identity at the given indices, as the suite would report it.
+
+    The indices are the keys of the identity's index_data, e.g.
+    check_identity("flip-formula", mu=Partition((2, 1)), x=X) or
+    check_identity("root-vanishing", nu=Partition((2, 1)), j=1, m=1).
+    """
+    if identity_id not in _TABLE:
+        raise ValueError(f"unknown identity {identity_id!r}")
+    return _TABLE[identity_id].report(identity_id, indices)
 
 
 def run_suite(cfg: SuiteConfig) -> list[IdentityReport]:

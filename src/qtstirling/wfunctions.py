@@ -24,12 +24,10 @@ from .algebra import (
     memo,
     monomial_rf,
     q_pow,
-    subs_rational,
     t_pow,
 )
 from .partitions import (
     Partition,
-    contains,
     horizontal_strip_predecessors,
     is_horizontal_strip,
     n_stat,
@@ -37,7 +35,6 @@ from .partitions import (
     weight,
 )
 from .pochhammer import pair_poch_product, poch, poch_partition_flipped
-from .reports import IdentityReport, equality_report, zero_report
 
 __all__ = [
     "NotAStripError",
@@ -47,8 +44,6 @@ __all__ = [
     "w_multi",
     "w_hat_multi",
     "w_staircase",
-    "w_vanishing_check",
-    "duality_check",
     "w_bar",
     "staircase_args",
     "generic_staircase_args",
@@ -167,32 +162,6 @@ def w_staircase(mu: Partition, x: RationalFn) -> RationalFn:
     """Closed form of w_mu at the staircase specialization (x t^{n-1}, ..., x t, x)."""
     out = q_pow(-weight(mu)) * poch_partition_flipped(x, mu)
     return out * pair_poch_product(mu, 0, 1) / pair_poch_product(mu, 0, 0)
-
-
-def w_vanishing_check(mu: Partition, lam: Partition) -> IdentityReport:
-    """Check w_mu(q^lam t^delta) = 0 when mu is not contained in lam."""
-    if contains(lam, mu):
-        raise ValueError("vanishing check requires mu not contained in lam")
-    value = w_multi(mu, staircase_args(lam.parts))
-    return zero_report("w-vanishing", {"mu": list(mu.parts), "lam": list(lam.parts)}, value)
-
-
-def duality_check(mu: Partition, xs: Sequence[RationalFn]) -> IdentityReport:
-    """Check w-hat_mu(x; q, t) = q^-|mu| t^{-2n(mu)+(n-1)|mu|} w_mu(1/x; 1/q, 1/t).
-
-    The t-exponent is the one consistent with the recursion-built dual
-    function (the normalization the u change-of-basis needs); the variant
-    with -(n-1)|mu| belongs to a dual rescaled by t^{2(n-1)|mu|} and fails
-    here for every nonempty mu when n > 1.  Both are exercised in tests.
-    """
-    xs = _argument_tuple(mu, xs)
-    n, wt = mu.n, weight(mu)
-    lhs = w_hat_multi(mu, xs)
-    flipped = subs_rational(w_multi(mu, xs), q=q_pow(-1), t=t_pow(-1), X=monomial_rf(e_X=-1))
-    rhs = monomial_rf(e_q=-wt, e_t=-2 * n_stat(mu) + (n - 1) * wt) * flipped
-    return equality_report(
-        "w-duality", {"mu": list(mu.parts), "args": [str(x) for x in xs]}, lhs, rhs
-    )
 
 
 def w_bar(mu: Partition, lam: Partition, invert: bool = False) -> RationalFn:

@@ -5,12 +5,12 @@ import pytest
 from qtstirling.algebra import ONE, PoleError, Q, T, X, canonical_str, q_pow, t_pow
 from qtstirling.partitions import Partition, partitions_in_box
 from qtstirling.pochhammer import (
-    flip_poch_identity_check,
     poch,
     poch_multi,
     poch_partition,
     poch_partition_flipped,
 )
+from qtstirling.verify import check_identity
 
 P = Partition
 
@@ -69,19 +69,19 @@ def test_flipped_base_builds_reciprocals():
 
 
 def test_flip_identity_small():
-    r = flip_poch_identity_check(X, P((1,)))
+    r = check_identity("flip-formula", mu=P((1,)), x=X)
     assert r.passed
-    r = flip_poch_identity_check(X, P((0, 0)))
+    r = check_identity("flip-formula", mu=P((0, 0)), x=X)
     assert r.passed
-    r = flip_poch_identity_check(X, P((2, 1)))
+    r = check_identity("flip-formula", mu=P((2, 1)), x=X)
     assert r.passed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_flip_identity_range(n):
     for mu in partitions_in_box(n, 3):
-        assert flip_poch_identity_check(X, mu).passed
+        assert check_identity("flip-formula", mu=mu, x=X).passed
 
 
 def test_flip_identity_composite_argument():
-    assert flip_poch_identity_check(X * Q**2 / T, P((2, 1))).passed
+    assert check_identity("flip-formula", mu=P((2, 1)), x=X * Q**2 / T).passed

@@ -19,8 +19,6 @@ from qtstirling.partitions import Partition, partitions_in_box, rectangle, zeros
 from qtstirling.pochhammer import poch, poch_partition
 from qtstirling.qtnumbers import (
     XBAR,
-    binomial_theorem_check,
-    bracket_binomial_relation_check,
     bracket_rect,
     gaussian_binomial,
     qt_binomial,
@@ -28,6 +26,7 @@ from qtstirling.qtnumbers import (
     qt_bracket,
     qt_number,
 )
+from qtstirling.verify import check_identity
 
 P = Partition
 
@@ -71,10 +70,10 @@ def test_binomial_rect_matches_definition():
 
 
 def test_binomial_theorem_examples():
-    assert binomial_theorem_check(P((1,))).passed
-    assert binomial_theorem_check(P((0, 0))).passed
-    assert binomial_theorem_check(P((2, 1))).passed
-    assert binomial_theorem_check(P((2, 2, 1))).passed
+    assert check_identity("binomial-theorem", lam=P((1,))).passed
+    assert check_identity("binomial-theorem", lam=P((0, 0))).passed
+    assert check_identity("binomial-theorem", lam=P((2, 1))).passed
+    assert check_identity("binomial-theorem", lam=P((2, 2, 1))).passed
 
 
 def test_binomial_theorem_expansion_oracle():
@@ -146,10 +145,10 @@ def test_bracket_rect_polynomial_degree():
 
 
 def test_bracket_binomial_relation():
-    assert bracket_binomial_relation_check((2, 1), rectangle(1, 2)).passed
-    assert bracket_binomial_relation_check((0, 0), zeros(2)).passed
-    assert bracket_binomial_relation_check((2, 1), P((2, 1))).passed
-    assert bracket_binomial_relation_check(XBAR, P((2, 1))).passed
+    assert check_identity("bracket-binomial-relation", z=(2, 1), mu=rectangle(1, 2)).passed
+    assert check_identity("bracket-binomial-relation", z=(0, 0), mu=zeros(2)).passed
+    assert check_identity("bracket-binomial-relation", z=(2, 1), mu=P((2, 1))).passed
+    assert check_identity("bracket-binomial-relation", z=XBAR, mu=P((2, 1))).passed
 
 
 def test_bracket_with_multiplicative_shift():

@@ -20,23 +20,21 @@ from qtstirling.partitions import Partition, partitions_in_box, rectangle, subpa
 from qtstirling.stirling import (
     PartitionMatrix,
     f_factor,
-    hg_flip_check,
     identity_matrix,
     matrix_from_function,
     ordinary_alpha_stirling,
     s1,
     s2,
-    stirling_inversion_check,
     stirling_matrix,
     u_limit,
     u_limit_direct,
     u_matrix,
-    uv_inversion_check,
     v_limit,
     v_limit_direct,
     v_matrix,
     valgebra_multiply,
 )
+from qtstirling.verify import check_identity
 
 P = Partition
 
@@ -111,9 +109,9 @@ def test_diagonal_and_zero():
 
 
 def test_uv_inversion():
-    assert uv_inversion_check(zeros(2)).passed
-    assert uv_inversion_check(P((2, 1))).passed
-    assert uv_inversion_check(P((3,))).passed
+    assert check_identity("uv-inversion", nu=zeros(2)).passed
+    assert check_identity("uv-inversion", nu=P((2, 1))).passed
+    assert check_identity("uv-inversion", nu=P((3,))).passed
 
 
 def test_adjacent_weight_antisymmetry():
@@ -137,7 +135,7 @@ def test_valgebra_shape_mismatch():
 
 def test_stirling_matrix_inverse_pair():
     for bound in [P((1,)), P((2, 1)), P((3,)), P((2, 2))]:
-        assert stirling_inversion_check(bound).passed
+        assert check_identity("stirling-inversion", bound=bound).passed
 
 
 def test_uv_matrix_inverse_pair():
@@ -158,7 +156,7 @@ def test_matrix_triangularity():
 
 def test_hg_flip():
     for parts in [(1, 0), (2, 1), (2, 2), (3, 1), (2, 1, 0)]:
-        assert hg_flip_check(P(parts)).passed
+        assert check_identity("h-g-flip", mu=P(parts)).passed
 
 
 def test_ordinary_alpha_stirling():

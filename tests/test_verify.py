@@ -9,15 +9,15 @@ from fractions import Fraction
 import pytest
 
 from qtstirling import cli, verify
-from qtstirling.algebra import clear_cache
+from qtstirling.algebra import ONE, ZERO, PoleError, canonical_str, clear_cache
 from qtstirling.partitions import Partition
+from qtstirling.qtnumbers import XBAR, qt_bracket
 from qtstirling.verify import (
     _EVAL_EXPRS,
     MANIFEST,
     SuiteConfig,
     _expression_value,
-    check_root_vanishing,
-    check_x0_sums,
+    check_identity,
     classical_stirling1,
     classical_stirling2,
     emit_table,
@@ -84,29 +84,76 @@ def test_suite_determinism(tmp_path):
     assert snapshot() == snapshot()
 
 
+#: SHA-256 of the suite report (every record without "elapsed", as JSON with
+#: indent 2) at (n_max, part_max, seed); a refactor of the registry must keep it.
+_REPORT_DIGESTS = [
+    (2, 2, 0, 447, "3d622370146c023f43dca1c217f96d25e1fcbbb113fcb98b905b2b4537e9702b"),
+    (3, 1, 7, 403, "3488f8e994c8a4214da737db0f3548b66d6375b25fd81a644b2edb87987dd1f8"),
+]
+
+
+@pytest.mark.parametrize("n_max, part_max, seed, count, digest", _REPORT_DIGESTS)
+def test_suite_report_is_pinned(n_max, part_max, seed, count, digest):
+    records = []
+    for r in run_suite(SuiteConfig(n_max=n_max, part_max=part_max, seed=seed)):
+        record = r.to_json_dict()
+        del record["elapsed"]
+        records.append(record)
+    assert len(records) == count
+    text = json.dumps(records, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_failures_are_reported_not_raised(monkeypatch):
+    real = verify.bracket_rect
+    monkeypatch.setattr(verify, "bracket_rect", lambda mu: real(mu) + ONE)
+    reports = run_suite(SuiteConfig(n_max=2, part_max=1, identities=["bracket-rect"]))
+    assert reports
+    for r in reports:
+        mu = P(r.index_data["mu"])
+        assert r.identity_id == "bracket-rect" and not r.passed
+        assert r.witness == canonical_str(qt_bracket(XBAR, mu) - (real(mu) + ONE))
+        assert r.to_json_dict()["witness"] == r.witness
+
+    def pole(*args, **kwargs):
+        raise PoleError("no limit")
+
+    monkeypatch.setattr(verify, "w_bar", pole)
+    reports = run_suite(SuiteConfig(n_max=1, part_max=1, identities=["w-bar-limit-exists"]))
+    assert len(reports) == 1
+    (r,) = reports
+    assert r.identity_id == "w-bar-limit-exists" and not r.passed
+    assert r.index_data == {}
+    assert r.witness == "PoleError: no limit"
+
+    monkeypatch.setattr(verify, "s2", lambda nu, mu: ZERO)
+    (r,) = run_suite(SuiteConfig(n_max=1, part_max=0, identities=["stirling-diagonal"]))
+    assert not r.passed and r.witness == "s1: 1, s2: 0"
+
+
 def test_x0_sums_records_both_readings():
-    rep = check_x0_sums(P((2, 1)))
+    rep = check_identity("x0-sums", nu=P((2, 1)))
     assert rep.passed
     assert rep.index_data["s1_exponent_minus"] is True
     assert rep.index_data["s1_exponent_plus"] is False
     assert rep.index_data["s2"] is True
-    trivial = check_x0_sums(P((0, 0)))
+    trivial = check_identity("x0-sums", nu=P((0, 0)))
     assert trivial.passed
     assert trivial.index_data["s1_exponent_plus"] is True  # degenerate at the empty index
 
 
 def test_root_vanishing_examples():
     # X = q at nu=(2): the plain "sum of first-kind values" analogue
-    assert check_root_vanishing(P((2,)), 1, 1).passed
-    assert check_root_vanishing(P((1, 1)), 2, 0).passed
-    assert check_root_vanishing(P((2, 1)), 1, 1).passed
+    assert check_identity("root-vanishing", nu=P((2,)), j=1, m=1).passed
+    assert check_identity("root-vanishing", nu=P((1, 1)), j=2, m=0).passed
+    assert check_identity("root-vanishing", nu=P((2, 1)), j=1, m=1).passed
 
 
 def test_root_vanishing_preconditions():
     with pytest.raises(ValueError):
-        check_root_vanishing(P((2, 1)), 3, 0)
+        check_identity("root-vanishing", nu=P((2, 1)), j=3, m=0)
     with pytest.raises(ValueError):
-        check_root_vanishing(P((2, 1)), 2, 1)  # m must stay below nu_j
+        check_identity("root-vanishing", nu=P((2, 1)), j=2, m=1)  # m must stay below nu_j
 
 
 def test_report_json_shape(tmp_path):

@@ -28,7 +28,6 @@ from qtstirling.pochhammer import poch, poch_partition_flipped
 from qtstirling.wfunctions import (
     NotAStripError,
     clear_cache,
-    duality_check,
     generic_staircase_args,
     h_factor,
     staircase_args,
@@ -38,8 +37,8 @@ from qtstirling.wfunctions import (
     w_multi,
     w_skew_single,
     w_staircase,
-    w_vanishing_check,
 )
+from qtstirling.verify import check_identity
 
 P = Partition
 
@@ -131,11 +130,11 @@ def test_w_staircase_closed_form_value():
 
 
 def test_vanishing():
-    assert w_vanishing_check(P((2,)), P((1,))).passed
-    assert w_vanishing_check(P((1, 1)), P((2, 0))).passed
-    assert w_vanishing_check(P((2, 1)), P((1, 1))).passed
+    assert check_identity("w-vanishing", mu=P((2,)), lam=P((1,))).passed
+    assert check_identity("w-vanishing", mu=P((1, 1)), lam=P((2, 0))).passed
+    assert check_identity("w-vanishing", mu=P((2, 1)), lam=P((1, 1))).passed
     with pytest.raises(ValueError):
-        w_vanishing_check(P((1, 0)), P((2, 1)))
+        check_identity("w-vanishing", mu=P((1, 0)), lam=P((2, 1)))
 
 
 def test_symmetry_exhaustive_small():
@@ -147,10 +146,11 @@ def test_symmetry_exhaustive_small():
 
 
 def test_duality():
-    assert duality_check(P((1,)), (X,)).passed
-    assert duality_check(zeros(2), generic_staircase_args(2)).passed
-    assert duality_check(P((2, 1)), generic_staircase_args(2)).passed
-    assert duality_check(P((2, 1)), (monomial_rf(e_q=2, e_t=1), monomial_rf(e_q=5))).passed
+    assert check_identity("w-duality", mu=P((1,)), args=(X,)).passed
+    assert check_identity("w-duality", mu=zeros(2), args=generic_staircase_args(2)).passed
+    assert check_identity("w-duality", mu=P((2, 1)), args=generic_staircase_args(2)).passed
+    assert check_identity("w-duality", mu=P((2, 1)),
+                          args=(monomial_rf(e_q=2, e_t=1), monomial_rf(e_q=5))).passed
 
 
 def test_duality_rejected_exponent_reading():
@@ -192,7 +192,7 @@ def test_dual_recursion_literal_reading_rejected():
     mu = P((1, 1))
     xs = generic_staircase_args(2)
     assert _w_hat_multi_literal(mu, xs) != w_hat_multi(mu, xs)
-    assert duality_check(mu, xs).passed
+    assert check_identity("w-duality", mu=mu, args=xs).passed
 
 
 def test_w_bar_values():
