@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence, Union
 
-from .algebra import ONE, RationalFn, X, ZERO, memo, monomial_rf, q_pow, t_pow
+from .algebra import ONE, Q, RationalFn, X, ZERO, memo, monomial_rf, q_pow, t_pow
 from .partitions import (
     Partition,
     contains,
@@ -101,14 +101,11 @@ def qt_binomial_rect(mu: Partition) -> RationalFn:
     return out
 
 
-_Q = monomial_rf(e_q=1)
-
-
 def gaussian_binomial(m: int, k: int) -> RationalFn:
     """(q)_m / ((q)_{m-k} (q)_k), the one-variable q-binomial coefficient."""
     if k < 0 or k > m:
         return ZERO
-    return poch(_Q, m) / (poch(_Q, m - k) * poch(_Q, k))
+    return poch(Q, m) / (poch(Q, m - k) * poch(Q, k))
 
 
 def qt_bracket(z: ZVector, mu: Partition, s: RationalFn = ONE) -> RationalFn:

@@ -7,10 +7,15 @@ bounds (and, for the sampled identities, the seed) and checks each one: an
 "equal" row gives (lhs, rhs), a "zero" row a value that must vanish, a
 "holds" row a bool, and a "record" row named flags that join the report.
 One runner turns each index dict and verdict into an IdentityReport whose
-index_data is the indices as JSON; `check_identity` runs one row at chosen
-indices.  Two rows generate their reports themselves and still build each
-check through their row.  Default bounds: partitions with parts up to
-part_max for ambient n <= 2, and parts up to min(part_max, 2) for n = 3.
+index_data is the indices as JSON; a check that raises becomes a failing
+report at its indices, and `check_identity` runs one row at chosen indices.
+Two rows generate their reports themselves and still build each check
+through their row.  The paper's expansions are data too: a row of
+`_EXPANSIONS` gives coefficient(nu, mu) and basis(mu), and the expansion at
+nu sums their products over mu <= nu.  Its terms are memoised per (nu, kind)
+and every identity that sums, specialises or substitutes them reads that
+memo.  Default bounds: partitions with parts up to part_max for ambient
+n <= 2, and parts up to min(part_max, 2) for n = 3.
 The w-function layer runs at the full part_max for every n.
 """
 
@@ -195,31 +200,39 @@ def _limit_bracket(mu: Partition) -> RationalFn:
     return out
 
 
-def _inv_qt_powers(mu: Partition) -> RationalFn:
-    # prod_i (1 - q t^{n-i})^{-mu_i}
-    return qt_factor_product([-m for m in mu])
+#: kind -> (coefficient(nu, mu), basis(mu)): the binomial theorem (its coefficient
+#: (-1)^|mu| q^{n(mu')} t^{-n(mu)} [nu mu] is v(nu, mu)), the changes of basis u and v,
+#: and the defining expansions s1 and s2.  No term has X in its denominator.
+#: Each lambda looks its names up per call, so a traced or patched function is the one run.
+_EXPANSIONS: dict[str, tuple[Callable[..., RationalFn], Callable[..., RationalFn]]] = {
+    "binomial": (lambda nu, mu: v_matrix(nu, mu), lambda mu: x_pow(weight(mu))),
+    "u": (lambda nu, mu: u_matrix(nu, mu), lambda mu: x_pow(weight(mu))),
+    "v": (lambda nu, mu: v_matrix(nu, mu), lambda mu: poch_partition_flipped(X, mu)),
+    "s1": (lambda nu, mu: monomial_rf(e_q=-n_stat_conj(nu),
+                                      e_t=2 * n_stat(mu) - (nu.n - 1) * weight(mu)) * s1(nu, mu),
+           lambda mu: _limit_bracket(mu)),
+    "s2": (lambda nu, mu: monomial_rf(e_q=n_stat_conj(mu),
+                                      e_t=-2 * n_stat(nu) + (nu.n - 1) * weight(nu)) * s2(nu, mu),
+           lambda mu: bracket_rect(mu)),
+}
 
 
-def _expansion_s1_sum(nu: Partition, restrict: Optional[Callable[[Partition], bool]] = None) -> RationalFn:
-    n = nu.n
-    total = ZERO
-    for mu in subpartitions(nu):
-        if restrict is not None and not restrict(mu):
-            continue
-        coeff = monomial_rf(e_q=-n_stat_conj(nu), e_t=2 * n_stat(mu) - (n - 1) * weight(mu))
-        total = total + coeff * s1(nu, mu) * _limit_bracket(mu)
-    return total
+@memo
+def _expansion_terms(nu: Partition, kind: str) -> tuple[tuple[Partition, RationalFn], ...]:
+    """(mu, coefficient * basis) for every mu <= nu, by the kind row of _EXPANSIONS."""
+    coefficient, basis = _EXPANSIONS[kind]
+    return tuple((mu, coefficient(nu, mu) * basis(mu)) for mu in subpartitions(nu))
 
 
-def _expansion_s2_sum(nu: Partition, restrict: Optional[Callable[[Partition], bool]] = None) -> RationalFn:
-    n = nu.n
-    total = ZERO
-    for mu in subpartitions(nu):
-        if restrict is not None and not restrict(mu):
-            continue
-        coeff = monomial_rf(e_q=n_stat_conj(mu), e_t=-2 * n_stat(nu) + (n - 1) * weight(nu))
-        total = total + coeff * s2(nu, mu) * bracket_rect(mu)
-    return total
+@memo
+def _expansion(nu: Partition, kind: str) -> RationalFn:
+    """The expansion of kind at nu, the sum of its terms."""
+    return sum((term for _, term in _expansion_terms(nu, kind)), ZERO)
+
+
+def _terms_at(nu: Partition, kind: str, x) -> Iterator[tuple[Partition, RationalFn]]:
+    """(mu, term at X = x) for every term of the expansion of kind at nu."""
+    return ((mu, subs_rational(term, X=x)) for mu, term in _expansion_terms(nu, kind))
 
 
 def _x0_sums(nu: Partition) -> tuple[dict, Optional[str]]:
@@ -231,19 +244,13 @@ def _x0_sums(nu: Partition) -> tuple[dict, Optional[str]]:
     sum both hold.
     """
     n = nu.n
-    lhs = _inv_qt_powers(nu)
-    outcomes = {}
-    for label, sign in (("s1_exponent_minus", -1), ("s1_exponent_plus", +1)):
-        total = ZERO
-        for mu in subpartitions(nu):
-            coeff = monomial_rf(e_q=-n_stat_conj(nu), e_t=2 * n_stat(mu) + sign * (n - 1) * weight(mu))
-            total = total + coeff * s1(nu, mu) * _inv_qt_powers(mu)
-        outcomes[label] = total == lhs
-    total = ZERO
-    for mu in subpartitions(nu):
-        coeff = monomial_rf(e_q=n_stat_conj(mu), e_t=-2 * n_stat(nu) + (n - 1) * weight(nu))
-        total = total + coeff * s2(nu, mu) * _inv_qt_powers(mu)
-    outcomes["s2"] = total == lhs
+    lhs = qt_factor_product([-m for m in nu])
+    first = list(_terms_at(nu, "s1", ZERO))
+    outcomes = {
+        "s1_exponent_minus": sum((v for _, v in first), ZERO) == lhs,
+        "s1_exponent_plus": sum((t_pow(2 * (n - 1) * weight(mu)) * v for mu, v in first), ZERO) == lhs,
+        "s2": sum((v for _, v in _terms_at(nu, "s2", ZERO)), ZERO) == lhs,
+    }
     passed = outcomes["s1_exponent_minus"] and outcomes["s2"]
     return outcomes, None if passed else f"outcomes: {outcomes}"
 
@@ -255,7 +262,8 @@ def _root_vanishing(nu: Partition, j: int, m: int) -> tuple[dict, Optional[str]]
     first-kind survivors have mu_{n+1-j} = 0 (the limit-bracket factor
     kills the rest) and the second-kind survivors have mu_j = 0 (the
     bracket itself vanishes otherwise); the second-kind identity needs
-    nu_{n+1-j} >= 1 so that its left side vanishes too.
+    nu_{n+1-j} >= 1 so that its left side vanishes too.  The restricted
+    sums are taken term by term at the root.
     """
     n = nu.n
     if not 1 <= j <= n:
@@ -264,17 +272,13 @@ def _root_vanishing(nu: Partition, j: int, m: int) -> tuple[dict, Optional[str]]
         raise ValueError(f"m must lie in 0..{nu[j - 1] - 1}")
     root = monomial_rf(e_q=m, e_t=1 - j)
     checks: dict[str, bool] = {}
-    full = subs_rational(_expansion_s1_sum(nu), X=root)
-    checks["s1_full_sum"] = full.is_zero
+    checks["s1_full_sum"] = subs_rational(_expansion(nu, "s1"), X=root).is_zero
     if m == 0:
-        restricted = subs_rational(
-            _expansion_s1_sum(nu, restrict=lambda mu: mu[n - j] == 0), X=root
-        )
+        restricted = sum((term for mu, term in _terms_at(nu, "s1", root) if mu[n - j] == 0), ZERO)
         checks["s1_restricted"] = restricted.is_zero
         if nu[n - j] >= 1:
-            restricted2 = subs_rational(
-                _expansion_s2_sum(nu, restrict=lambda mu: mu[j - 1] == 0 and mu != nu), X=root
-            )
+            restricted2 = sum((term for mu, term in _terms_at(nu, "s2", root)
+                               if mu[j - 1] == 0 and mu != nu), ZERO)
             checks["s2_restricted"] = restricted2.is_zero
     return checks, None if all(checks.values()) else f"checks: {checks}"
 
@@ -368,18 +372,6 @@ def _gaussian_reduction(m: int, k: int) -> bool:
     return value == gaussian_binomial(m, k) and t_free
 
 
-def _binomial_theorem(lam: Partition) -> tuple[RationalFn, RationalFn]:
-    """Terminating binomial theorem: (X)_lam expanded over sub-binomials."""
-    lhs = poch_partition(X, lam)
-    rhs = ZERO
-    for mu in subpartitions(lam):
-        wt = weight(mu)
-        sign = -1 if wt % 2 else 1
-        coeff = sign * monomial_rf(e_q=n_stat_conj(mu), e_t=-n_stat(mu))
-        rhs = rhs + coeff * qt_binomial(lam, mu) * x_pow(wt)
-    return lhs, rhs
-
-
 def _qt_number_agrees(z: tuple[int, ...]) -> bool:
     """[z]_(1^n) as bracket and as binomial both equal the qt-number [z]."""
     ones = rectangle(1, len(z))
@@ -460,6 +452,16 @@ class _Row:
         return (self.report(identity_id, indices) for indices in self.indices(cfg))
 
     def report(self, identity_id: str, indices: dict) -> IdentityReport:
+        """The report of one check; a check that raises fails at its indices."""
+        try:
+            return self.judge(identity_id, indices)
+        except Exception as exc:  # a PoleError here is a genuine failure
+            data = {key: _plain(value) for key, value in indices.items()}
+            return IdentityReport(identity_id, data, passed=False,
+                                  witness=f"{type(exc).__name__}: {exc}")
+
+    def judge(self, identity_id: str, indices: dict) -> IdentityReport:
+        """The report of one check; an exception of the check propagates."""
         verdict = self.check(**indices)
         data = {key: _plain(value) for key, value in indices.items()}
         if self.kind == "equal":
@@ -614,7 +616,9 @@ _TABLE: dict[str, _Row] = {
         lambda m, k: canonical_str(qt_binomial(Partition((m,)), Partition((k,))))),
     "qt-binomial-rect": _Row(
         "equal", _each("stirling_boxes", "mu"), lambda mu: (qt_binomial(XBAR, mu), qt_binomial_rect(mu))),
-    "binomial-theorem": _Row("equal", _each("stirling_boxes", "lam"), _binomial_theorem),
+    "binomial-theorem": _Row(
+        "equal", _each("stirling_boxes", "lam"),
+        lambda lam: (poch_partition(X, lam), _expansion(lam, "binomial"))),
     "qt-number-reduction": _Row(
         "holds", None, _qt_number_agrees,
         lambda z: canonical_str(qt_bracket(z, rectangle(1, len(z))) - qt_number(z)),
@@ -628,13 +632,10 @@ _TABLE: dict[str, _Row] = {
         _bracket_binomial_relation),
     "change-of-basis-u": _Row(
         "equal", _each("stirling_boxes", "lam"),
-        lambda lam: (poch_partition_flipped(X, lam),
-                     sum((u_matrix(lam, mu) * x_pow(weight(mu)) for mu in subpartitions(lam)), ZERO))),
+        lambda lam: (poch_partition_flipped(X, lam), _expansion(lam, "u"))),
     "change-of-basis-v": _Row(
         "equal", _each("stirling_boxes", "lam"),
-        lambda lam: (x_pow(weight(lam)),
-                     sum((v_matrix(lam, mu) * poch_partition_flipped(X, mu) for mu in subpartitions(lam)),
-                         ZERO))),
+        lambda lam: (x_pow(weight(lam)), _expansion(lam, "v"))),
     "uv-inversion": _Row("record", _each("stirling_boxes", "nu"), _uv_inversion),
     "h-g-flip": _Row(
         "holds", _each("stirling_boxes", "mu"), lambda mu: all(_hg_flip(mu)),
@@ -652,9 +653,9 @@ _TABLE: dict[str, _Row] = {
         lambda lam: s1(lam, zeros(lam.n)).is_zero and s2(lam, zeros(lam.n)).is_zero,
         "nonzero value at the empty partition"),
     "defining-expansion-s1": _Row(
-        "equal", _each("stirling_boxes", "nu"), lambda nu: (bracket_rect(nu), _expansion_s1_sum(nu))),
+        "equal", _each("stirling_boxes", "nu"), lambda nu: (bracket_rect(nu), _expansion(nu, "s1"))),
     "defining-expansion-s2": _Row(
-        "equal", _each("stirling_boxes", "nu"), lambda nu: (_limit_bracket(nu), _expansion_s2_sum(nu))),
+        "equal", _each("stirling_boxes", "nu"), lambda nu: (_limit_bracket(nu), _expansion(nu, "s2"))),
     "stirling-inversion": _Row(
         "holds", _boxed("stirling_boxes", lambda n, cap: [{"bound": rectangle(cap, n)}]),
         _stirling_inversion, "matrix product differs from identity"),
@@ -698,10 +699,11 @@ def check_identity(identity_id: str, **indices) -> IdentityReport:
     The indices are the keys of the identity's index_data, e.g.
     check_identity("flip-formula", mu=Partition((2, 1)), x=X) or
     check_identity("root-vanishing", nu=Partition((2, 1)), j=1, m=1).
+    An exception of the check propagates; the suite reports it instead.
     """
     if identity_id not in _TABLE:
         raise ValueError(f"unknown identity {identity_id!r}")
-    return _TABLE[identity_id].report(identity_id, indices)
+    return _TABLE[identity_id].judge(identity_id, indices)
 
 
 def run_suite(cfg: SuiteConfig) -> list[IdentityReport]:
@@ -725,7 +727,7 @@ def run_suite(cfg: SuiteConfig) -> list[IdentityReport]:
                     report.elapsed = time.perf_counter() - started
                     started = time.perf_counter()
                     reports.append(report)
-            except Exception as exc:  # a PoleError here is a genuine failure
+            except Exception as exc:  # from an enumerator or a generate row's own code
                 reports.append(IdentityReport(identity_id, {}, passed=False,
                                               witness=f"{type(exc).__name__}: {exc}"))
         if fh is not None:

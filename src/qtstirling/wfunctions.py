@@ -55,10 +55,10 @@ class NotAStripError(ValueError):
     """The skew pair is not a horizontal strip."""
 
 
-def staircase_args(z: Sequence[int], scale: RationalFn = ONE) -> tuple[RationalFn, ...]:
-    """Arguments scale * q^{z_i} * t^{n-i} for an integer vector z."""
+def staircase_args(z: Sequence[int]) -> tuple[RationalFn, ...]:
+    """Arguments q^{z_i} * t^{n-i} for an integer vector z."""
     n = len(z)
-    return tuple(scale * monomial_rf(e_q=int(z[i]), e_t=n - 1 - i) for i in range(n))
+    return tuple(monomial_rf(e_q=int(z[i]), e_t=n - 1 - i) for i in range(n))
 
 
 def generic_staircase_args(n: int) -> tuple[RationalFn, ...]:

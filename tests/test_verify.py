@@ -9,9 +9,27 @@ from fractions import Fraction
 import pytest
 
 from qtstirling import cli, verify
-from qtstirling.algebra import ONE, ZERO, PoleError, canonical_str, clear_cache
-from qtstirling.partitions import Partition
-from qtstirling.qtnumbers import XBAR, qt_bracket
+from qtstirling.algebra import (
+    ONE,
+    ZERO,
+    PoleError,
+    canonical_str,
+    clear_cache,
+    monomial_rf,
+    subs_rational,
+    t_pow,
+    x_pow,
+)
+from qtstirling.partitions import (
+    Partition,
+    n_stat,
+    n_stat_conj,
+    partitions_in_box,
+    subpartitions,
+    weight,
+)
+from qtstirling.qtnumbers import XBAR, bracket_rect, qt_binomial, qt_bracket
+from qtstirling.stirling import s1, s2
 from qtstirling.verify import (
     _EVAL_EXPRS,
     MANIFEST,
@@ -120,15 +138,28 @@ def test_failures_are_reported_not_raised(monkeypatch):
 
     monkeypatch.setattr(verify, "w_bar", pole)
     reports = run_suite(SuiteConfig(n_max=1, part_max=1, identities=["w-bar-limit-exists"]))
-    assert len(reports) == 1
-    (r,) = reports
-    assert r.identity_id == "w-bar-limit-exists" and not r.passed
-    assert r.index_data == {}
-    assert r.witness == "PoleError: no limit"
+    # each raising check fails at its own indices, and the others still run
+    assert [(r.identity_id, r.index_data, r.passed, r.witness) for r in reports] == [
+        ("w-bar-limit-exists", {"mu": [0], "lam": [0]}, False, "PoleError: no limit"),
+        ("w-bar-limit-exists", {"mu": [0], "lam": [1]}, False, "PoleError: no limit"),
+        ("w-bar-limit-exists", {"mu": [1], "lam": [1]}, False, "PoleError: no limit"),
+    ]
+    with pytest.raises(PoleError):
+        check_identity("w-bar-limit-exists", mu=P((0,)), lam=P((1,)))
 
     monkeypatch.setattr(verify, "s2", lambda nu, mu: ZERO)
     (r,) = run_suite(SuiteConfig(n_max=1, part_max=0, identities=["stirling-diagonal"]))
     assert not r.passed and r.witness == "s1: 1, s2: 0"
+
+    # an enumerator that raises still ends its identity with one report
+    def broken_enumerator(*args):
+        raise ValueError("no box")
+
+    monkeypatch.setattr(verify, "partitions_in_box", broken_enumerator)
+    (r,) = run_suite(SuiteConfig(n_max=1, part_max=1, identities=["w-bar-limit-exists"]))
+    assert r.identity_id == "w-bar-limit-exists" and not r.passed
+    assert r.index_data == {}
+    assert r.witness == "ValueError: no box"
 
 
 def test_x0_sums_records_both_readings():
@@ -140,6 +171,88 @@ def test_x0_sums_records_both_readings():
     trivial = check_identity("x0-sums", nu=P((0, 0)))
     assert trivial.passed
     assert trivial.index_data["s1_exponent_plus"] is True  # degenerate at the empty index
+
+
+# -- the expansion table against the hand-written sums -----------------------
+
+#: every nu of the boxes (n <= 2, parts <= 2) and (n = 3, parts <= 1)
+_EXPANSION_NUS = [nu for n, cap in ((1, 2), (2, 2), (3, 1)) for nu in partitions_in_box(n, cap)]
+
+
+def _inv_qt_powers(mu):
+    """prod_i (1 - q t^{n-i})^{-mu_i}: the limit bracket and bracket_rect at X = 0."""
+    n = mu.n
+    out = ONE
+    for i in range(1, n + 1):
+        out = out / (ONE - monomial_rf(e_q=1, e_t=n - i)) ** mu[i - 1]
+    return out
+
+
+def _s1_coefficient(nu, mu, sign=-1):
+    n = nu.n
+    return monomial_rf(e_q=-n_stat_conj(nu), e_t=2 * n_stat(mu) + sign * (n - 1) * weight(mu)) * s1(nu, mu)
+
+
+def _s2_coefficient(nu, mu):
+    n = nu.n
+    return monomial_rf(e_q=n_stat_conj(mu), e_t=-2 * n_stat(nu) + (n - 1) * weight(nu)) * s2(nu, mu)
+
+
+def _expansion_s1_sum(nu, restrict=lambda mu: True):
+    total = ZERO
+    for mu in subpartitions(nu):
+        if restrict(mu):
+            total = total + _s1_coefficient(nu, mu) * verify._limit_bracket(mu)
+    return total
+
+
+def _expansion_s2_sum(nu, restrict=lambda mu: True):
+    total = ZERO
+    for mu in subpartitions(nu):
+        if restrict(mu):
+            total = total + _s2_coefficient(nu, mu) * bracket_rect(mu)
+    return total
+
+
+def _table_sum_at(nu, kind, x, keep=lambda mu: True, factor=lambda mu: ONE):
+    return sum((factor(mu) * term for mu, term in verify._terms_at(nu, kind, x) if keep(mu)), ZERO)
+
+
+@pytest.mark.parametrize("nu", _EXPANSION_NUS, ids=str)
+def test_x0_sums_match_direct_sums(nu):
+    n = nu.n
+    for sign, factor in ((-1, lambda mu: ONE), (+1, lambda mu: t_pow(2 * (n - 1) * weight(mu)))):
+        direct = sum((_s1_coefficient(nu, mu, sign) * _inv_qt_powers(mu) for mu in subpartitions(nu)),
+                     ZERO)
+        assert direct == _table_sum_at(nu, "s1", ZERO, factor=factor)
+    direct = sum((_s2_coefficient(nu, mu) * _inv_qt_powers(mu) for mu in subpartitions(nu)), ZERO)
+    assert direct == _table_sum_at(nu, "s2", ZERO)
+
+
+@pytest.mark.parametrize("nu", _EXPANSION_NUS, ids=str)
+def test_root_sums_match_sums_substituted_after(nu):
+    n = nu.n
+    assert _expansion_s1_sum(nu) == verify._expansion(nu, "s1")
+    assert _expansion_s2_sum(nu) == verify._expansion(nu, "s2")
+    for j in range(1, n + 1):
+        root = t_pow(1 - j)
+        keep1 = lambda mu: mu[n - j] == 0
+        keep2 = lambda mu: mu[j - 1] == 0 and mu != nu
+        by_hand = subs_rational(_expansion_s1_sum(nu, keep1), X=root)
+        assert by_hand == _table_sum_at(nu, "s1", root, keep1)
+        by_hand = subs_rational(_expansion_s2_sum(nu, keep2), X=root)
+        assert by_hand == _table_sum_at(nu, "s2", root, keep2)
+
+
+@pytest.mark.parametrize("lam", _EXPANSION_NUS, ids=str)
+def test_binomial_terms_match_explicit_coefficient(lam):
+    terms = dict(verify._expansion_terms(lam, "binomial"))
+    assert list(terms) == list(subpartitions(lam))
+    for mu, term in terms.items():
+        wt = weight(mu)
+        sign = -1 if wt % 2 else 1
+        coeff = sign * monomial_rf(e_q=n_stat_conj(mu), e_t=-n_stat(mu)) * qt_binomial(lam, mu)
+        assert term == coeff * x_pow(wt)
 
 
 def test_root_vanishing_examples():
