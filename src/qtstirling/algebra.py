@@ -81,10 +81,14 @@ class PoleError(ArithmeticError):
     """An evaluation, substitution or limit hit a vanishing denominator."""
 
 
-#: Entries each memo keeps, read once at import.
+#: Entries each memo keeps, read once at import.  0 turns every memo off; a
+#: value that is not an integer, or is negative, falls back to 200000 (lru_cache
+#: would read a negative size as 0).
 try:
     _MEMO_SIZE = int(os.environ.get("QTSTIRLING_CACHE_SIZE", "200000"))
 except ValueError:
+    _MEMO_SIZE = 200000
+if _MEMO_SIZE < 0:
     _MEMO_SIZE = 200000
 _MEMOS: list = []
 
@@ -649,7 +653,7 @@ class _Tokens:
         return tok
 
 
-def _parse_poly(tk: _Tokens, stop_at_close: bool = False) -> Polynomial:
+def _parse_poly(tk: _Tokens) -> Polynomial:
     terms: dict[tuple, object] = {}
     sign = 1
     tok = tk.peek()
@@ -671,7 +675,7 @@ def _parse_poly(tk: _Tokens, stop_at_close: bool = False) -> Polynomial:
             tk.next()
             sign = -1 if tok == "-" else 1
             continue
-        if tok is None or (stop_at_close and tok == ")"):
+        if tok is None:
             return _RING(terms)
         raise ValueError(f"unexpected token {tok!r} in polynomial")
 

@@ -12,7 +12,8 @@ one id once per process: the memo behind it (verify.parse_expression) pays
 off only for library callers that request an id again, at other points.
 The QTSTIRLING_CACHE_SIZE environment variable caps
 every memo in the package (each an LRU cache of that many entries, 200000 by
-default); it is read once, at start-up.
+default); it is read once, at start-up.  0 turns caching off, and a value that
+is not a nonnegative integer falls back to 200000.
 """
 
 from __future__ import annotations

@@ -140,19 +140,9 @@ def subpartitions(lam: Partition) -> Iterator[Partition]:
 
 def horizontal_strip_predecessors(lam: Partition) -> Iterator[Partition]:
     """All nu such that lam/nu is a horizontal strip, lexicographically ascending."""
-    n = lam.n
-    bounds = [(lam.parts[i + 1] if i + 1 < n else 0, lam.parts[i]) for i in range(n)]
-    # interlacing forces weak decrease, so the plain product of ranges suffices
-    ranges = [range(lo, hi + 1) for lo, hi in bounds]
-
-    def rec(i: int, prefix: tuple[int, ...]):
-        if i == n:
-            yield Partition(prefix)
-            return
-        for v in ranges[i]:
-            yield from rec(i + 1, prefix + (v,))
-
-    yield from rec(0, ())
+    # lam_{i+1} <= nu_i <= lam_i
+    for parts in _bounded_descending(list(zip(lam.parts[1:] + (0,), lam.parts))):
+        yield Partition(parts)
 
 
 def partitions_between(mu: Partition, lam: Partition) -> Iterator[Partition]:

@@ -1,18 +1,24 @@
-"""Finite q-Pochhammer symbols and their partition-indexed extensions.
+"""Finite q-Pochhammer symbols and every other product of binomials.
 
 poch(a, m) is the finite product prod_{k=0}^{m-1} (1 - a q^k), extended to
 negative m by poch(a, m) = 1 / poch(a q^m, -m).  The partition symbol is
 (a; q, t)_lam = prod_i (a t^(1-i); q)_{lam_i}.  Arguments may be arbitrary
 rational functions of q, t, X, and flipped-base symbols (base 1/q, 1/t) are
 built from explicit reciprocals so that X is never flipped by accident.
+
+Every product of binomials in the package, these symbols and their quotients
+included, is a factor list of pairs (a, e) standing for (1 - a)^e, built by
+the generators below.  `binomial_product` is the one place that multiplies
+such a list out; it adds up the exponents of equal a first, so a factor that
+a quotient divides out again is never formed.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .algebra import ONE, PoleError, Q, RationalFn, monomial_rf, q_pow, t_pow
+from .algebra import ONE, PoleError, Q, RationalFn, ZERO, monomial_rf, q_pow, t_pow
 from .partitions import Partition
 
 __all__ = [
@@ -22,64 +28,80 @@ __all__ = [
     "poch_multi",
 ]
 
+Factors = Iterator[tuple[RationalFn, int]]
+
+
+def binomial_product(factors: Iterable[tuple[RationalFn, int]]) -> RationalFn:
+    """prod (1 - a)^e over the pairs (a, e), the exponents of equal a summed first.
+
+    Only equal a merge: (1 - q^2) and (1 - q) share the factor (1 - q), and
+    their quotient is left to the RationalFn operators.  A vanishing factor
+    (a = 1) raises PoleError if any pair gives it a negative exponent, even
+    when other pairs cancel it, and otherwise makes the product ZERO.
+    """
+    exps: dict[RationalFn, int] = {}
+    for a, e in factors:
+        if a == ONE and e < 0:
+            raise PoleError("a vanishing binomial factor is divided by")
+        exps[a] = exps.get(a, 0) + e
+    if exps.get(ONE):
+        return ZERO
+    out = ONE
+    for a, e in exps.items():
+        if e:
+            out = out * (ONE - a if e == 1 else (ONE - a) ** e)
+    return out
+
+
+def poch_factors(a: RationalFn, m: int, base: RationalFn = Q, e: int = 1) -> Factors:
+    """The factors of (a; base)_m^e; negative m inverts."""
+    if m < 0:
+        a, m, e = a * base ** m, -m, -e
+    for k in range(m):
+        if k:
+            a = a * base
+        yield a, e
+
+
+def partition_factors(a: RationalFn, lam: Partition, flipped: bool = False) -> Factors:
+    """The factors of (a; q, t)_lam, or of (a; 1/q, 1/t)_lam when flipped."""
+    base = q_pow(-1) if flipped else Q
+    for i, part in enumerate(lam, start=1):
+        if part:
+            yield from poch_factors(a * t_pow(i - 1 if flipped else 1 - i), part, base)
+
+
+def pair_factors(mu: Partition, c: int, s: int, e: int = 1) -> Factors:
+    """The factors of prod_{i<j} (q^c t^{j-i+s}; q)_{mu_i - mu_j}^e."""
+    for i, j in combinations(range(mu.n), 2):
+        d = mu[i] - mu[j]
+        if d:
+            yield from poch_factors(monomial_rf(e_q=c, e_t=j - i + s), d, e=e)
+
+
+def qt_factors(exps: Sequence[int]) -> Factors:
+    """The factors of prod_i (1 - q t^{n-i})^{e_i} over the n = len(exps) exponents e_i."""
+    n = len(exps)
+    for i, e in enumerate(exps, start=1):
+        if e:
+            yield monomial_rf(e_q=1, e_t=n - i), e
+
+
 def poch(a: RationalFn, m: int, base: Optional[RationalFn] = None) -> RationalFn:
     """(a; base)_m with base defaulting to q; negative m inverts the product."""
-    if base is None:
-        base = Q
-    if m >= 0:
-        out = ONE
-        power = ONE
-        for _ in range(m):
-            out = out * (ONE - a * power)
-            power = power * base
-        return out
-    inv = poch(a * base ** m, -m, base)
-    if inv.is_zero:
-        raise PoleError("negative-index Pochhammer hits a vanishing factor")
-    return inv.inverse()
+    return binomial_product(poch_factors(a, m, Q if base is None else base))
 
 
 def poch_partition(a: RationalFn, lam: Partition) -> RationalFn:
     """(a; q, t)_lam = prod_i (a t^(1-i); q)_{lam_i}."""
-    out = ONE
-    for i, part in enumerate(lam, start=1):
-        out = out * poch(a * t_pow(1 - i), part)
-    return out
+    return binomial_product(partition_factors(a, lam))
 
 
 def poch_partition_flipped(a: RationalFn, lam: Partition) -> RationalFn:
     """(a; 1/q, 1/t)_lam, built with explicit reciprocal bases."""
-    out = ONE
-    qinv = q_pow(-1)
-    for i, part in enumerate(lam, start=1):
-        out = out * poch(a * t_pow(i - 1), part, base=qinv)
-    return out
+    return binomial_product(partition_factors(a, lam, flipped=True))
 
 
 def poch_multi(args: Sequence[RationalFn], lam: Partition) -> RationalFn:
     """(a_1, ..., a_k; q, t)_lam, the product over all arguments."""
-    out = ONE
-    for a in args:
-        out = out * poch_partition(a, lam)
-    return out
-
-
-def qt_factor_product(exps: Sequence[int]) -> RationalFn:
-    """prod_i (1 - q t^{n-i})^{e_i} over the n = len(exps) exponents e_i."""
-    n = len(exps)
-    out = ONE
-    for i, e in enumerate(exps, start=1):
-        if e:
-            out = out * (ONE - monomial_rf(e_q=1, e_t=n - i)) ** e
-    return out
-
-
-def pair_poch_product(mu: Partition, c: int, s: int) -> RationalFn:
-    """prod_{i<j} (q^c t^{j-i+s}; q)_{mu_i - mu_j}."""
-    out = ONE
-    for i, j in combinations(range(mu.n), 2):
-        d = mu[i] - mu[j]
-        if d:
-            out = out * poch(monomial_rf(e_q=c, e_t=j - i + s), d)
-    return out
-
+    return binomial_product(f for a in args for f in partition_factors(a, lam))

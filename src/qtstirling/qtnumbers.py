@@ -9,6 +9,7 @@ a multiplicative shift s with the exponential vector z.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence, Union
 
 from .algebra import ONE, Q, RationalFn, X, ZERO, memo, monomial_rf, q_pow, t_pow
@@ -19,11 +20,13 @@ from .partitions import (
     weight,
 )
 from .pochhammer import (
-    pair_poch_product,
-    poch,
+    binomial_product,
+    pair_factors,
+    partition_factors,
+    poch_factors,
     poch_partition,
     poch_partition_flipped,
-    qt_factor_product,
+    qt_factors,
 )
 from .wfunctions import generic_staircase_args, staircase_args, w_multi
 
@@ -67,7 +70,7 @@ def _z_entries(z: ZVector, n: int) -> tuple:
 @memo
 def h_product(mu: Partition) -> RationalFn:
     """prod_{i<j} (q t^{j-i})_{mu_i - mu_j} / (q t^{j-i-1})_{mu_i - mu_j}."""
-    return pair_poch_product(mu, 1, 0) / pair_poch_product(mu, 1, -1)
+    return binomial_product(chain(pair_factors(mu, 1, 0), pair_factors(mu, 1, -1, e=-1)))
 
 
 @memo
@@ -79,7 +82,7 @@ def g_product(mu: Partition) -> RationalFn:
 @memo
 def _t_ratio_bracket(mu: Partition) -> RationalFn:
     # prod_{i<j} (t^{j-i})_{mu_i-mu_j} / (t^{j-i+1})_{mu_i-mu_j}
-    return pair_poch_product(mu, 0, 0) / pair_poch_product(mu, 0, 1)
+    return binomial_product(chain(pair_factors(mu, 0, 0), pair_factors(mu, 0, 1, e=-1)))
 
 
 def qt_binomial(z: ZVector, mu: Partition) -> RationalFn:
@@ -105,14 +108,15 @@ def gaussian_binomial(m: int, k: int) -> RationalFn:
     """(q)_m / ((q)_{m-k} (q)_k), the one-variable q-binomial coefficient."""
     if k < 0 or k > m:
         return ZERO
-    return poch(Q, m) / (poch(Q, m - k) * poch(Q, k))
+    return binomial_product(chain(
+        poch_factors(Q, m), poch_factors(Q, m - k, e=-1), poch_factors(Q, k, e=-1)))
 
 
 def qt_bracket(z: ZVector, mu: Partition, s: RationalFn = ONE) -> RationalFn:
     """The mu-shifted qt-number [z, s]_mu with multiplicative shift s."""
     n = mu.n
     args = tuple(s * entry for entry in _z_entries(z, n))
-    out = q_pow(weight(mu)) * qt_factor_product([-m for m in mu])
+    out = q_pow(weight(mu)) * binomial_product(qt_factors([-m for m in mu]))
     return out * _t_ratio_bracket(mu) * w_multi(mu, args)
 
 
@@ -121,13 +125,11 @@ def qt_number(z: Sequence[int]) -> RationalFn:
     if isinstance(z, Partition):
         z = z.parts
     n = len(z)
-    out = qt_factor_product([-1] * n)
-    for i in range(1, n + 1):
-        out = out * (ONE - monomial_rf(e_q=int(z[i - 1]), e_t=n - i))
-    return out
+    zs = [(monomial_rf(e_q=int(z[i - 1]), e_t=n - i), 1) for i in range(1, n + 1)]
+    return binomial_product(chain(qt_factors([-1] * n), zs))
 
 
 def bracket_rect(mu: Partition) -> RationalFn:
     """The bracket at the generic diagonal point, prod_i (X t^{i-1}; 1/q)_{mu_i} / (1-q t^{n-i})^{mu_i}."""
-    return poch_partition_flipped(X, mu) * qt_factor_product([-m for m in mu])
+    return binomial_product(chain(partition_factors(X, mu, flipped=True), qt_factors([-m for m in mu])))
 

@@ -7,7 +7,7 @@ from typing import Any, Optional
 
 from .algebra import RationalFn, canonical_str
 
-__all__ = ["IdentityReport", "equality_report", "zero_report"]
+__all__ = ["IdentityReport", "equality_report"]
 
 
 @dataclass
@@ -40,15 +40,4 @@ def equality_report(identity_id: str, index_data: dict, lhs: RationalFn, rhs: Ra
         index_data=index_data,
         passed=passed,
         witness=None if passed else canonical_str(lhs - rhs),
-    )
-
-
-def zero_report(identity_id: str, index_data: dict, value: RationalFn) -> IdentityReport:
-    """Report asserting value == 0."""
-    passed = value.is_zero
-    return IdentityReport(
-        identity_id=identity_id,
-        index_data=index_data,
-        passed=passed,
-        witness=None if passed else canonical_str(value),
     )

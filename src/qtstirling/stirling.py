@@ -37,7 +37,7 @@ from .partitions import (
     subpartitions,
     weight,
 )
-from .pochhammer import qt_factor_product
+from .pochhammer import binomial_product, qt_factors
 from .qtnumbers import g_product, h_product, qt_binomial
 from .wfunctions import staircase_args, w_bar, w_hat_multi
 
@@ -68,19 +68,17 @@ def f_factor(mu: Partition) -> RationalFn:
     Pochhammer, so (a)_m means (1 - a)^m, and the factorials divide.
     """
     n = mu.n
-    out = ONE
+    factors = []
     for i in range(1, n):
-        d = mu[i - 1] - mu[i]
-        out = out * (ONE - T) ** d / (ONE - t_pow(n - i)) ** mu[i - 1]
+        factors += [(T, mu[i - 1] - mu[i]), (t_pow(n - i), -mu[i - 1])]
     for i in range(1, n + 1):
         for j in range(i + 2, n + 1):
             d = mu[i - 1] - mu[j - 1]
-            if d:
-                out = out * ((ONE - t_pow(j - i)) / (ONE - t_pow(j - i - 1))) ** d
+            factors += [(t_pow(j - i), d), (t_pow(j - i - 1), -d)]
     denom = factorial(mu[n - 1])
     for i in range(1, n):
         denom *= factorial(mu[i - 1] - mu[i])
-    return out / const(Fraction(denom))
+    return binomial_product(factors) / const(Fraction(denom))
 
 
 @memo
@@ -137,7 +135,7 @@ def s1(nu: Partition, mu: Partition) -> RationalFn:
         return ZERO
     n = nu.n
     pref = monomial_rf(e_q=n_stat_conj(nu), e_t=-2 * n_stat(mu) + (n - 1) * weight(mu))
-    pref = pref * qt_factor_product([m - v for m, v in zip(mu, nu)])
+    pref = pref * binomial_product(qt_factors([m - v for m, v in zip(mu, nu)]))
     total = ZERO
     for lam in partitions_between(mu, nu):
         total = total + u_matrix(nu, lam) * t_pow(-(n - 1) * weight(lam)) * v_limit(lam, mu)
@@ -151,7 +149,7 @@ def s2(nu: Partition, mu: Partition) -> RationalFn:
         return ZERO
     n = nu.n
     pref = monomial_rf(e_q=-n_stat_conj(mu), e_t=2 * n_stat(nu) - (n - 1) * weight(nu))
-    pref = pref * qt_factor_product([m - v for m, v in zip(mu, nu)])
+    pref = pref * binomial_product(qt_factors([m - v for m, v in zip(mu, nu)]))
     total = ZERO
     for lam in partitions_between(mu, nu):
         total = total + u_limit(nu, lam) * t_pow((n - 1) * weight(lam)) * v_matrix(lam, mu)

@@ -4,8 +4,8 @@ Every identity the library claims is one row of the table `_TABLE` below,
 under a stable id, and is checked by exact rational-function equality over
 configurable desk-scale index bounds.  A row enumerates index dicts from the
 bounds (and, for the sampled identities, the seed) and checks each one: an
-"equal" row gives (lhs, rhs), a "zero" row a value that must vanish, a
-"holds" row a bool, and a "record" row named flags that join the report.
+"equal" row gives (lhs, rhs), a "holds" row a bool, and a "record" row
+named flags that join the report.
 One runner turns each index dict and verdict into an IdentityReport whose
 index_data is the indices as JSON; a check that raises becomes a failing
 report at its indices, and `check_identity` runs one row at chosen indices.
@@ -30,7 +30,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import prod
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
@@ -67,10 +67,11 @@ from .partitions import (
     zeros,
 )
 from .pochhammer import (
+    binomial_product,
     poch,
     poch_partition,
     poch_partition_flipped,
-    qt_factor_product,
+    qt_factors,
 )
 from .qtnumbers import (
     XBAR,
@@ -84,7 +85,7 @@ from .qtnumbers import (
     qt_bracket,
     qt_number,
 )
-from .reports import IdentityReport, equality_report, zero_report
+from .reports import IdentityReport, equality_report
 from .stirling import (
     f_factor,
     identity_matrix,
@@ -192,12 +193,8 @@ def classical_stirling2(m: int, k: int) -> int:
 def _limit_bracket(mu: Partition) -> RationalFn:
     # prod_i (1 - X t^{n-i})^{mu_i} / (1 - q t^{n-i})^{mu_i}
     n = mu.n
-    out = ONE
-    for i in range(1, n + 1):
-        if mu[i - 1]:
-            out = out * ((ONE - monomial_rf(e_t=n - i, e_X=1))
-                         / (ONE - monomial_rf(e_q=1, e_t=n - i))) ** mu[i - 1]
-    return out
+    xs = [(monomial_rf(e_t=n - i, e_X=1), m) for i, m in enumerate(mu, start=1) if m]
+    return binomial_product(chain(xs, qt_factors([-m for m in mu])))
 
 
 #: kind -> (coefficient(nu, mu), basis(mu)): the binomial theorem (its coefficient
@@ -244,7 +241,7 @@ def _x0_sums(nu: Partition) -> tuple[dict, Optional[str]]:
     sum both hold.
     """
     n = nu.n
-    lhs = qt_factor_product([-m for m in nu])
+    lhs = binomial_product(qt_factors([-m for m in nu]))
     first = list(_terms_at(nu, "s1", ZERO))
     outcomes = {
         "s1_exponent_minus": sum((v for _, v in first), ZERO) == lhs,
@@ -334,11 +331,11 @@ def _w_rect(n: int, k: int, args: tuple[RationalFn, ...]) -> tuple[RationalFn, R
     return lhs, prod((poch(q_pow(1 - k) * x, k) for x in args), start=q_pow(-n * k))
 
 
-def _w_vanishing(mu: Partition, lam: Partition) -> RationalFn:
-    """w_mu(q^lam t^delta), which vanishes when mu is not contained in lam."""
+def _w_vanishing(mu: Partition, lam: Partition) -> tuple[RationalFn, RationalFn]:
+    """(w_mu(q^lam t^delta), 0): w vanishes when mu is not contained in lam."""
     if contains(lam, mu):
         raise ValueError("vanishing check requires mu not contained in lam")
-    return w_multi(mu, staircase_args(lam.parts))
+    return w_multi(mu, staircase_args(lam.parts)), ZERO
 
 
 def _w_symmetric(mu: Partition, args: tuple[RationalFn, ...]) -> bool:
@@ -386,7 +383,7 @@ def _bracket_binomial_relation(z, mu: Partition) -> tuple[RationalFn, RationalFn
     n = mu.n
     lhs = qt_bracket(z, mu)
     pref = t_pow(-2 * n_stat(mu) + (n - 1) * weight(mu)) * g_product(mu)
-    pref = pref * qt_factor_product([-m for m in mu])
+    pref = pref * binomial_product(qt_factors([-m for m in mu]))
     return lhs, pref * _t_ratio_bracket(mu) / h_product(mu) * qt_binomial(z, mu)
 
 
@@ -433,11 +430,11 @@ class _Row:
     """One identity: an index enumerator and a check of those indices.
 
     indices(cfg) yields index dicts; check(**indices) gives, by kind,
-    (lhs, rhs) for "equal", a value that must vanish for "zero", a bool for
-    "holds" (witness, a string or a function of the indices, explains a
-    failure), and (flags, witness or None) for "record", whose flags join
-    the index data.  A row with generate yields its reports itself, as
-    generate(identity_id, row, cfg), and has no indices.
+    (lhs, rhs) for "equal", a bool for "holds" (witness, a string or a
+    function of the indices, explains a failure), and (flags, witness or
+    None) for "record", whose flags join the index data.  A row with
+    generate yields its reports itself, as generate(identity_id, row, cfg),
+    and has no indices.
     """
 
     kind: str
@@ -466,8 +463,6 @@ class _Row:
         data = {key: _plain(value) for key, value in indices.items()}
         if self.kind == "equal":
             return equality_report(identity_id, data, *verdict)
-        if self.kind == "zero":
-            return zero_report(identity_id, data, verdict)
         if self.kind == "holds":
             if verdict:
                 return IdentityReport(identity_id, data, passed=True)
@@ -583,10 +578,10 @@ _TABLE: dict[str, _Row] = {
     "h-factor-normalization": _Row(
         "equal", _h_factor_indices, lambda mu, lam=None: (h_factor(mu if lam is None else lam, mu), ONE)),
     "w-skew-triangularity": _Row(
-        "zero", _boxed("w_boxes", lambda n, cap: (
+        "equal", _boxed("w_boxes", lambda n, cap: (
             {"lam": lam, "mu": mu} for lam, mu in product(partitions_in_box(n, cap), repeat=2)
             if not is_horizontal_strip(lam, mu))),
-        lambda lam, mu: w_skew_single(lam, mu, X)),
+        lambda lam, mu: (w_skew_single(lam, mu, X), ZERO)),
     "w-rect": _Row(
         "equal", _boxed("w_boxes", lambda n, cap, arg_sets: (
             {"n": n, "k": k, "args": xs} for k in range(cap + 1) for xs in arg_sets),
@@ -595,7 +590,7 @@ _TABLE: dict[str, _Row] = {
     "w-staircase": _Row(
         "equal", _each("w_boxes", "mu"),
         lambda mu: (w_staircase(mu, X), w_multi(mu, generic_staircase_args(mu.n)))),
-    "w-vanishing": _Row("zero", None, _w_vanishing, generate=_w_vanishing_reports),
+    "w-vanishing": _Row("equal", None, _w_vanishing, generate=_w_vanishing_reports),
     "w-symmetry": _Row(
         "holds", _boxed("w_boxes", lambda n, cap, xs: (
             {"mu": mu, "args": xs} for mu in partitions_in_box(n, cap)), draw=_sample_exponent_args),

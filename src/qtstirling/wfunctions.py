@@ -12,6 +12,7 @@ when arguments specialize to staircase points.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 from .algebra import (
@@ -34,7 +35,7 @@ from .partitions import (
     n_stat_conj,
     weight,
 )
-from .pochhammer import pair_poch_product, poch, poch_partition_flipped
+from .pochhammer import binomial_product, pair_factors, partition_factors, poch_factors
 
 __all__ = [
     "NotAStripError",
@@ -71,30 +72,25 @@ def h_factor(lam: Partition, mu: Partition) -> RationalFn:
     """The interlacing factor of the skew closed forms (equals 1 for lam = mu)."""
     if not is_horizontal_strip(lam, mu):
         raise NotAStripError(f"{lam}/{mu} is not a horizontal strip")
-    n = lam.n
-    num = ONE
-    den = ONE
-    for j in range(2, n + 1):
+    factors = []
+    for j in range(2, lam.n + 1):
         m = mu[j - 2] - lam[j - 1]
         if m == 0:
             continue
         for i in range(1, j):
-            num = num * poch(monomial_rf(e_q=mu[i - 1] - mu[j - 2], e_t=j - i), m)
-            num = num * poch(monomial_rf(e_q=lam[i - 1] - mu[j - 2] + 1, e_t=j - i - 1), m)
-            den = den * poch(monomial_rf(e_q=mu[i - 1] - mu[j - 2] + 1, e_t=j - i - 1), m)
-            den = den * poch(monomial_rf(e_q=lam[i - 1] - mu[j - 2], e_t=j - i), m)
-    return num / den
+            factors += poch_factors(monomial_rf(e_q=mu[i - 1] - mu[j - 2], e_t=j - i), m)
+            factors += poch_factors(monomial_rf(e_q=lam[i - 1] - mu[j - 2] + 1, e_t=j - i - 1), m)
+            factors += poch_factors(monomial_rf(e_q=mu[i - 1] - mu[j - 2] + 1, e_t=j - i - 1), m, e=-1)
+            factors += poch_factors(monomial_rf(e_q=lam[i - 1] - mu[j - 2], e_t=j - i), m, e=-1)
+    return binomial_product(factors)
 
 
 def _strip_poch_ratio(lam: Partition, mu: Partition, x: RationalFn) -> RationalFn:
     """(1/x; q, t)_lam / (1/x; q, t)_mu as one cancelled product over strip cells."""
     xinv = x.inverse()
-    out = ONE
-    for i in range(1, lam.n + 1):
-        base = xinv * t_pow(1 - i)
-        for k in range(mu[i - 1], lam[i - 1]):
-            out = out * (ONE - base * q_pow(k))
-    return out
+    return binomial_product(
+        f for i, (top, bottom) in enumerate(zip(lam, mu)) if top > bottom
+        for f in poch_factors(xinv * monomial_rf(e_q=bottom, e_t=-i), top - bottom))
 
 
 @memo
@@ -160,8 +156,8 @@ def w_hat_multi(mu: Partition, xs: Sequence[RationalFn]) -> RationalFn:
 
 def w_staircase(mu: Partition, x: RationalFn) -> RationalFn:
     """Closed form of w_mu at the staircase specialization (x t^{n-1}, ..., x t, x)."""
-    out = q_pow(-weight(mu)) * poch_partition_flipped(x, mu)
-    return out * pair_poch_product(mu, 0, 1) / pair_poch_product(mu, 0, 0)
+    return q_pow(-weight(mu)) * binomial_product(chain(
+        partition_factors(x, mu, flipped=True), pair_factors(mu, 0, 1), pair_factors(mu, 0, 0, e=-1)))
 
 
 def w_bar(mu: Partition, lam: Partition, invert: bool = False) -> RationalFn:

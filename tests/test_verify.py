@@ -122,6 +122,33 @@ def test_suite_report_is_pinned(n_max, part_max, seed, count, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_suite_report_without_memos_is_pinned():
+    # QTSTIRLING_CACHE_SIZE=0 turns every memo off; it is read at import, so a fresh interpreter
+    import os
+
+    import qtstirling
+
+    n_max, part_max, seed, count, digest = _REPORT_DIGESTS[1]
+    code = (
+        "import hashlib, json\n"
+        "from qtstirling.algebra import _MEMOS\n"
+        "from qtstirling.verify import SuiteConfig, run_suite\n"
+        "assert {f.cache_info().maxsize for f in _MEMOS} == {0}\n"
+        f"cfg = SuiteConfig(n_max={n_max}, part_max={part_max}, seed={seed})\n"
+        "records = [r.to_json_dict() for r in run_suite(cfg)]\n"
+        "for record in records:\n"
+        "    del record['elapsed']\n"
+        "text = json.dumps(records, indent=2)\n"
+        "print(len(records), hashlib.sha256(text.encode()).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(qtstirling.__file__))
+    env = {**os.environ, "QTSTIRLING_CACHE_SIZE": "0", "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(count), digest]
+
+
 def test_failures_are_reported_not_raised(monkeypatch):
     real = verify.bracket_rect
     monkeypatch.setattr(verify, "bracket_rect", lambda mu: real(mu) + ONE)

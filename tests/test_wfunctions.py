@@ -246,6 +246,28 @@ def test_cache_cap_env():
     assert eval_maxsize == "4"
 
 
+@pytest.mark.parametrize("value, maxsize", [("-5", 200000), ("many", 200000), ("0", 0)])
+def test_cache_cap_env_bad_values(value, maxsize):
+    # a negative or non-integer cap falls back to the default; 0 turns every memo off
+    import os
+    import subprocess
+    import sys
+
+    import qtstirling
+
+    code = (
+        "import qtstirling.cli\n"
+        "from qtstirling.algebra import _MEMOS\n"
+        "print(len(_MEMOS), sorted({f.cache_info().maxsize for f in _MEMOS}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(qtstirling.__file__))
+    env = {**os.environ, "QTSTIRLING_CACHE_SIZE": value, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(len(_package_memos())), f"[{maxsize}]"]
+
+
 def _package_memos():
     import importlib
     import pkgutil
