@@ -23,11 +23,15 @@ Every gcd divided out has a positive leading coefficient, and leading
 coefficients multiply under a monomial order, so the new denominator's
 stays positive.  Only values built from outside (`RationalFn(num, den)`,
 substitution, parsing) run the full reduction `_canonical`.
+
+The canonical string grammar of `canonical_str` is regular, so
+`parse_rational` reads it with a few compiled patterns, not a parser.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -621,101 +625,42 @@ def canonical_str(f: RationalFn) -> str:
     return f"({_poly_str(f.num)})/({_poly_str(f.den)})"
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.toks: list[str] = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.toks.append(text[i:j])
-                i = j
-            elif ch in "qtX^*+-/()":
-                self.toks.append(ch)
-                i += 1
+#: The canonical grammar is regular.  A factor is an integer, an integer
+#: coefficient a/b, or q, t, X with an optional ^power; a term is a
+#: *-product of factors; a polynomial is signed terms.  Whitespace may
+#: separate any two tokens but not split a digit run.  Every repetition is
+#: delimited by a character (/, ^, *, a sign) that no digit run contains, so
+#: a failed match backtracks at most linearly.
+_FACTOR = r"(?:\d+(?:\s*/\s*\d+)?|[qtX](?:\s*\^\s*\d+)?)"
+_TERM = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
+_POLY = re.compile(rf"\s*[+-]?\s*{_TERM}(?:\s*[+-]\s*{_TERM})*\s*")
+_SIGNED_TERMS = re.compile(rf"([+-]?)\s*({_TERM})")
+_FACTOR_PARTS = re.compile(r"(\d+)(?:\s*/\s*(\d+))?|([qtX])(?:\s*\^\s*(\d+))?")
+#: "(num)/(den)" with paren-free parts, whitespace allowed inside the parentheses only.
+_QUOTIENT = re.compile(r"\(([^()]*)\)/\(([^()]*)\)")
+
+
+def _parse_poly(s: str) -> Polynomial:
+    """The polynomial over QQ that s spells; ValueError if s is not one.
+
+    Repeated factors multiply, and terms with equal monomials add.  A
+    coefficient a/0 raises ZeroDivisionError, but only once the whole
+    string has matched.
+    """
+    if not _POLY.fullmatch(s):
+        raise ValueError(f"not a polynomial in the canonical grammar: {s!r}")
+    terms: dict[tuple, Fraction] = {}
+    for sign, term in _SIGNED_TERMS.findall(s):
+        coeff = Fraction(-1 if sign == "-" else 1)
+        exps = [0, 0, 0]
+        for num, den, var, e in _FACTOR_PARTS.findall(term):
+            if var:
+                exps[_VARS.index(var)] += int(e or 1)
             else:
-                raise ValueError(f"unexpected character {ch!r} in rational-function string")
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of rational-function string")
-        self.pos += 1
-        return tok
-
-
-def _parse_poly(tk: _Tokens) -> Polynomial:
-    terms: dict[tuple, object] = {}
-    sign = 1
-    tok = tk.peek()
-    if tok in ("+", "-"):
-        tk.next()
-        sign = -1 if tok == "-" else 1
-    while True:
-        coeff, exps = _parse_term(tk)
+                coeff *= Fraction(int(num), int(den or 1))
         monom = tuple(exps)
-        c = QQ(coeff.numerator, coeff.denominator) * sign
-        acc = terms.get(monom)
-        total = c if acc is None else acc + c
-        if total:
-            terms[monom] = total
-        else:
-            terms.pop(monom, None)
-        tok = tk.peek()
-        if tok in ("+", "-"):
-            tk.next()
-            sign = -1 if tok == "-" else 1
-            continue
-        if tok is None:
-            return _RING(terms)
-        raise ValueError(f"unexpected token {tok!r} in polynomial")
-
-
-def _parse_term(tk: _Tokens) -> tuple[Fraction, list[int]]:
-    coeff = Fraction(1)
-    exps = [0, 0, 0]
-    saw_factor = False
-    while True:
-        tok = tk.peek()
-        if tok is not None and tok.isdigit():
-            tk.next()
-            value = Fraction(int(tok))
-            if tk.peek() == "/":
-                tk.next()
-                den = tk.next()
-                if not den.isdigit():
-                    raise ValueError("expected integer after '/' in coefficient")
-                value /= int(den)
-            coeff *= value
-            saw_factor = True
-        elif tok in _VARS:
-            tk.next()
-            e = 1
-            if tk.peek() == "^":
-                tk.next()
-                etok = tk.next()
-                if not etok.isdigit():
-                    raise ValueError("expected integer exponent after '^'")
-                e = int(etok)
-            exps[_VARS.index(tok)] += e
-            saw_factor = True
-        else:
-            raise ValueError(f"unexpected token {tok!r} in term")
-        if tk.peek() == "*":
-            tk.next()
-            continue
-        if not saw_factor:
-            raise ValueError("empty term")
-        return coeff, exps
+        terms[monom] = terms.get(monom, 0) + coeff
+    return polynomial(terms)
 
 
 def parse_rational(text: str) -> RationalFn:
@@ -725,27 +670,10 @@ def parse_rational(text: str) -> RationalFn:
     "(num)/(den)", and fraction coefficients like "1/2*q".
     """
     s = text.strip()
-    if s.startswith("("):
-        depth = 0
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    if i == len(s) - 1:
-                        return parse_rational(s[1:-1])
-                    if s[i + 1 : i + 3] == "/(" and s.endswith(")"):
-                        num = _parse_only_poly(s[1:i])
-                        den = _parse_only_poly(s[i + 3 : -1])
-                        return RationalFn(num, den)
-                    break
-    return RationalFn(_parse_only_poly(s))
-
-
-def _parse_only_poly(s: str) -> Polynomial:
-    tk = _Tokens(s)
-    p = _parse_poly(tk)
-    if tk.peek() is not None:
-        raise ValueError(f"trailing tokens in {s!r}")
-    return p
+    while s.startswith("(") and s.endswith(")") and not _QUOTIENT.fullmatch(s):
+        s = s[1:-1].strip()
+    quotient = _QUOTIENT.fullmatch(s)
+    if quotient:
+        num, den = quotient.groups()
+        return RationalFn(_parse_poly(num), _parse_poly(den))
+    return RationalFn(_parse_poly(s))

@@ -27,6 +27,7 @@ from .partitions import Partition
 from .verify import (
     MANIFEST,
     SuiteConfig,
+    _TABLE_KINDS,
     emit_table,
     eval_point,
     run_suite,
@@ -72,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--out", default=None, help="write the JSON report here")
 
     p_table = sub.add_parser("table", help="emit a value table")
-    p_table.add_argument("--kind", required=True, choices=["s1", "s2", "binomial", "bracket"])
+    p_table.add_argument("--kind", required=True, choices=_TABLE_KINDS)
     p_table.add_argument("--bound", required=True, type=_parse_partition, metavar="PARTS",
                          help="bounding partition, e.g. 2,1")
     p_table.add_argument("--format", default="json", choices=["json", "csv"])

@@ -128,6 +128,17 @@ def v_limit_direct(lam: Partition, mu: Partition) -> RationalFn:
     return limit_q_to_1(flip_qt(v_matrix(lam, mu)), 0)
 
 
+_Entry = Callable[[Partition, Partition], RationalFn]
+
+
+def _product_entry(a: _Entry, b: _Entry, lam: Partition, mu: Partition) -> RationalFn:
+    """sum_{mu <= nu <= lam} a(lam, nu) * b(nu, mu): the (lam, mu) entry of a V-algebra product."""
+    total = ZERO
+    for nu in partitions_between(mu, lam):
+        total = total + a(lam, nu) * b(nu, mu)
+    return total
+
+
 @memo
 def s1(nu: Partition, mu: Partition) -> RationalFn:
     """qt-Stirling number of the first kind."""
@@ -136,10 +147,8 @@ def s1(nu: Partition, mu: Partition) -> RationalFn:
     n = nu.n
     pref = monomial_rf(e_q=n_stat_conj(nu), e_t=-2 * n_stat(mu) + (n - 1) * weight(mu))
     pref = pref * binomial_product(qt_factors([m - v for m, v in zip(mu, nu)]))
-    total = ZERO
-    for lam in partitions_between(mu, nu):
-        total = total + u_matrix(nu, lam) * t_pow(-(n - 1) * weight(lam)) * v_limit(lam, mu)
-    return pref * total
+    return pref * _product_entry(
+        lambda row, lam: u_matrix(row, lam) * t_pow(-(n - 1) * weight(lam)), v_limit, nu, mu)
 
 
 @memo
@@ -150,10 +159,8 @@ def s2(nu: Partition, mu: Partition) -> RationalFn:
     n = nu.n
     pref = monomial_rf(e_q=-n_stat_conj(mu), e_t=2 * n_stat(nu) - (n - 1) * weight(nu))
     pref = pref * binomial_product(qt_factors([m - v for m, v in zip(mu, nu)]))
-    total = ZERO
-    for lam in partitions_between(mu, nu):
-        total = total + u_limit(nu, lam) * t_pow((n - 1) * weight(lam)) * v_matrix(lam, mu)
-    return pref * total
+    return pref * _product_entry(
+        lambda row, lam: u_limit(row, lam) * t_pow((n - 1) * weight(lam)), v_matrix, nu, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +211,7 @@ def valgebra_multiply(a: PartitionMatrix, b: PartitionMatrix) -> PartitionMatrix
     """(ab)_{lam, mu} = sum_{mu <= nu <= lam} a_{lam, nu} b_{nu, mu}."""
     if a.bound != b.bound:
         raise ValueError("matrix bounds do not match")
-    entries = {}
-    for lam in subpartitions(a.bound):
-        for mu in subpartitions(lam):
-            total = ZERO
-            for nu in partitions_between(mu, lam):
-                left = a.entries.get((lam.parts, nu.parts))
-                if left is None:
-                    continue
-                right = b.entries.get((nu.parts, mu.parts))
-                if right is None:
-                    continue
-                total = total + left * right
-            if not total.is_zero:
-                entries[(lam.parts, mu.parts)] = total
-    return PartitionMatrix(a.bound, entries)
+    return matrix_from_function(a.bound, lambda lam, mu: _product_entry(a.entry, b.entry, lam, mu))
 
 
 def stirling_matrix(kind: str, bound: Partition) -> PartitionMatrix:

@@ -44,12 +44,10 @@ from .algebra import (
     canonical_str,
     evaluate,
     flip_qt,
-    limit_q_to_1,
     memo,
     monomial_rf,
     q_pow,
     subs_rational,
-    substitute_t_eq_q_pow,
     t_pow,
     x_pow,
 )
@@ -59,7 +57,6 @@ from .partitions import (
     is_horizontal_strip,
     n_stat,
     n_stat_conj,
-    partitions_between,
     partitions_in_box,
     rectangle,
     subpartitions,
@@ -87,8 +84,10 @@ from .qtnumbers import (
 )
 from .reports import IdentityReport, equality_report
 from .stirling import (
+    _product_entry,
     f_factor,
     identity_matrix,
+    ordinary_alpha_stirling,
     s1,
     s2,
     stirling_matrix,
@@ -286,9 +285,7 @@ def _uv_inversion(nu: Partition) -> tuple[dict, Optional[str]]:
     A failure records the first mu where the sum is off, and LHS - RHS there.
     """
     for mu in subpartitions(nu):
-        total = ZERO
-        for lam in partitions_between(mu, nu):
-            total = total + u_matrix(nu, lam) * v_matrix(lam, mu)
+        total = _product_entry(u_matrix, v_matrix, nu, mu)
         expected = ONE if mu == nu else ZERO
         if total != expected:
             return {"mu": mu}, canonical_str(total - expected)
@@ -417,8 +414,7 @@ def _valgebra_identity(bound: Partition) -> bool:
 def _classical_values(m: int, k: int) -> tuple[RationalFn, RationalFn]:
     """s1 and s2 of ((m), (k)) at t = q, q -> 1."""
     nu, mu = Partition((m,)), Partition((k,))
-    return (limit_q_to_1(substitute_t_eq_q_pow(s1(nu, mu), 1)),
-            limit_q_to_1(substitute_t_eq_q_pow(s2(nu, mu), 1)))
+    return ordinary_alpha_stirling("s1", nu, mu, 1), ordinary_alpha_stirling("s2", nu, mu, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -740,12 +736,8 @@ def _open_output(path: Optional[str]):
 # tables and point evaluation
 # ---------------------------------------------------------------------------
 
-_TABLE_KINDS: dict[str, Callable[[Partition, Partition], RationalFn]] = {
-    "s1": lambda nu, mu: s1(nu, mu),
-    "s2": lambda nu, mu: s2(nu, mu),
-    "binomial": lambda nu, mu: qt_binomial(nu, mu),
-    "bracket": lambda nu, mu: qt_bracket(nu.parts, mu),
-}
+#: The eval ids `table` can emit, each built by its `_EVAL_EXPRS` builder.
+_TABLE_KINDS = ("s1", "s2", "binomial", "bracket")
 
 
 def emit_table(kind: str, bound: Partition, fmt: str = "json", path: Optional[str] = None) -> str:
@@ -758,12 +750,12 @@ def emit_table(kind: str, bound: Partition, fmt: str = "json", path: Optional[st
         raise ValueError(f"unknown table kind {kind!r}")
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
-    fn = _TABLE_KINDS[kind]
+    fn = _EVAL_EXPRS[kind][1]
     with _open_output(path) as fh:
         entries = []
         for nu in subpartitions(bound):
             for mu in subpartitions(nu):
-                entries.append((nu, mu, canonical_str(fn(nu, mu))))
+                entries.append((nu, mu, canonical_str(fn(nu.parts, mu.parts))))
         if fmt == "json":
             doc = {
                 "n": bound.n,

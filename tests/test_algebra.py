@@ -1,6 +1,7 @@
 """Exact-arithmetic core: canonical forms, flips, limits, parsing."""
 
 import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -450,3 +451,225 @@ def test_evaluate_matches_fraction_reference(f, q0, t0, X0):
     got = evaluate(f, *point)
     assert isinstance(got, Fraction)
     assert got == _eval_poly_reference(f.num, q0, t0, X0) / den
+
+
+# -- the canonical grammar against the tokenizer parser it replaced ------------
+
+class _Tokens:
+    def __init__(self, text: str):
+        self.toks: list[str] = []
+        i, n = 0, len(text)
+        while i < n:
+            ch = text[i]
+            if ch.isspace():
+                i += 1
+            elif ch.isdigit():
+                j = i
+                while j < n and text[j].isdigit():
+                    j += 1
+                self.toks.append(text[i:j])
+                i = j
+            elif ch in "qtX^*+-/()":
+                self.toks.append(ch)
+                i += 1
+            else:
+                raise ValueError(f"unexpected character {ch!r} in rational-function string")
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            raise ValueError("unexpected end of rational-function string")
+        self.pos += 1
+        return tok
+
+
+def _reference_poly(tk: _Tokens):
+    terms: dict[tuple, Fraction] = {}
+    sign = 1
+    tok = tk.peek()
+    if tok in ("+", "-"):
+        tk.next()
+        sign = -1 if tok == "-" else 1
+    while True:
+        coeff, exps = _reference_term(tk)
+        monom = tuple(exps)
+        terms[monom] = terms.get(monom, 0) + coeff * sign
+        tok = tk.peek()
+        if tok in ("+", "-"):
+            tk.next()
+            sign = -1 if tok == "-" else 1
+            continue
+        if tok is None:
+            return polynomial(terms)
+        raise ValueError(f"unexpected token {tok!r} in polynomial")
+
+
+def _reference_term(tk: _Tokens):
+    coeff = Fraction(1)
+    exps = [0, 0, 0]
+    while True:
+        tok = tk.peek()
+        if tok is not None and tok.isdigit():
+            tk.next()
+            value = Fraction(int(tok))
+            if tk.peek() == "/":
+                tk.next()
+                den = tk.next()
+                if not den.isdigit():
+                    raise ValueError("expected integer after '/' in coefficient")
+                value /= int(den)
+            coeff *= value
+        elif tok in ("q", "t", "X"):
+            tk.next()
+            e = 1
+            if tk.peek() == "^":
+                tk.next()
+                etok = tk.next()
+                if not etok.isdigit():
+                    raise ValueError("expected integer exponent after '^'")
+                e = int(etok)
+            exps["qtX".index(tok)] += e
+        else:
+            raise ValueError(f"unexpected token {tok!r} in term")
+        if tk.peek() == "*":
+            tk.next()
+            continue
+        return coeff, exps
+
+
+def _reference_only_poly(s: str):
+    tk = _Tokens(s)
+    p = _reference_poly(tk)
+    if tk.peek() is not None:
+        raise ValueError(f"trailing tokens in {s!r}")
+    return p
+
+
+def _reference_parse(text: str) -> RationalFn:
+    """The tokenizer and recursive-descent parser that parse_rational replaced."""
+    s = text.strip()
+    if s.startswith("("):
+        depth = 0
+        for i, ch in enumerate(s):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth == 0:
+                    if i == len(s) - 1:
+                        return _reference_parse(s[1:-1])
+                    if s[i + 1 : i + 3] == "/(" and s.endswith(")"):
+                        num = _reference_only_poly(s[1:i])
+                        den = _reference_only_poly(s[i + 3 : -1])
+                        return RationalFn(num, den)
+                    break
+    return RationalFn(_reference_only_poly(s))
+
+
+def _outcome(parse, text):
+    """parse(text), or the type of the ValueError or ZeroDivisionError it raises."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+#: The grammar's tokens, whitespace, and the foreign letter y.
+_TOKENS = ("0", "1", "2", "12", "q", "t", "X", "^", "*", "/", "+", "-",
+           "(", ")", ")/(", " ", "\t", "y")
+_token_soup = st.lists(st.sampled_from(_TOKENS), max_size=16).map("".join)
+
+
+@st.composite
+def _grammar_text(draw):
+    """A polynomial or quotient in the canonical grammar, spaced at random.
+
+    Half the time one token of _TOKENS is spliced in at a random place, so
+    that many of these strings sit just outside the language.
+    """
+    def poly():
+        tokens = [draw(st.sampled_from(["", "+", "-"]))]
+        for i in range(draw(st.integers(1, 3))):
+            if i:
+                tokens.append(draw(st.sampled_from(["+", "-"])))
+            for j in range(draw(st.integers(1, 3))):
+                if j:
+                    tokens.append("*")
+                digits = str(draw(st.integers(0, 12)))
+                tokens += draw(st.sampled_from([
+                    [digits], [digits, "/", str(draw(st.integers(0, 5)))],
+                    [draw(st.sampled_from("qtX"))],
+                    [draw(st.sampled_from("qtX")), "^", digits],
+                ]))
+        return "".join(tok + draw(st.sampled_from(["", "", " ", " \t "])) for tok in tokens)
+
+    form = draw(st.sampled_from(["{}", "({})/({})", "( {} )", "(({})/({}))"]))
+    text = form.format(*(poly() for _ in range(form.count("{}"))))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_TOKENS)) + text[at:]
+    return text
+
+
+#: A coefficient denominator that is zero.
+_ZERO_DENOMINATOR = re.compile(r"/(\s*)0+(?!\d)")
+
+
+@given(st.one_of(_token_soup, _grammar_text()))
+@settings(max_examples=600, deadline=None)
+def test_parse_rational_matches_tokenizer_reference(text):
+    want, got = _outcome(_reference_parse, text), _outcome(parse_rational, text)
+    if isinstance(want, RationalFn):
+        assert isinstance(got, RationalFn) and got == want
+    elif (want, got) == (ZeroDivisionError, ValueError):
+        # The reference divides by a zero coefficient denominator before it
+        # reaches the syntax error; the string must then be malformed.
+        assert _outcome(_reference_parse, _ZERO_DENOMINATOR.sub(r"/\g<1>1", text)) is ValueError
+    else:
+        assert got is want
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1 / 2*q", "1/2*q"),
+    ("q ^ 2", "q^2"),
+    ("( q )/( t )", "(q)/(t)"),
+    ("((q)/(t))", "(q)/(t)"),
+    ("q*q*2*3", "6*q^2"),
+    ("q^0", "1"),
+    ("+q", "q"),
+    ("1 2", ValueError),
+    ("(q) / (t)", ValueError),
+    ("", ValueError),
+    ("-", ValueError),
+    ("q - -t", ValueError),
+    ("1/0*q", ZeroDivisionError),
+    ("(1)/(0)", ZeroDivisionError),
+])
+def test_parse_rational_edge_strings(text, want):
+    for parse in (parse_rational, _reference_parse):
+        if isinstance(want, str):
+            assert canonical_str(parse(text)) == want
+        else:
+            with pytest.raises(want):
+                parse(text)
+
+
+@pytest.mark.parametrize("text", ["1/0*q +", "q + 1/0 2", "(1/0*q +)/(t)"])
+def test_malformed_string_with_zero_denominator_is_a_syntax_error(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+    with pytest.raises(ZeroDivisionError):
+        _reference_parse(text)
+
+
+def test_parse_rational_long_and_deep_inputs():
+    assert parse_rational(" + ".join(["q*t^2"] * 20000)) == 20000 * Q * T**2
+    with pytest.raises(ValueError):
+        parse_rational("1" * 100000 + "y")
+    assert parse_rational("(" * 3000 + "(q)/(t)" + ")" * 3000) == Q / T
+    with pytest.raises(ValueError):
+        parse_rational("(" * 3000 + "q" + ")" * 2999)

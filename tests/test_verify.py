@@ -345,6 +345,8 @@ def test_emit_table_csv(tmp_path):
 _TABLE_DIGESTS = [
     ("s1", (2, 2, 1), "d92314b6070d0c756f59a83beda5ad3e2955ce471d8124d718d4b6a5029d4156"),
     ("s2", (3, 2), "ed55c52523735c75e5a333bd14381f6bb9f5e263e9a6a9e67940293bf2862f7a"),
+    ("binomial", (2, 2, 1), "2c92956e72d92d8fecc3e9bb69887b3e97c496560b93ce2b9835a9d5ce1537d4"),
+    ("bracket", (3, 2), "1bba7ef6dfff4f587a413394af1a7efc8ebe50de925d41751725c7037d57a6e2"),
 ]
 
 
@@ -487,7 +489,7 @@ def no_work(monkeypatch):
         pytest.fail("computed before the output path was opened")
 
     monkeypatch.setitem(verify._REGISTRY, "stirling-zero", never)
-    monkeypatch.setitem(verify._TABLE_KINDS, "s1", never)
+    monkeypatch.setitem(verify._EVAL_EXPRS, "s1", (2, never))
 
 
 @pytest.mark.parametrize("args", [
