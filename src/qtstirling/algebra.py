@@ -4,16 +4,33 @@ Values are reduced ratios of sparse polynomials in the three
 indeterminates q, t, X.  X stands for the generic exponential q^x, so
 every quantity in the library lives in this one field.
 
-A RationalFn stores its value as a pair (n, d) of polynomials in one
-integer ring ZZ[q, t, X] under graded lex q > t > X.  The pair is
-canonical: n and d are coprime over ZZ, integer content included, and the
-leading coefficient of d is positive.  So no product, sum, gcd or
-evaluation ever meets a rational coefficient.  Rationals enter only
-through `const`, the images of a substitution, `parse_rational` and
-`RationalFn(num, den)` on polynomials over QQ, and are cleared to
-integers there.  The public polynomial face stays over QQ: `polynomial`,
-`poly_terms`, and the read-only views `f.num` and `f.den`, in which den is
-integer-primitive with positive leading coefficient.
+A `Polynomial` is a dict {packed monomial: coefficient}.  The monomial
+q^a t^b X^x packs into one int of four 32-bit fields, from the top: the
+total degree a + b + x, then a, b and x.  The top bit of each field is a
+guard that stays clear.  So the order of the keys as integers is graded lex
+order q > t > X, and the leading monomial is the builtin `max(p)`.  A
+product of monomials is the sum of their keys.  m divides k exactly when
+(k - m) & _GUARD is 0, because a field of k below the same field of m
+borrows and sets that field's guard bit.  An exponent or degree that would
+reach a guard bit raises OverflowError instead of wrapping.
+
+`_exquo` divides exactly and gives up at the first leading term of the
+remainder that the divisor's leading term does not divide.
+`Polynomial.gcd` is the heuristic gcd of Char, Geddes and Gonnet (J.
+Symbolic Comput. 7, 1989), as sympy's `heugcd` runs it (Liao and Fateman,
+ISSAC 1995).  It evaluates q, then t, then X at a large integer, takes the
+integer gcd, and interpolates back in balanced base-x digits.  A candidate
+counts only once it divides both inputs.
+
+A RationalFn stores its value as a pair (n, d) of integer polynomials.
+The pair is canonical: n and d are coprime over ZZ, integer content
+included, and the leading coefficient of d is positive.  So no product,
+sum, gcd or evaluation ever meets a rational coefficient.  Rationals enter
+only through `const`, the images of a substitution, `parse_rational` and
+`RationalFn(num, den)` on Fraction-coefficient polynomials, and are cleared
+to integers there.  The public polynomial face has Fraction coefficients:
+`polynomial`, `poly_terms`, and the read-only views `f.num` and `f.den`, in
+which den is integer-primitive with positive leading coefficient.
 
 The operators keep the pair canonical without a full gcd.  Canonical
 operands are coprime, so a product a/b * c/d needs only the cross gcds
@@ -35,11 +52,9 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from types import SimpleNamespace
 from typing import Callable, Iterator, Mapping, NamedTuple, Union
-
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.rings import PolyElement, ring
 
 __all__ = [
     "Monomial",
@@ -66,17 +81,6 @@ __all__ = [
     "canonical_str",
     "parse_rational",
 ]
-
-#: The public face: `polynomial`, `poly_terms`, `.num` and `.den` are over QQ.
-_RING = ring("q,t,X", QQ, "grlex")[0]
-#: The ring of every stored pair.
-_ZRING = ring("q,t,X", ZZ, "grlex")[0]
-_zpoly = _ZRING.dtype  # integer polynomial from a term map, coefficients as given
-_Z1 = _ZRING.one
-_ORIGIN = (0, 0, 0)
-
-#: Sparse multivariate polynomial (term map monomial -> coeff).
-Polynomial = PolyElement
 
 _VARS = ("q", "t", "X")
 
@@ -110,6 +114,39 @@ def clear_cache():
         cached.cache_clear()
 
 
+# ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+#: Fields of a key, from the top: degree at bit 96, e_q at 64, e_t at 32, e_X at 0.
+_MASK = (1 << 31) - 1  # the value bits of one field: the largest exponent or degree
+_SHIFTS = (64, 32, 0)
+_UNITS = tuple(1 << 96 | 1 << s for s in _SHIFTS)  # the keys of q, t and X
+_GUARD = sum(1 << s + 31 for s in (96, *_SHIFTS))
+_DEG_GUARD = 1 << 127
+
+
+def _pack(e_q: int, e_t: int, e_X: int) -> int:
+    """The key of q^e_q t^e_t X^e_X; OverflowError past the degree a field holds."""
+    if e_q < 0 or e_t < 0 or e_X < 0:
+        raise ValueError(f"bad monomial {(e_q, e_t, e_X)!r}")
+    deg = e_q + e_t + e_X
+    if deg > _MASK:
+        raise OverflowError(f"a monomial degree exceeds {_MASK}")
+    return deg << 96 | e_q << 64 | e_t << 32 | e_X
+
+
+def _unpack(key: int) -> tuple[int, int, int]:
+    return key >> 64 & _MASK, key >> 32 & _MASK, key & _MASK
+
+
+def _low(f: Mapping[int, object], g: Mapping[int, object]) -> int:
+    """The key of the least exponent of each variable over the terms of f and g."""
+    keys = [*f, *g]
+    return _pack(min([k >> 64 & _MASK for k in keys]), min([k >> 32 & _MASK for k in keys]),
+                 min([k & _MASK for k in keys]))
+
+
 class Monomial(NamedTuple):
     """Exponent triple (e_q, e_t, e_X); exponents are never negative."""
 
@@ -118,46 +155,171 @@ class Monomial(NamedTuple):
     e_X: int
 
 
-def _to_fraction(c) -> Fraction:
-    return Fraction(int(c.numerator), int(c.denominator))
+# ---------------------------------------------------------------------------
+# the polynomial kernel
+# ---------------------------------------------------------------------------
 
+class Polynomial(dict):
+    """A sparse polynomial in q, t, X: {packed monomial: nonzero coefficient}.
 
-def polynomial(terms: Mapping[tuple, Union[int, Fraction]]) -> Polynomial:
-    """Build a polynomial over QQ from a term map {(e_q, e_t, e_X): coefficient}."""
-    out = {}
-    for monom, c in terms.items():
-        monom = tuple(int(e) for e in monom)
-        if len(monom) != 3 or any(e < 0 for e in monom):
-            raise ValueError(f"bad monomial {monom!r}")
-        out[monom] = QQ(int(c.numerator), int(c.denominator))
-    return _RING(out)
-
-
-def poly_terms(p: Polynomial) -> Iterator[tuple[Monomial, Fraction]]:
-    """Terms of p in descending canonical (graded lex) order."""
-    for monom, c in sorted(p.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
-        yield Monomial(*monom), _to_fraction(c)
-
-
-def _ground(c: int) -> Polynomial:
-    """The constant integer polynomial c."""
-    return _zpoly({_ORIGIN: ZZ(c)}) if c else _ZRING.zero
-
-
-def _integer_parts(v) -> tuple[Polynomial, int]:
-    """(p, L) with v == p / L, p over ZZ and L a positive integer.
-
-    v is an int, a Fraction or a polynomial over QQ; L is then the lcm of
-    its coefficient denominators.
+    Stored pairs have int coefficients; the public views `polynomial`,
+    `RationalFn.num` and `RationalFn.den` have Fractions.  +, -, * and **
+    work for both, `gcd` and `exquo` for int coefficients only.  An instance
+    is immutable once built, and results may share their operands.
     """
-    if isinstance(v, PolyElement):
-        scale = lcm(*(int(c.denominator) for c in v.values()))
-        return _zpoly({m: ZZ(int(c.numerator) * (scale // int(c.denominator)))
-                       for m, c in v.items()}), scale
-    if isinstance(v, (int, Fraction)):
-        v = Fraction(v)
-        return _ground(v.numerator), v.denominator
-    raise TypeError(f"cannot build a polynomial from {type(v).__name__}")
+
+    __slots__ = ()
+
+    @property
+    def LC(self):
+        """The leading coefficient under graded lex order."""
+        return self[max(self)]
+
+    @property
+    def is_ground(self) -> bool:
+        return not self or (len(self) == 1 and 0 in self)
+
+    def __neg__(self):
+        return Polynomial({k: -c for k, c in self.items()})
+
+    def __add__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return _add(self, other)
+
+    def __sub__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return _add(self, -other)
+
+    def __mul__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return _mul(self, other)
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            raise ValueError("negative exponent of a polynomial")
+        if k == 0:
+            return Polynomial({0: 1})
+        if not self:
+            return self
+        if (max(self) >> 96) * k > _MASK:
+            raise OverflowError(f"a monomial degree exceeds {_MASK}")
+        if len(self) == 1:
+            (m, c), = self.items()
+            return Polynomial({m * k: c**k})
+        out, base = None, self
+        while True:
+            if k & 1:
+                out = base if out is None else _mul(out, base)
+            k >>= 1
+            if not k:
+                return out
+            base = _mul(base, base)
+
+    def mul_ground(self, c):
+        """self times the nonzero constant c."""
+        return Polynomial({k: v * c for k, v in self.items()})
+
+    def exquo(self, g: "Polynomial") -> Union["Polynomial", None]:
+        """self / g over ZZ, or None when g does not divide self."""
+        return _exquo(self, g)
+
+    def gcd(self, g: "Polynomial") -> "Polynomial":
+        """The gcd over ZZ, integer content included, with positive leading coefficient."""
+        f = self
+        if not f or not g:
+            h = f or g
+            return -h if h and h.LC < 0 else h
+        if len(f) == 1 or len(g) == 1:
+            return Polynomial({_low(f, g): gcd(*f.values(), *g.values())})
+        h = _heugcd(f, g, 0)[0]
+        return -h if h.LC < 0 else h
+
+
+Polynomial.ring = SimpleNamespace(zero=Polynomial(), one=Polynomial({0: 1}))
+_Z1 = Polynomial.ring.one
+
+
+def _add(f: Polynomial, g: Polynomial) -> Polynomial:
+    if len(f) < len(g):
+        f, g = g, f
+    out = Polynomial(f)
+    get = out.get
+    for k, c in g.items():
+        c += get(k, 0)
+        if c:
+            out[k] = c
+        else:
+            del out[k]
+    return out
+
+
+def _mul(f: Polynomial, g: Polynomial) -> Polynomial:
+    if not f or not g:
+        return Polynomial()
+    if len(f) < len(g):
+        f, g = g, f
+    if (max(f) + max(g)) & _DEG_GUARD:
+        raise OverflowError(f"a monomial degree exceeds {_MASK}")
+    if len(g) == 1:
+        (m, c), = g.items()
+        if c == 1:
+            return f if m == 0 else Polynomial({k + m: v for k, v in f.items()})
+        return Polynomial({k + m: v * c for k, v in f.items()})
+    out = Polynomial()
+    get = out.get
+    terms = list(f.items())
+    for m, c in g.items():
+        for k, v in terms:
+            k += m
+            out[k] = get(k, 0) + v * c
+    for k in [k for k, v in out.items() if not v]:
+        del out[k]
+    return out
+
+
+def _exquo(f: Polynomial, g: Polynomial) -> Union[Polynomial, None]:
+    """f / g for integer polynomials, g nonzero, or None when g does not divide f.
+
+    Each step divides the leading term of the remainder by that of g, and
+    the first one that does not divide ends the division: a multiple of g
+    has every leading term divisible by g's.
+    """
+    if len(g) == 1:
+        (m, c), = g.items()
+        out = Polynomial()
+        for k, v in f.items():
+            k -= m
+            if k & _GUARD or v % c:
+                return None
+            out[k] = v // c
+        return out
+    lead = max(g)
+    lc = g[lead]
+    tail = [(k - lead, v) for k, v in g.items() if k != lead]
+    rem = dict(f)
+    get = rem.get
+    out = Polynomial()
+    while rem:
+        k = max(rem)
+        d = k - lead
+        v = rem.pop(k)
+        if d & _GUARD or v % lc:
+            return None
+        v //= lc
+        out[d] = v
+        for m, w in tail:
+            m += k
+            w = get(m, 0) - v * w
+            if w:
+                rem[m] = w
+            else:
+                del rem[m]
+    return out
 
 
 def _content(p: Polynomial) -> int:
@@ -165,10 +327,146 @@ def _content(p: Polynomial) -> int:
     return gcd(*p.values())
 
 
-def _shift(p: Polynomial, low: tuple, c: int) -> Polynomial:
-    """p divided by c * q^low[0] t^low[1] X^low[2], which divides it exactly."""
-    a, b, x = low
-    return _zpoly({(i - a, j - b, k - x): v // c for (i, j, k), v in p.items()})
+def _shift(p: Polynomial, low: int, c: int) -> Polynomial:
+    """p divided by c times the monomial of key low, which divides it exactly."""
+    return Polynomial({k - low: v // c for k, v in p.items()})
+
+
+def _scale(p: Polynomial, c: int) -> Polynomial:
+    return p if c == 1 else p.mul_ground(c)
+
+
+#: Evaluation points heugcd tries before it gives up.
+_HEU_GCD_MAX = 6
+
+
+def _evaluate_at(p: Polynomial, v: int, x: int):
+    """p with variable v set to the integer x: a Polynomial, or an int when v is X."""
+    shift, unit = _SHIFTS[v], _UNITS[v]
+    powers = {}
+    out: dict[int, int] = {}
+    for k, c in p.items():
+        e = k >> shift & _MASK
+        if e:
+            k -= e * unit
+            power = powers.get(e)
+            if power is None:
+                power = powers[e] = x**e
+            c *= power
+        out[k] = out.get(k, 0) + c
+    if v == 2:
+        return out.get(0, 0)
+    return Polynomial({k: c for k, c in out.items() if c})
+
+
+def _interpolate(h, v: int, x: int) -> Polynomial:
+    """The polynomial whose coefficient of var_v^i holds the balanced base-x
+    digit i of each coefficient of h (an int when v is X), made to lead positive."""
+    unit, half = _UNITS[v], x // 2
+    out = Polynomial()
+    for k, c in h.items() if isinstance(h, Polynomial) else ((0, h),):
+        while c:
+            r = c % x
+            if r > half:
+                r -= x
+            if r:
+                out[k] = r
+            c = (c - r) // x
+            k += unit
+    return -out if out.LC < 0 else out
+
+
+def _heugcd(f: Polynomial, g: Polynomial, v: int) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(h, f/h, g/h) for h = gcd(f, g), up to sign, by the heuristic gcd.
+
+    f and g are nonzero integer polynomials in variable v of (q, t, X) and
+    the ones after it.  Variable v is set to an integer x, the gcd of the two
+    images (by recursion on the next variable, or an integer gcd after X) is
+    interpolated back, and its primitive part is kept if it divides f and g.
+    Else the image of a cofactor is interpolated and tried the same way.
+    x grows for each of the _HEU_GCD_MAX tries; then ArithmeticError, where
+    sympy raises HeuristicGCDFailed.
+    """
+    c = gcd(_content(f), _content(g))
+    if c != 1:
+        f, g = _shift(f, 0, c), _shift(g, 0, c)
+    f_norm, g_norm = max(map(abs, f.values())), max(map(abs, g.values()))
+    bound = 2 * min(f_norm, g_norm) + 29
+    x = max(min(bound, 99 * isqrt(bound)),
+            2 * min(f_norm // abs(f.LC), g_norm // abs(g.LC)) + 4)
+    for _ in range(_HEU_GCD_MAX):
+        ff, gg = _evaluate_at(f, v, x), _evaluate_at(g, v, x)
+        if ff and gg:
+            if v == 2:
+                h = gcd(ff, gg)
+                cff, cfg = ff // h, gg // h
+            else:
+                h, cff, cfg = _heugcd(ff, gg, v + 1)
+            h = _interpolate(h, v, x)
+            h = _shift(h, 0, _content(h))
+            cff_ = _exquo(f, h)
+            if cff_ is not None:
+                cfg_ = _exquo(g, h)
+                if cfg_ is not None:
+                    return _scale(h, c), cff_, cfg_
+            cff = _interpolate(cff, v, x)
+            h = _exquo(f, cff)
+            if h is not None:
+                cfg_ = _exquo(g, h)
+                if cfg_ is not None:
+                    return _scale(h, c), cff, cfg_
+            cfg = _interpolate(cfg, v, x)
+            h = _exquo(g, cfg)
+            if h is not None:
+                cff_ = _exquo(f, h)
+                if cff_ is not None:
+                    return _scale(h, c), cff_, cfg
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    raise ArithmeticError("heuristic gcd failed")
+
+
+# ---------------------------------------------------------------------------
+# the public polynomial face
+# ---------------------------------------------------------------------------
+
+def polynomial(terms: Mapping[tuple, Union[int, Fraction]]) -> Polynomial:
+    """Build a Polynomial with Fraction coefficients from {(e_q, e_t, e_X): coefficient}."""
+    out = Polynomial()
+    for monom, c in terms.items():
+        monom = tuple(int(e) for e in monom)
+        if len(monom) != 3:
+            raise ValueError(f"bad monomial {monom!r}")
+        key = _pack(*monom)
+        if c:
+            out[key] = Fraction(c)
+    return out
+
+
+def poly_terms(p: Polynomial) -> Iterator[tuple[Monomial, Fraction]]:
+    """Terms of p in descending canonical (graded lex) order."""
+    for key in sorted(p, reverse=True):
+        yield Monomial(*_unpack(key)), Fraction(p[key])
+
+
+def _ground(c: int) -> Polynomial:
+    """The constant integer polynomial c."""
+    return Polynomial({0: c}) if c else Polynomial()
+
+
+def _integer_parts(v) -> tuple[Polynomial, int]:
+    """(p, L) with v == p / L, p with int coefficients and L a positive integer.
+
+    v is an int, a Fraction or a Polynomial; L is then the lcm of its
+    coefficient denominators.
+    """
+    if isinstance(v, Polynomial):
+        scale = lcm(*(c.denominator for c in v.values()))
+        return Polynomial({m: int(c.numerator) * (scale // c.denominator)
+                           for m, c in v.items()}), scale
+    if isinstance(v, (int, Fraction)):
+        v = Fraction(v)
+        return _ground(v.numerator), v.denominator
+    raise TypeError(f"cannot build a polynomial from {type(v).__name__}")
 
 
 def _gcd_parts(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -179,26 +477,24 @@ def _gcd_parts(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, Po
     polynomial operand), h is 1 at once, before any term is walked.
     When f or g has one term, h is the monomial of the minimum exponents
     over the terms of both times the integer gcd of all their
-    coefficients, found without sympy.  Otherwise h is PolyElement.gcd's
-    and the cofactors come from exact division.
+    coefficients.  Otherwise h is Polynomial.gcd's and the cofactors come
+    from exact division.
     """
-    if (len(f) == 1 and f.get(_ORIGIN) == 1) or (len(g) == 1 and g.get(_ORIGIN) == 1):
+    if (len(f) == 1 and f.get(0) == 1) or (len(g) == 1 and g.get(0) == 1):
         return _Z1, f, g
     if len(f) == 1 or len(g) == 1:
-        low = tuple(map(min, zip(*chain(f, g))))
+        low = _low(f, g)
         c = gcd(*f.values(), *g.values())
-        if c == 1 and not any(low):
+        if c == 1 and not low:
             return _Z1, f, g
-        return _zpoly({low: ZZ(c)}), _shift(f, low, c), _shift(g, low, c)
+        return Polynomial({low: c}), _shift(f, low, c), _shift(g, low, c)
     h = f.gcd(g)
     if h.is_ground:
-        c = abs(h[_ORIGIN])
+        c = h[0]
         if c == 1:
             return _Z1, f, g
-        return _ground(c), _shift(f, _ORIGIN, c), _shift(g, _ORIGIN, c)
-    if h.LC < 0:  # sympy's gcd is not always positive under this ring's order
-        h = -h
-    return h, f.exquo(h), g.exquo(h)
+        return h, _shift(f, 0, c), _shift(g, 0, c)
+    return h, _exquo(f, h), _exquo(g, h)
 
 
 def _canonical(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -213,45 +509,46 @@ def _canonical(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial
     if not den:
         raise ZeroDivisionError("division by the zero rational function")
     if not num:
-        return _ZRING.zero, _ZRING.one
+        return Polynomial(), _Z1
     _, num, den = _gcd_parts(num, den)
     if den.LC < 0:
         num, den = -num, -den
     return num, den
 
 
-def _qq_view(p: Polynomial, scale: int) -> Polynomial:
-    """The integer polynomial p divided by scale, over QQ."""
-    return _RING.dtype({m: QQ(int(c), scale) for m, c in p.items()})
+def _view(p: Polynomial, scale: int) -> Polynomial:
+    """The integer polynomial p divided by scale, with Fraction coefficients."""
+    return Polynomial({m: Fraction(c, scale) for m, c in p.items()})
 
 
 class RationalFn:
     """A reduced rational function in q, t, X; immutable and hashable.
 
     Stored as the canonical integer pair (n, d) the module docstring
-    describes.  `num` and `den` are read-only views over QQ, scaled so that
-    den is integer-primitive with positive leading coefficient.
+    describes.  `num` and `den` are read-only views: Polynomials with
+    Fraction coefficients, scaled so that den is integer-primitive with
+    positive leading coefficient.
 
     Supports +, -, *, /, ** (integer exponent, negative inverts) with
     automatic coercion of ints and Fractions.  Structural equality of the
     canonical form coincides with equality of values, and a constant
     hashes like its Fraction value, so `ONE == 1` and `hash(ONE) == hash(1)`.
 
-    `RationalFn(num, den)` takes ints, Fractions or polynomials over QQ and
-    reduces them; with `_canon=True` the caller vouches that num/den are
-    already in the form of the views, and nothing is reduced.
+    `RationalFn(num, den)` takes ints, Fractions or Polynomials and reduces
+    them; with `_canon=True` the caller vouches that num/den are already in
+    the form of the views, and nothing is reduced.
     """
 
-    __slots__ = ("_n", "_d", "_hash")
+    __slots__ = ("_n", "_d", "_hash", "_point")
 
     def __init__(self, num, den=None, _canon=False):
         num, num_scale = _integer_parts(num)
         den, den_scale = (_Z1, 1) if den is None else _integer_parts(den)
         # num/den == (num * den_scale) / (den * num_scale)
         if den_scale != 1:
-            num = num.mul_ground(ZZ(den_scale))
+            num = num.mul_ground(den_scale)
         if num_scale != 1:
-            den = den.mul_ground(ZZ(num_scale))
+            den = den.mul_ground(num_scale)
         if not _canon:
             num, den = _canonical(num, den)
         _set_n(self, num)
@@ -262,13 +559,13 @@ class RationalFn:
 
     @property
     def num(self) -> Polynomial:
-        """The numerator over QQ, matching `den`."""
-        return _qq_view(self._n, _content(self._d))
+        """The numerator, with Fraction coefficients, matching `den`."""
+        return _view(self._n, _content(self._d))
 
     @property
     def den(self) -> Polynomial:
-        """The denominator over QQ: integer-primitive, positive leading coefficient."""
-        return _qq_view(self._d, _content(self._d))
+        """The denominator, with Fraction coefficients: integer-primitive, positive leading coefficient."""
+        return _view(self._d, _content(self._d))
 
     @property
     def is_zero(self) -> bool:
@@ -295,10 +592,8 @@ class RationalFn:
             pass
         n, d = self._n, self._d
         if d.is_ground and n.is_ground:  # a constant hashes like its Fraction value
-            h = hash(Fraction(int(n.get(_ORIGIN, 0)), int(d[_ORIGIN])))
+            h = hash(Fraction(n.get(0, 0), d[0]))
         else:
-            # PolyElement caches its own hash, which can go stale after the
-            # in-place arithmetic sympy uses internally; hash the term data.
             h = hash((frozenset(n.items()), frozenset(d.items())))
         _set_hash(self, h)
         return h
@@ -390,6 +685,7 @@ class RationalFn:
 _set_n = RationalFn._n.__set__
 _set_d = RationalFn._d.__set__
 _set_hash = RationalFn._hash.__set__
+_set_point = RationalFn._point.__set__
 
 
 def _make(n: Polynomial, d: Polynomial) -> RationalFn:
@@ -398,6 +694,21 @@ def _make(n: Polynomial, d: Polynomial) -> RationalFn:
     _set_n(f, n)
     _set_d(f, d)
     return f
+
+
+def _point_form(f: RationalFn) -> tuple[list, list, tuple[int, int, int]]:
+    """(num, den, top): the terms (e_q, e_t, e_X, c) of the pair and the largest
+    exponent of each variable over both, kept on f once built."""
+    try:
+        return f._point
+    except AttributeError:
+        pass
+    num = [(k >> 64 & _MASK, k >> 32 & _MASK, k & _MASK, c) for k, c in f._n.items()]
+    den = [(k >> 64 & _MASK, k >> 32 & _MASK, k & _MASK, c) for k, c in f._d.items()]
+    top = tuple(max([term[v] for term in chain(num, den)]) for v in range(3))
+    point = (num, den, top)
+    _set_point(f, point)
+    return point
 
 
 def _coerce(v):
@@ -418,9 +729,9 @@ def const(c: Union[int, Fraction]) -> RationalFn:
 @memo
 def monomial_rf(e_q: int = 0, e_t: int = 0, e_X: int = 0) -> RationalFn:
     """The monomial q^e_q * t^e_t * X^e_X; negative exponents go to the denominator."""
-    num = (max(e_q, 0), max(e_t, 0), max(e_X, 0))
-    den = (max(-e_q, 0), max(-e_t, 0), max(-e_X, 0))
-    return _make(_zpoly({num: ZZ.one}), _zpoly({den: ZZ.one}))
+    num = _pack(max(e_q, 0), max(e_t, 0), max(e_X, 0))
+    den = _pack(max(-e_q, 0), max(-e_t, 0), max(-e_X, 0))
+    return _make(Polynomial({num: 1}), Polynomial({den: 1}))
 
 
 def q_pow(k: int) -> RationalFn:
@@ -435,8 +746,8 @@ def x_pow(k: int) -> RationalFn:
     return monomial_rf(e_X=k)
 
 
-ZERO = _make(_ZRING.zero, _ZRING.one)
-ONE = _make(_ZRING.one, _ZRING.one)
+ZERO = _make(Polynomial(), _Z1)
+ONE = _make(_Z1, _Z1)
 Q = monomial_rf(e_q=1)
 T = monomial_rf(e_t=1)
 X = monomial_rf(e_X=1)
@@ -452,14 +763,18 @@ _KEEP = ((1, (1, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1)))
 _FLIP = ((1, (-1, 0, 0)), (1, (0, -1, 0)), _KEEP[2])
 
 
-def _scaled_powers(x: Fraction, top: int) -> list[int]:
+def _scaled_powers(x: Union[int, Fraction], top: int) -> list[int]:
     """[a^i * b^(top - i) for i in 0..top], where x = a/b in lowest terms."""
     a, b = x.numerator, x.denominator
-    up, down = [1], [1]
+    out = [1]
     for _ in range(top):
-        up.append(up[-1] * a)
-        down.append(down[-1] * b)
-    return [u * down[top - i] for i, u in enumerate(up)]
+        out.append(out[-1] * a)
+    if b != 1:
+        scale = b
+        for i in range(top - 1, -1, -1):
+            out[i] *= scale
+            scale *= b
+    return out
 
 
 def _remap(f: RationalFn, images: tuple, pole: str) -> RationalFn:
@@ -473,13 +788,13 @@ def _remap(f: RationalFn, images: tuple, pole: str) -> RationalFn:
     minimum exponents, which leaves the quotient unchanged.  Raises
     PoleError(pole) when the denominator maps to zero.
     """
-    n, d = f._n, f._d
-    tables = [None if c == 1 else _scaled_powers(Fraction(c), max(m[v] for m in chain(n, d)))
+    n, d, top = _point_form(f)
+    tables = [None if c == 1 else _scaled_powers(Fraction(c), top[v])
               for v, (c, _) in enumerate(images)]
     maps = []
-    for p in (n, d):
+    for terms in (n, d):
         out: dict[tuple, int] = {}
-        for monom, c in p.items():
+        for *monom, c in terms:
             exps = [0, 0, 0]
             for k, (_, image), table in zip(monom, images, tables):
                 if table is not None:
@@ -495,7 +810,7 @@ def _remap(f: RationalFn, images: tuple, pole: str) -> RationalFn:
         raise PoleError(pole)
     low = [min(m[j] for m in chain(num, den)) for j in range(3)]
     return _make(*_canonical(*(
-        _zpoly({tuple(e - s for e, s in zip(m, low)): c for m, c in terms.items()})
+        Polynomial({_pack(*(e - s for e, s in zip(m, low))): c for m, c in terms.items()})
         for terms in (num, den)
     )))
 
@@ -509,21 +824,12 @@ def _image(v) -> tuple:
         return 0, (0, 0, 0)
     (m_num, a), = f._n.items()
     (m_den, b), = f._d.items()
-    return Fraction(int(a), int(b)), tuple(x - y for x, y in zip(m_num, m_den))
+    return Fraction(a, b), tuple(x - y for x, y in zip(_unpack(m_num), _unpack(m_den)))
 
 
 def flip_qt(f: RationalFn) -> RationalFn:
     """The canonical form of f(1/q, 1/t, X).  X itself is never flipped."""
     return _remap(f, _FLIP, "flip hits a pole")
-
-
-def _integer_sum(p: Polynomial, tables: list[list[int]]) -> int:
-    """The sum of c * tq[i] * tt[j] * tX[k] over the terms c q^i t^j X^k of p."""
-    tq, tt, tx = tables
-    total = 0
-    for (i, j, k), c in p.items():
-        total += c * tq[i] * tt[j] * tx[k]
-    return int(total)
 
 
 def evaluate(f: RationalFn, q0, t0, X0=0) -> Fraction:
@@ -536,14 +842,14 @@ def evaluate(f: RationalFn, q0, t0, X0=0) -> Fraction:
     is built at the end.  Raises PoleError exactly when the denominator
     sum is 0.
     """
-    point = (Fraction(q0), Fraction(t0), Fraction(X0))
-    monoms = list(chain(f._n, f._d))
-    tables = [_scaled_powers(x, max(m[v] for m in monoms)) for v, x in enumerate(point)]
-    den = _integer_sum(f._d, tables)
-    if den == 0:
+    point = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in (q0, t0, X0)]
+    num, den, top = _point_form(f)
+    tq, tt, tx = [_scaled_powers(x, m) for x, m in zip(point, top)]
+    d = sum([c * tq[i] * tt[j] * tx[k] for i, j, k, c in den])
+    if d == 0:
         q0, t0, X0 = point
         raise PoleError(f"denominator vanishes at q={q0}, t={t0}, X={X0}")
-    return Fraction(_integer_sum(f._n, tables), den)
+    return Fraction(sum([c * tq[i] * tt[j] * tx[k] for i, j, k, c in num]), d)
 
 
 def subs_rational(f: RationalFn, q=None, t=None, X=None) -> RationalFn:
@@ -588,26 +894,49 @@ def substitute_t_eq_q_pow(f: RationalFn, alpha: int) -> RationalFn:
 # canonical strings and parsing
 # ---------------------------------------------------------------------------
 
-def _poly_str(p: Polynomial) -> str:
+#: Integers of at most this many bits convert to and from decimal in one call,
+#: below CPython's smallest settable limit on str(int) and int(str) (640 digits).
+_DIRECT_BITS = 2000
+_DIRECT_DIGITS = 600
+
+
+def _int_str(n: int) -> str:
+    """Decimal digits of n >= 0, in halves for long n, so that no call meets
+    CPython's digit limit on str(int)."""
+    if n.bit_length() <= _DIRECT_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits of n
+    hi, lo = divmod(n, 10**k)
+    return _int_str(hi) + _int_str(lo).zfill(k)
+
+
+def _parse_int(s: str) -> int:
+    """The int a digit run spells, in halves for long runs (see _int_str)."""
+    if len(s) <= _DIRECT_DIGITS:
+        return int(s)
+    k = len(s) // 2
+    return _parse_int(s[:-k]) * 10**k + _parse_int(s[-k:])
+
+
+def _poly_str(p: Polynomial, scale: int) -> str:
+    """The integer polynomial p divided by scale, in the canonical grammar."""
     if not p:
         return "0"
     pieces = []
-    for monom, coeff in poly_terms(p):
-        mono_bits = []
-        for name, e in zip(_VARS, monom):
-            if e == 1:
-                mono_bits.append(name)
-            elif e:
-                mono_bits.append(f"{name}^{e}")
-        mono = "*".join(mono_bits)
-        mag = abs(coeff)
+    for key in sorted(p, reverse=True):
+        mono = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(_VARS, _unpack(key)) if e)
+        c = p[key]
+        g = gcd(c, scale)
+        a, b = abs(c) // g, scale // g
+        mag = _int_str(a) if b == 1 else f"{_int_str(a)}/{_int_str(b)}"
         if not mono:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif a == b == 1:
             body = mono
         else:
             body = f"{mag}*{mono}"
-        pieces.append(("-" if coeff < 0 else "+", body))
+        pieces.append(("-" if c < 0 else "+", body))
     sign, body = pieces[0]
     out = ("-" if sign == "-" else "") + body
     for sign, body in pieces[1:]:
@@ -620,9 +949,10 @@ def canonical_str(f: RationalFn) -> str:
 
     The coefficients are those of the views `num` and `den`.
     """
+    scale = _content(f._d)
     if f._d.is_ground:
-        return _poly_str(f.num)
-    return f"({_poly_str(f.num)})/({_poly_str(f.den)})"
+        return _poly_str(f._n, scale)
+    return f"({_poly_str(f._n, scale)})/({_poly_str(f._d, scale)})"
 
 
 #: The canonical grammar is regular.  A factor is an integer, an integer
@@ -641,11 +971,12 @@ _QUOTIENT = re.compile(r"\(([^()]*)\)/\(([^()]*)\)")
 
 
 def _parse_poly(s: str) -> Polynomial:
-    """The polynomial over QQ that s spells; ValueError if s is not one.
+    """The polynomial with Fraction coefficients that s spells; ValueError if s is not one.
 
     Repeated factors multiply, and terms with equal monomials add.  A
     coefficient a/0 raises ZeroDivisionError, but only once the whole
-    string has matched.
+    string has matched.  An exponent past the degree a key holds raises
+    OverflowError.
     """
     if not _POLY.fullmatch(s):
         raise ValueError(f"not a polynomial in the canonical grammar: {s!r}")
@@ -655,9 +986,9 @@ def _parse_poly(s: str) -> Polynomial:
         exps = [0, 0, 0]
         for num, den, var, e in _FACTOR_PARTS.findall(term):
             if var:
-                exps[_VARS.index(var)] += int(e or 1)
+                exps[_VARS.index(var)] += _parse_int(e or "1")
             else:
-                coeff *= Fraction(int(num), int(den or 1))
+                coeff *= Fraction(_parse_int(num), _parse_int(den or "1"))
         monom = tuple(exps)
         terms[monom] = terms.get(monom, 0) + coeff
     return polynomial(terms)

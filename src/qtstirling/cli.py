@@ -134,7 +134,7 @@ def _cmd_eval(args) -> int:
     except PoleError as exc:
         print(f"pole: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(value)

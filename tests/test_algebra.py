@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy.polys.domains import ZZ
-from sympy.polys.rings import PolyElement
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.rings import ring
 
 from qtstirling.algebra import (
     ONE,
     PoleError,
+    Polynomial,
     Q,
     RationalFn,
     T,
@@ -30,8 +31,23 @@ from qtstirling.algebra import (
     q_pow,
     subs_rational,
     substitute_t_eq_q_pow,
-    t_pow,
 )
+
+#: sympy is the independent oracle of these tests; the library does not import it.
+_SQQ = ring("q,t,X", QQ, "grlex")[0]
+_SZZ = ring("q,t,X", ZZ, "grlex")[0]
+
+
+def _to_sympy(p, R=_SQQ):
+    """The kernel polynomial p in the sympy ring R; over ZZ its coefficients must be integers."""
+    if R.domain == ZZ:
+        return R({tuple(m): ZZ(int(c)) for m, c in poly_terms(p)})
+    return R({tuple(m): QQ(c.numerator, c.denominator) for m, c in poly_terms(p)})
+
+
+def _from_sympy(p):
+    """A sympy ring element as a kernel polynomial with Fraction coefficients."""
+    return polynomial({m: Fraction(int(c.numerator), int(c.denominator)) for m, c in p.items()})
 
 
 def test_gcd_reduction():
@@ -295,11 +311,11 @@ def _reference(num, den):
     integer-primitive denominator with positive leading coefficient."""
     if not num:
         return RationalFn(_P0, _P1, _canon=True)
-    num, den = num.cancel(den)
+    num, den = _to_sympy(num).cancel(_to_sympy(den))
     c, den = den.primitive()
     if den.LC < 0:
         c, den = -c, -den
-    return RationalFn(num.quo_ground(c), den, _canon=True)
+    return RationalFn(_from_sympy(num.quo_ground(c)), _from_sympy(den), _canon=True)
 
 
 def _rf(num_terms, den_terms):
@@ -375,25 +391,153 @@ def test_operators_keep_the_integer_pair_canonical(f, g, k):
         results.append(f**k)
     for h in results:
         n, d = h._n, h._d
-        assert n.ring.domain == ZZ and d.ring.domain == ZZ
-        assert n.gcd(d) == d.ring.one  # coprime over ZZ, integer content included
+        assert type(n) is Polynomial and type(d) is Polynomial
+        assert all(type(c) is int and c for c in (*n.values(), *d.values()))
+        n, d = _to_sympy(n, _SZZ), _to_sympy(d, _SZZ)
+        assert n.gcd(d) == _SZZ.one  # coprime over ZZ, integer content included
         assert d.LC > 0
 
 
-def test_multi_term_products_reach_polyelement_gcd(monkeypatch):
+def _integer_terms(p):
+    return all(type(c) is int for c in p.values())
+
+
+def test_multi_term_products_reach_polynomial_gcd(monkeypatch):
     f = (ONE + T) / (ONE - Q**2)
     g = (ONE - Q) / (ONE + Q * T)
     calls = []
-    gcd = PolyElement.gcd
+    gcd = Polynomial.gcd
 
     def counted(a, b):
         calls.append((a, b))
         return gcd(a, b)
 
-    monkeypatch.setattr(PolyElement, "gcd", counted)
+    monkeypatch.setattr(Polynomial, "gcd", counted)
     assert f * g == (ONE + T) / ((ONE + Q) * (ONE + Q * T))
     assert calls
-    assert all(a.ring.domain == ZZ and b.ring.domain == ZZ for a, b in calls)
+    assert all(_integer_terms(a) and _integer_terms(b) for a, b in calls)
+    assert type(ONE.num) is Polynomial and ONE.num.ring.one == polynomial({(0, 0, 0): 1})
+
+
+# -- the kernel's gcd and exact division against sympy ---------------------------
+
+_BIG = 10**30
+
+#: Integer polynomials of total degree up to 8, with small or 30-digit coefficients.
+_int_poly = st.dictionaries(
+    st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8)).filter(lambda m: sum(m) <= 8),
+    st.one_of(st.integers(-4, 4), st.integers(-_BIG, _BIG)),
+    min_size=1,
+    max_size=5,
+).map(lambda d: polynomial({m: c for m, c in d.items() if c}))
+
+
+def _integers(p):
+    """p, whose Fraction coefficients are integers, with int coefficients as stored pairs have."""
+    return Polynomial({k: int(c) for k, c in p.items()})
+
+
+def _sympy_exquo(p, d):
+    """p / d over ZZ by sympy's division over QQ, or None when d does not divide p."""
+    quotient, remainder = _to_sympy(p).div(_to_sympy(d))
+    if remainder or any(c.denominator != 1 for c in quotient.values()):
+        return None
+    return _from_sympy(quotient)
+
+
+_Q1, _Q2 = _SHARED[:2]  # 1 - q and 1 - q^2
+
+
+@given(_int_poly, _int_poly, _int_poly, st.lists(st.integers(0, 2), max_size=3),
+       st.integers(1, _BIG))
+@example(_P1, _P1, _P1, [0, 1], 1)
+@example(_Q1, _Q2, _P1, [], 1)
+@example(_Q2, _Q1 * _Q1, _P1, [1, 1], 6)
+@example(polynomial({(0, 0, 0): 3, (1, 0, 0): -3}), polynomial({(0, 0, 0): 2, (2, 0, 0): -2}),
+         _P1, [], 1)
+@settings(max_examples=150, deadline=None)
+def test_kernel_gcd_and_exact_division_match_sympy(a, b, common, shared, content):
+    for i in shared:
+        common = common * _SHARED[i]
+    common = common * polynomial({(0, 0, 0): content})
+    if not a or not b or not common:
+        return
+    f, g = _integers(a * common), _integers(b * common)
+    h = f.gcd(g)
+    want = _to_sympy(f, _SZZ).gcd(_to_sympy(g, _SZZ))
+    assert _to_sympy(h, _SZZ) == (-want if want.LC < 0 else want)
+    assert all(type(c) is int for c in h.values()) and h.LC > 0
+    for p in (f, g):
+        quotient = p.exquo(h)
+        assert quotient is not None and quotient * h == p
+    assert f.exquo(_integers(common)) == _integers(a)
+    for p, d in ((f, g), (g, f), (f, _integers(b)), (f, _integers(a + _P1))):
+        if d:
+            got, want = p.exquo(d), _sympy_exquo(p, d)
+            assert got == (None if want is None else _integers(want))
+
+
+def test_import_and_runs_leave_sympy_unloaded():
+    import subprocess
+    import sys
+
+    import qtstirling
+
+    script = (
+        "import sys\n"
+        "import qtstirling\n"
+        "assert 'sympy' not in sys.modules, 'import'\n"
+        "from qtstirling.verify import SuiteConfig, emit_table, eval_point, run_suite\n"
+        "from qtstirling.partitions import Partition\n"
+        "assert all(r.passed for r in run_suite(SuiteConfig(n_max=2, part_max=1)))\n"
+        "eval_point('s1(2,1;1,0)', 1, 2, 3)\n"
+        "emit_table('s2', Partition((2, 1)), 'csv')\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'sympy'], 'runs'\n"
+    )
+    src = qtstirling.__file__.rsplit("/qtstirling/", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+# -- limits of the packed key and of decimal conversion --------------------------
+
+@pytest.mark.parametrize("build", [
+    lambda: Q ** (2**40),
+    lambda: q_pow(2**40),
+    lambda: q_pow(2**29) ** 5,
+    lambda: q_pow(2**30) * q_pow(2**30),
+    lambda: parse_rational("q^99999999999"),
+    lambda: substitute_t_eq_q_pow(T ** (2**30), 2),
+    lambda: flip_qt(ONE / (ONE - q_pow(2**31 - 1) * T)),
+])
+def test_exponents_past_a_field_raise_overflow(build):
+    with pytest.raises(OverflowError):
+        build()
+
+
+def test_largest_degree_still_packs():
+    f = q_pow(2**31 - 1)
+    assert canonical_str(f) == f"q^{2**31 - 1}"
+    assert parse_rational(canonical_str(f)) == f
+
+
+@pytest.mark.parametrize("f", [const(10**5000) * Q,
+                               const(Fraction(-(7**6000), 3**9000)) * (ONE + T),
+                               (const(10**4400) + Q) / (ONE - const(3**10000) * X)])
+def test_coefficients_past_the_str_digit_limit_round_trip(f):
+    import sys
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    text = canonical_str(f)
+    assert parse_rational(text) == f
+    assert canonical_str(parse_rational(text)) == text
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_long_coefficient_prints_every_digit():
+    assert canonical_str(const(10**5000) * Q) == "1" + "0" * 5000 + "*q"
+    assert canonical_str(const(Fraction(1, 10**5000) - 1)) == "-" + "9" * 5000 + "/1" + "0" * 5000
 
 
 # -- the hash/equality contract and reflected operators ------------------------

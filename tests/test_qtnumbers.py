@@ -2,8 +2,6 @@
 
 from fractions import Fraction
 
-import pytest
-
 from qtstirling.algebra import (
     ONE,
     Q,
@@ -15,7 +13,7 @@ from qtstirling.algebra import (
     poly_terms,
     subs_rational,
 )
-from qtstirling.partitions import Partition, partitions_in_box, rectangle, zeros
+from qtstirling.partitions import Partition, rectangle, zeros
 from qtstirling.pochhammer import poch, poch_partition
 from qtstirling.qtnumbers import (
     XBAR,

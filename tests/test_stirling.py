@@ -10,15 +10,11 @@ from qtstirling.algebra import (
     Q,
     T,
     ZERO,
-    canonical_str,
     const,
-    flip_qt,
     limit_q_to_1,
-    t_pow,
 )
-from qtstirling.partitions import Partition, partitions_in_box, rectangle, subpartitions, zeros
+from qtstirling.partitions import Partition, partitions_in_box, subpartitions, zeros
 from qtstirling.stirling import (
-    PartitionMatrix,
     f_factor,
     identity_matrix,
     matrix_from_function,

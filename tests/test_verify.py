@@ -417,6 +417,7 @@ def test_cli_eval_pole_exit_code():
     ("eval", "--expr", "gaussian(2,1)", "--q", "2", "--t", "0"),
     ("eval", "--expr", "gaussian(2;;1)", "--q", "2", "--t", "0"),
     ("eval", "--expr", "qt_number(2,1)", "--q", "1/0", "--t", "2"),
+    ("eval", "--expr", "qt_number(3000000000)", "--q", "1/2", "--t", "1/3"),
     ("check", "--n-max", "1", "--part-max", "1", "--identity", "stirling-zero",
      "--out", "/nonexistent/dir/r.json"),
     ("table", "--kind", "s1", "--bound", "1", "--out", "/nonexistent/dir/x.json"),

@@ -21,7 +21,6 @@ from qtstirling.partitions import (
     horizontal_strip_predecessors,
     partitions_in_box,
     rectangle,
-    weight,
     zeros,
 )
 from qtstirling.pochhammer import poch, poch_partition_flipped
