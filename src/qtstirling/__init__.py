@@ -12,10 +12,8 @@ generic exponential X = q^x:
 """
 
 from .algebra import (
-    Monomial,
     ONE,
     PoleError,
-    Polynomial,
     Q,
     RationalFn,
     T,
@@ -28,8 +26,6 @@ from .algebra import (
     limit_q_to_1,
     monomial_rf,
     parse_rational,
-    polynomial,
-    poly_terms,
     q_pow,
     subs_rational,
     substitute_t_eq_q_pow,

@@ -4,7 +4,7 @@ Values are reduced ratios of sparse polynomials in the three
 indeterminates q, t, X.  X stands for the generic exponential q^x, so
 every quantity in the library lives in this one field.
 
-A `Polynomial` is a dict {packed monomial: coefficient}.  The monomial
+A `Polynomial` is a dict {packed monomial: int coefficient}.  The monomial
 q^a t^b X^x packs into one int of four 32-bit fields, from the top: the
 total degree a + b + x, then a, b and x.  The top bit of each field is a
 guard that stays clear.  So the order of the keys as integers is graded lex
@@ -22,15 +22,14 @@ ISSAC 1995).  It evaluates q, then t, then X at a large integer, takes the
 integer gcd, and interpolates back in balanced base-x digits.  A candidate
 counts only once it divides both inputs.
 
-A RationalFn stores its value as a pair (n, d) of integer polynomials.
-The pair is canonical: n and d are coprime over ZZ, integer content
-included, and the leading coefficient of d is positive.  So no product,
-sum, gcd or evaluation ever meets a rational coefficient.  Rationals enter
-only through `const`, the images of a substitution, `parse_rational` and
-`RationalFn(num, den)` on Fraction-coefficient polynomials, and are cleared
-to integers there.  The public polynomial face has Fraction coefficients:
-`polynomial`, `poly_terms`, and the read-only views `f.num` and `f.den`, in
-which den is integer-primitive with positive leading coefficient.
+A RationalFn is the pair (num, den) of integer polynomials, and nothing
+else: `f.num` and `f.den` are the stored pair itself.  The pair is
+canonical: num and den are coprime over ZZ, integer content included, and
+the leading coefficient of den is positive.  So every Polynomial has int
+coefficients, and no product, sum, gcd or evaluation ever meets a
+rational coefficient.  Rationals enter only through `const`, the images of
+a substitution, `parse_rational` and `RationalFn(num, den)` on ints and
+Fractions, and are cleared to integers there.
 
 The operators keep the pair canonical without a full gcd.  Canonical
 operands are coprime, so a product a/b * c/d needs only the cross gcds
@@ -54,10 +53,9 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, isqrt, lcm
 from types import SimpleNamespace
-from typing import Callable, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Mapping, Union
 
 __all__ = [
-    "Monomial",
     "Polynomial",
     "PoleError",
     "RationalFn",
@@ -71,8 +69,6 @@ __all__ = [
     "q_pow",
     "t_pow",
     "x_pow",
-    "poly_terms",
-    "polynomial",
     "flip_qt",
     "evaluate",
     "limit_q_to_1",
@@ -80,6 +76,7 @@ __all__ = [
     "subs_rational",
     "canonical_str",
     "parse_rational",
+    "clear_cache",
 ]
 
 _VARS = ("q", "t", "X")
@@ -147,25 +144,15 @@ def _low(f: Mapping[int, object], g: Mapping[int, object]) -> int:
                  min([k & _MASK for k in keys]))
 
 
-class Monomial(NamedTuple):
-    """Exponent triple (e_q, e_t, e_X); exponents are never negative."""
-
-    e_q: int
-    e_t: int
-    e_X: int
-
-
 # ---------------------------------------------------------------------------
 # the polynomial kernel
 # ---------------------------------------------------------------------------
 
 class Polynomial(dict):
-    """A sparse polynomial in q, t, X: {packed monomial: nonzero coefficient}.
+    """A sparse polynomial in q, t, X: {packed monomial: nonzero int coefficient}.
 
-    Stored pairs have int coefficients; the public views `polynomial`,
-    `RationalFn.num` and `RationalFn.den` have Fractions.  +, -, * and **
-    work for both, `gcd` and `exquo` for int coefficients only.  An instance
-    is immutable once built, and results may share their operands.
+    The numerator and denominator of every RationalFn are Polynomials.  An
+    instance is immutable once built, and results may share their operands.
     """
 
     __slots__ = ()
@@ -224,10 +211,6 @@ class Polynomial(dict):
         """self times the nonzero constant c."""
         return Polynomial({k: v * c for k, v in self.items()})
 
-    def exquo(self, g: "Polynomial") -> Union["Polynomial", None]:
-        """self / g over ZZ, or None when g does not divide self."""
-        return _exquo(self, g)
-
     def gcd(self, g: "Polynomial") -> "Polynomial":
         """The gcd over ZZ, integer content included, with positive leading coefficient."""
         f = self
@@ -240,7 +223,7 @@ class Polynomial(dict):
         return -h if h.LC < 0 else h
 
 
-Polynomial.ring = SimpleNamespace(zero=Polynomial(), one=Polynomial({0: 1}))
+Polynomial.ring = SimpleNamespace(one=Polynomial({0: 1}))
 _Z1 = Polynomial.ring.one
 
 
@@ -426,27 +409,8 @@ def _heugcd(f: Polynomial, g: Polynomial, v: int) -> tuple[Polynomial, Polynomia
 
 
 # ---------------------------------------------------------------------------
-# the public polynomial face
+# rational functions
 # ---------------------------------------------------------------------------
-
-def polynomial(terms: Mapping[tuple, Union[int, Fraction]]) -> Polynomial:
-    """Build a Polynomial with Fraction coefficients from {(e_q, e_t, e_X): coefficient}."""
-    out = Polynomial()
-    for monom, c in terms.items():
-        monom = tuple(int(e) for e in monom)
-        if len(monom) != 3:
-            raise ValueError(f"bad monomial {monom!r}")
-        key = _pack(*monom)
-        if c:
-            out[key] = Fraction(c)
-    return out
-
-
-def poly_terms(p: Polynomial) -> Iterator[tuple[Monomial, Fraction]]:
-    """Terms of p in descending canonical (graded lex) order."""
-    for key in sorted(p, reverse=True):
-        yield Monomial(*_unpack(key)), Fraction(p[key])
-
 
 def _ground(c: int) -> Polynomial:
     """The constant integer polynomial c."""
@@ -456,13 +420,13 @@ def _ground(c: int) -> Polynomial:
 def _integer_parts(v) -> tuple[Polynomial, int]:
     """(p, L) with v == p / L, p with int coefficients and L a positive integer.
 
-    v is an int, a Fraction or a Polynomial; L is then the lcm of its
-    coefficient denominators.
+    v is an int, a Fraction or a Polynomial with int coefficients (L is 1);
+    anything else raises TypeError.
     """
     if isinstance(v, Polynomial):
-        scale = lcm(*(c.denominator for c in v.values()))
-        return Polynomial({m: int(c.numerator) * (scale // c.denominator)
-                           for m, c in v.items()}), scale
+        if not all(type(c) is int for c in v.values()):
+            raise TypeError("a Polynomial has int coefficients")
+        return v, 1
     if isinstance(v, (int, Fraction)):
         v = Fraction(v)
         return _ground(v.numerator), v.denominator
@@ -516,17 +480,11 @@ def _canonical(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial
     return num, den
 
 
-def _view(p: Polynomial, scale: int) -> Polynomial:
-    """The integer polynomial p divided by scale, with Fraction coefficients."""
-    return Polynomial({m: Fraction(c, scale) for m, c in p.items()})
-
-
 class RationalFn:
     """A reduced rational function in q, t, X; immutable and hashable.
 
-    Stored as the canonical integer pair (n, d) the module docstring
-    describes.  `num` and `den` are read-only views: Polynomials with
-    Fraction coefficients, scaled so that den is integer-primitive with
+    `num` and `den` are the canonical integer pair the module docstring
+    describes: Polynomials with int coefficients, coprime over ZZ, den with
     positive leading coefficient.
 
     Supports +, -, *, /, ** (integer exponent, negative inverts) with
@@ -534,63 +492,43 @@ class RationalFn:
     canonical form coincides with equality of values, and a constant
     hashes like its Fraction value, so `ONE == 1` and `hash(ONE) == hash(1)`.
 
-    `RationalFn(num, den)` takes ints, Fractions or Polynomials and reduces
-    them; with `_canon=True` the caller vouches that num/den are already in
-    the form of the views, and nothing is reduced.
+    `RationalFn(num, den)` takes ints, Fractions or int-coefficient
+    Polynomials and reduces num/den to the canonical pair.
     """
 
-    __slots__ = ("_n", "_d", "_hash", "_point")
+    __slots__ = ("num", "den", "_hash", "_point")
 
-    def __init__(self, num, den=None, _canon=False):
+    def __init__(self, num, den=None):
         num, num_scale = _integer_parts(num)
         den, den_scale = (_Z1, 1) if den is None else _integer_parts(den)
         # num/den == (num * den_scale) / (den * num_scale)
-        if den_scale != 1:
-            num = num.mul_ground(den_scale)
-        if num_scale != 1:
-            den = den.mul_ground(num_scale)
-        if not _canon:
-            num, den = _canonical(num, den)
-        _set_n(self, num)
-        _set_d(self, den)
+        num, den = _canonical(_scale(num, den_scale), _scale(den, num_scale))
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFn is immutable")
 
     @property
-    def num(self) -> Polynomial:
-        """The numerator, with Fraction coefficients, matching `den`."""
-        return _view(self._n, _content(self._d))
-
-    @property
-    def den(self) -> Polynomial:
-        """The denominator, with Fraction coefficients: integer-primitive, positive leading coefficient."""
-        return _view(self._d, _content(self._d))
-
-    @property
     def is_zero(self) -> bool:
-        return not self._n
-
-    @property
-    def is_one(self) -> bool:
-        return self._n == self._d
+        return not self.num
 
     def __bool__(self):
-        return bool(self._n)
+        return bool(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = const(other)
         if not isinstance(other, RationalFn):
             return NotImplemented
-        return self._n == other._n and self._d == other._d
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
             pass
-        n, d = self._n, self._d
+        n, d = self.num, self.den
         if d.is_ground and n.is_ground:  # a constant hashes like its Fraction value
             h = hash(Fraction(n.get(0, 0), d[0]))
         else:
@@ -602,13 +540,13 @@ class RationalFn:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other._n:
+        if not other.num:
             return self
-        if not self._n:
+        if not self.num:
             return other
         # Henrici: num/den below share no factor outside g = gcd(b, d).
-        g, b, d = _gcd_parts(self._d, other._d)
-        num = self._n * d + other._n * b
+        g, b, d = _gcd_parts(self.den, other.den)
+        num = self.num * d + other.num * b
         if not num:
             return ZERO
         den = b * d
@@ -620,7 +558,7 @@ class RationalFn:
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(-self._n, self._d)
+        return _make(-self.num, self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -638,10 +576,10 @@ class RationalFn:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._n or not other._n:
+        if not self.num or not other.num:
             return ZERO
-        _, a, d = _gcd_parts(self._n, other._d)
-        _, c, b = _gcd_parts(other._n, self._d)
+        _, a, d = _gcd_parts(self.num, other.den)
+        _, c, b = _gcd_parts(other.num, self.den)
         return _make(a * c, b * d)
 
     __rmul__ = __mul__
@@ -659,7 +597,7 @@ class RationalFn:
         return other * self.inverse()
 
     def inverse(self) -> "RationalFn":
-        n, d = self._n, self._d
+        n, d = self.num, self.den
         if not n:
             raise ZeroDivisionError("division by the zero rational function")
         if n.LC < 0:
@@ -673,7 +611,7 @@ class RationalFn:
             return self.inverse() ** (-k)
         if k == 0:
             return ONE
-        return _make(self._n ** k, self._d ** k)
+        return _make(self.num ** k, self.den ** k)
 
     def __repr__(self):
         return f"RationalFn({canonical_str(self)!r})"
@@ -682,8 +620,8 @@ class RationalFn:
         return canonical_str(self)
 
 
-_set_n = RationalFn._n.__set__
-_set_d = RationalFn._d.__set__
+_set_num = RationalFn.num.__set__
+_set_den = RationalFn.den.__set__
 _set_hash = RationalFn._hash.__set__
 _set_point = RationalFn._point.__set__
 
@@ -691,8 +629,8 @@ _set_point = RationalFn._point.__set__
 def _make(n: Polynomial, d: Polynomial) -> RationalFn:
     """The RationalFn of an integer pair that is already canonical."""
     f = object.__new__(RationalFn)
-    _set_n(f, n)
-    _set_d(f, d)
+    _set_num(f, n)
+    _set_den(f, d)
     return f
 
 
@@ -703,8 +641,8 @@ def _point_form(f: RationalFn) -> tuple[list, list, tuple[int, int, int]]:
         return f._point
     except AttributeError:
         pass
-    num = [(k >> 64 & _MASK, k >> 32 & _MASK, k & _MASK, c) for k, c in f._n.items()]
-    den = [(k >> 64 & _MASK, k >> 32 & _MASK, k & _MASK, c) for k, c in f._d.items()]
+    num = [(k >> 64 & _MASK, k >> 32 & _MASK, k & _MASK, c) for k, c in f.num.items()]
+    den = [(k >> 64 & _MASK, k >> 32 & _MASK, k & _MASK, c) for k, c in f.den.items()]
     top = tuple(max([term[v] for term in chain(num, den)]) for v in range(3))
     point = (num, den, top)
     _set_point(f, point)
@@ -818,12 +756,12 @@ def _remap(f: RationalFn, images: tuple, pole: str) -> RationalFn:
 def _image(v) -> tuple:
     """The monomial image a caller passed for one variable."""
     f = _coerce(v)
-    if f is NotImplemented or (f._n and (len(f._n) != 1 or len(f._d) != 1)):
+    if f is NotImplemented or (f.num and (len(f.num) != 1 or len(f.den) != 1)):
         raise ValueError(f"substitution image {v!r} is not a monomial c*q^a*t^b*X^x or 0")
-    if not f._n:
+    if not f.num:
         return 0, (0, 0, 0)
-    (m_num, a), = f._n.items()
-    (m_den, b), = f._d.items()
+    (m_num, a), = f.num.items()
+    (m_den, b), = f.den.items()
     return Fraction(a, b), tuple(x - y for x, y in zip(_unpack(m_num), _unpack(m_den)))
 
 
@@ -947,12 +885,13 @@ def _poly_str(p: Polynomial, scale: int) -> str:
 def canonical_str(f: RationalFn) -> str:
     """Serialize in the canonical grammar, e.g. "(q^2*t - 1)/(q - 1)".
 
-    The coefficients are those of the views `num` and `den`.
+    Both halves of the pair are divided by the content of den, so the
+    printed denominator is integer-primitive.
     """
-    scale = _content(f._d)
-    if f._d.is_ground:
-        return _poly_str(f._n, scale)
-    return f"({_poly_str(f._n, scale)})/({_poly_str(f._d, scale)})"
+    scale = _content(f.den)
+    if f.den.is_ground:
+        return _poly_str(f.num, scale)
+    return f"({_poly_str(f.num, scale)})/({_poly_str(f.den, scale)})"
 
 
 #: The canonical grammar is regular.  A factor is an integer, an integer
@@ -970,8 +909,9 @@ _FACTOR_PARTS = re.compile(r"(\d+)(?:\s*/\s*(\d+))?|([qtX])(?:\s*\^\s*(\d+))?")
 _QUOTIENT = re.compile(r"\(([^()]*)\)/\(([^()]*)\)")
 
 
-def _parse_poly(s: str) -> Polynomial:
-    """The polynomial with Fraction coefficients that s spells; ValueError if s is not one.
+def _parse_poly(s: str) -> tuple[Polynomial, int]:
+    """(p, L): s spells the polynomial p / L, with p's coefficients and L
+    cleared to integers; ValueError if s is not a polynomial.
 
     Repeated factors multiply, and terms with equal monomials add.  A
     coefficient a/0 raises ZeroDivisionError, but only once the whole
@@ -991,7 +931,10 @@ def _parse_poly(s: str) -> Polynomial:
                 coeff *= Fraction(_parse_int(num), _parse_int(den or "1"))
         monom = tuple(exps)
         terms[monom] = terms.get(monom, 0) + coeff
-    return polynomial(terms)
+    packed = {_pack(*m): c for m, c in terms.items()}
+    scale = lcm(*(c.denominator for c in packed.values()))
+    return Polynomial({k: c.numerator * (scale // c.denominator)
+                       for k, c in packed.items() if c}), scale
 
 
 def parse_rational(text: str) -> RationalFn:
@@ -1005,6 +948,6 @@ def parse_rational(text: str) -> RationalFn:
         s = s[1:-1].strip()
     quotient = _QUOTIENT.fullmatch(s)
     if quotient:
-        num, den = quotient.groups()
-        return RationalFn(_parse_poly(num), _parse_poly(den))
-    return RationalFn(_parse_poly(s))
+        (num, a), (den, b) = map(_parse_poly, quotient.groups())
+        return RationalFn(_scale(num, b), _scale(den, a))
+    return RationalFn(*_parse_poly(s))

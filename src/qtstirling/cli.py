@@ -7,7 +7,8 @@ Usage:
 
 `check` exits 0 iff every identity passes and 1 otherwise; bad input,
 including an --out path that cannot be written, exits 2 with a one-line
-message before any identity or table entry is computed.  `eval` builds its
+message before any identity or table entry is computed.  `eval` prints its
+value as n/d (or n), with every digit however long.  It builds its
 one id once per process: the memo behind it (verify.parse_expression) pays
 off only for library callers that request an id again, at other points.
 The QTSTIRLING_CACHE_SIZE environment variable caps
@@ -22,7 +23,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .algebra import PoleError
+from .algebra import PoleError, _int_str
 from .partitions import Partition
 from .verify import (
     MANIFEST,
@@ -137,7 +138,9 @@ def _cmd_eval(args) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(value)
+    n, d = value.numerator, value.denominator
+    text = ("-" if n < 0 else "") + _int_str(abs(n))
+    print(text if d == 1 else f"{text}/{_int_str(d)}")
     return 0
 
 

@@ -29,7 +29,6 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import chain, permutations, product
 from math import prod
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
@@ -113,7 +112,6 @@ from .wfunctions import (
 __all__ = [
     "SuiteConfig",
     "MANIFEST",
-    "registered_identities",
     "run_suite",
     "check_identity",
     "emit_table",
@@ -672,16 +670,8 @@ _TABLE: dict[str, _Row] = {
             classical_stirling1(m, k), classical_stirling2(m, k))),
 }
 
-_REGISTRY: dict[str, Callable[[SuiteConfig], Iterator[IdentityReport]]] = {
-    identity_id: partial(row.reports, identity_id) for identity_id, row in _TABLE.items()
-}
-
 #: Every identity the suite must register; the completeness test enumerates this.
-MANIFEST: tuple[str, ...] = tuple(_REGISTRY)
-
-
-def registered_identities() -> list[str]:
-    return list(_REGISTRY)
+MANIFEST: tuple[str, ...] = tuple(_TABLE)
 
 
 def check_identity(identity_id: str, **indices) -> IdentityReport:
@@ -703,18 +693,18 @@ def run_suite(cfg: SuiteConfig) -> list[IdentityReport]:
     The report file, if any, is opened before the first identity runs, so an
     unwritable path raises OSError at once.
     """
-    selected = cfg.identities if cfg.identities else list(_REGISTRY)
-    unknown = [i for i in selected if i not in _REGISTRY]
+    selected = cfg.identities if cfg.identities else list(_TABLE)
+    unknown = [i for i in selected if i not in _TABLE]
     if unknown:
         raise ValueError(f"unknown identities: {unknown}")
     reports: list[IdentityReport] = []
     with _open_output(cfg.output_path) as fh:
-        for identity_id in _REGISTRY:
+        for identity_id, row in _TABLE.items():
             if identity_id not in selected:
                 continue
             started = time.perf_counter()
             try:
-                for report in _REGISTRY[identity_id](cfg):
+                for report in row.reports(identity_id, cfg):
                     report.elapsed = time.perf_counter() - started
                     started = time.perf_counter()
                     reports.append(report)

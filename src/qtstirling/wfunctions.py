@@ -19,7 +19,6 @@ from .algebra import (
     ONE,
     RationalFn,
     ZERO,
-    clear_cache,
     flip_qt,
     limit_q_to_1,
     memo,
@@ -48,7 +47,6 @@ __all__ = [
     "w_bar",
     "staircase_args",
     "generic_staircase_args",
-    "clear_cache",
 ]
 
 

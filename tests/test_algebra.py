@@ -3,6 +3,7 @@
 import operator
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,10 @@ from qtstirling.algebra import (
     T,
     X,
     ZERO,
+    _exquo,
+    _make,
+    _pack,
+    _unpack,
     canonical_str,
     const,
     evaluate,
@@ -26,8 +31,6 @@ from qtstirling.algebra import (
     limit_q_to_1,
     monomial_rf,
     parse_rational,
-    poly_terms,
-    polynomial,
     q_pow,
     subs_rational,
     substitute_t_eq_q_pow,
@@ -38,16 +41,28 @@ _SQQ = ring("q,t,X", QQ, "grlex")[0]
 _SZZ = ring("q,t,X", ZZ, "grlex")[0]
 
 
-def _to_sympy(p, R=_SQQ):
-    """The kernel polynomial p in the sympy ring R; over ZZ its coefficients must be integers."""
-    if R.domain == ZZ:
-        return R({tuple(m): ZZ(int(c)) for m, c in poly_terms(p)})
-    return R({tuple(m): QQ(c.numerator, c.denominator) for m, c in poly_terms(p)})
+def _poly(terms):
+    """The kernel polynomial of {(e_q, e_t, e_X): int coefficient}, zero terms dropped."""
+    return Polynomial({_pack(*m): c for m, c in terms.items() if c})
+
+
+def _terms(p):
+    """The terms ((e_q, e_t, e_X), c) of the kernel polynomial p."""
+    return [(_unpack(key), c) for key, c in p.items()]
+
+
+def _to_sympy(p, R=_SZZ):
+    """The kernel polynomial p in the sympy ring R."""
+    return R({m: c for m, c in _terms(p)})
 
 
 def _from_sympy(p):
-    """A sympy ring element as a kernel polynomial with Fraction coefficients."""
-    return polynomial({m: Fraction(int(c.numerator), int(c.denominator)) for m, c in p.items()})
+    """A sympy ring element with integer coefficients as a kernel polynomial."""
+    assert all(c.denominator == 1 for c in p.values())
+    return _poly({m: int(c.numerator) for m, c in p.items()})
+
+
+_P1 = _poly({(0, 0, 0): 1})
 
 
 def test_gcd_reduction():
@@ -144,16 +159,15 @@ def test_monomial_rf_negative_exponents():
     f = monomial_rf(e_q=-2, e_t=1)
     assert f == T / Q**2
     assert canonical_str(f) == "(t)/(q^2)"
+    with pytest.raises(ValueError):  # a packed key holds no negative exponent
+        _pack(-1, 0, 0)
 
 
-def test_polynomial_term_view():
-    p = polynomial({(2, 1, 0): 1, (0, 0, 0): Fraction(-1, 2)})
-    terms = list(poly_terms(p))
-    assert terms[0][0] == (2, 1, 0)
-    assert terms[0][1] == 1
-    assert all(e >= 0 for monom, _ in terms for e in monom)
-    with pytest.raises(ValueError):
-        polynomial({(-1, 0, 0): 1})
+def test_fraction_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        RationalFn(Polynomial({_pack(1, 0, 0): Fraction(1, 2)}))
+    with pytest.raises(TypeError):
+        RationalFn(ONE.num, Polynomial({0: Fraction(2)}))
 
 
 # -- property-based checks ---------------------------------------------------
@@ -163,7 +177,7 @@ _small_poly = st.dictionaries(
     st.integers(-4, 4),
     min_size=1,
     max_size=4,
-).map(lambda d: polynomial({k: v for k, v in d.items() if v}))
+).map(_poly)
 
 
 @st.composite
@@ -171,7 +185,7 @@ def rationals(draw):
     num = draw(_small_poly)
     den = draw(_small_poly)
     if not den:
-        den = polynomial({(0, 0, 0): 1})
+        den = _P1
     return RationalFn(num, den)
 
 
@@ -220,21 +234,6 @@ def test_limit_prefactor_consistency(f, k):
     assert limit_q_to_1(f * (ONE - Q) ** k, k) == base
 
 
-@given(rationals())
-@settings(max_examples=60, deadline=None)
-def test_denominator_normalization(f):
-    # integer-primitive denominator with positive leading coefficient
-    terms = list(poly_terms(f.den))
-    assert terms[0][1] > 0
-    from math import gcd
-
-    g = 0
-    for _, c in terms:
-        assert c.denominator == 1
-        g = gcd(g, int(c))
-    assert g == 1
-
-
 # -- monomial substitution against a term-by-term reference -------------------
 
 def _subs_reference(f, images):
@@ -242,7 +241,7 @@ def _subs_reference(f, images):
 
     def subs_poly(p):
         total = ZERO
-        for monom, c in poly_terms(p):
+        for monom, c in _terms(p):
             term = const(c)
             for image, e in zip(images, monom):
                 term = term * image**e
@@ -303,29 +302,21 @@ def test_subs_rational_rejects_non_monomial_image():
 
 # -- the operators against an independent reduction -------------------------
 
-_P0, _P1 = polynomial({}), polynomial({(0, 0, 0): 1})
-
-
 def _reference(num, den):
-    """num/den reduced by sympy's cancel, then normalised as the module says:
-    integer-primitive denominator with positive leading coefficient."""
-    if not num:
-        return RationalFn(_P0, _P1, _canon=True)
+    """The canonical pair of num/den, as sympy's cancel over ZZ reduces it:
+    coprime over ZZ, content included, with positive leading coefficient of den."""
     num, den = _to_sympy(num).cancel(_to_sympy(den))
-    c, den = den.primitive()
-    if den.LC < 0:
-        c, den = -c, -den
-    return RationalFn(_from_sympy(num.quo_ground(c)), _from_sympy(den), _canon=True)
+    return _make(_from_sympy(num), _from_sympy(den))
 
 
 def _rf(num_terms, den_terms):
-    return RationalFn(polynomial(num_terms), polynomial(den_terms))
+    return RationalFn(_poly(num_terms), _poly(den_terms))
 
 
 #: Factors in one base that are not coprime: (1 - q^2) = (1 - q)(1 + q).
-_SHARED = (polynomial({(0, 0, 0): 1, (1, 0, 0): -1}),
-           polynomial({(0, 0, 0): 1, (2, 0, 0): -1}),
-           polynomial({(0, 0, 0): 1, (1, 1, 0): -1}))
+_SHARED = (_poly({(0, 0, 0): 1, (1, 0, 0): -1}),
+           _poly({(0, 0, 0): 1, (2, 0, 0): -1}),
+           _poly({(0, 0, 0): 1, (1, 1, 0): -1}))
 
 
 @st.composite
@@ -390,10 +381,10 @@ def test_operators_keep_the_integer_pair_canonical(f, g, k):
     if k >= 0 or f:
         results.append(f**k)
     for h in results:
-        n, d = h._n, h._d
+        n, d = h.num, h.den
         assert type(n) is Polynomial and type(d) is Polynomial
         assert all(type(c) is int and c for c in (*n.values(), *d.values()))
-        n, d = _to_sympy(n, _SZZ), _to_sympy(d, _SZZ)
+        n, d = _to_sympy(n), _to_sympy(d)
         assert n.gcd(d) == _SZZ.one  # coprime over ZZ, integer content included
         assert d.LC > 0
 
@@ -416,7 +407,7 @@ def test_multi_term_products_reach_polynomial_gcd(monkeypatch):
     assert f * g == (ONE + T) / ((ONE + Q) * (ONE + Q * T))
     assert calls
     assert all(_integer_terms(a) and _integer_terms(b) for a, b in calls)
-    assert type(ONE.num) is Polynomial and ONE.num.ring.one == polynomial({(0, 0, 0): 1})
+    assert type(ONE.num) is Polynomial and ONE.num.ring.one == _P1
 
 
 # -- the kernel's gcd and exact division against sympy ---------------------------
@@ -429,17 +420,12 @@ _int_poly = st.dictionaries(
     st.one_of(st.integers(-4, 4), st.integers(-_BIG, _BIG)),
     min_size=1,
     max_size=5,
-).map(lambda d: polynomial({m: c for m, c in d.items() if c}))
-
-
-def _integers(p):
-    """p, whose Fraction coefficients are integers, with int coefficients as stored pairs have."""
-    return Polynomial({k: int(c) for k, c in p.items()})
+).map(_poly)
 
 
 def _sympy_exquo(p, d):
     """p / d over ZZ by sympy's division over QQ, or None when d does not divide p."""
-    quotient, remainder = _to_sympy(p).div(_to_sympy(d))
+    quotient, remainder = _to_sympy(p, _SQQ).div(_to_sympy(d, _SQQ))
     if remainder or any(c.denominator != 1 for c in quotient.values()):
         return None
     return _from_sympy(quotient)
@@ -453,28 +439,27 @@ _Q1, _Q2 = _SHARED[:2]  # 1 - q and 1 - q^2
 @example(_P1, _P1, _P1, [0, 1], 1)
 @example(_Q1, _Q2, _P1, [], 1)
 @example(_Q2, _Q1 * _Q1, _P1, [1, 1], 6)
-@example(polynomial({(0, 0, 0): 3, (1, 0, 0): -3}), polynomial({(0, 0, 0): 2, (2, 0, 0): -2}),
+@example(_poly({(0, 0, 0): 3, (1, 0, 0): -3}), _poly({(0, 0, 0): 2, (2, 0, 0): -2}),
          _P1, [], 1)
 @settings(max_examples=150, deadline=None)
 def test_kernel_gcd_and_exact_division_match_sympy(a, b, common, shared, content):
     for i in shared:
         common = common * _SHARED[i]
-    common = common * polynomial({(0, 0, 0): content})
+    common = common * _poly({(0, 0, 0): content})
     if not a or not b or not common:
         return
-    f, g = _integers(a * common), _integers(b * common)
+    f, g = a * common, b * common
     h = f.gcd(g)
-    want = _to_sympy(f, _SZZ).gcd(_to_sympy(g, _SZZ))
-    assert _to_sympy(h, _SZZ) == (-want if want.LC < 0 else want)
+    want = _to_sympy(f).gcd(_to_sympy(g))
+    assert _to_sympy(h) == (-want if want.LC < 0 else want)
     assert all(type(c) is int for c in h.values()) and h.LC > 0
     for p in (f, g):
-        quotient = p.exquo(h)
+        quotient = _exquo(p, h)
         assert quotient is not None and quotient * h == p
-    assert f.exquo(_integers(common)) == _integers(a)
-    for p, d in ((f, g), (g, f), (f, _integers(b)), (f, _integers(a + _P1))):
+    assert _exquo(f, common) == a
+    for p, d in ((f, g), (g, f), (f, b), (f, a + _P1)):
         if d:
-            got, want = p.exquo(d), _sympy_exquo(p, d)
-            assert got == (None if want is None else _integers(want))
+            assert _exquo(p, d) == _sympy_exquo(p, d)
 
 
 def test_import_and_runs_leave_sympy_unloaded():
@@ -564,12 +549,12 @@ def test_reflected_operators_reject_other_types(f, op):
 def _eval_poly_reference(p, q0, t0, X0):
     """p at a rational point, summed one Fraction term at a time."""
     total = Fraction(0)
-    for (a, b, x), c in poly_terms(p):
+    for (a, b, x), c in _terms(p):
         total += c * q0**a * t0**b * X0**x
     return total
 
 
-#: _operands times a rational constant, so that num has rational coefficients.
+#: _operands times a rational constant, so that the pair carries integer content.
 _eval_operands = st.tuples(
     _operands, st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool),
 ).map(lambda fc: fc[0] * fc[1])
@@ -648,7 +633,7 @@ def _reference_poly(tk: _Tokens):
             sign = -1 if tok == "-" else 1
             continue
         if tok is None:
-            return polynomial(terms)
+            return _fraction_poly(terms)
         raise ValueError(f"unexpected token {tok!r} in polynomial")
 
 
@@ -685,6 +670,13 @@ def _reference_term(tk: _Tokens):
         return coeff, exps
 
 
+def _fraction_poly(terms):
+    """The polynomial {(e_q, e_t, e_X): Fraction} as a RationalFn, every monomial packed."""
+    scale = lcm(*(c.denominator for c in terms.values()))
+    packed = {_pack(*m): c * scale for m, c in terms.items()}
+    return RationalFn(Polynomial({k: int(c) for k, c in packed.items() if c}), scale)
+
+
 def _reference_only_poly(s: str):
     tk = _Tokens(s)
     p = _reference_poly(tk)
@@ -709,9 +701,9 @@ def _reference_parse(text: str) -> RationalFn:
                     if s[i + 1 : i + 3] == "/(" and s.endswith(")"):
                         num = _reference_only_poly(s[1:i])
                         den = _reference_only_poly(s[i + 3 : -1])
-                        return RationalFn(num, den)
+                        return num / den
                     break
-    return RationalFn(_reference_only_poly(s))
+    return _reference_only_poly(s)
 
 
 def _outcome(parse, text):

@@ -8,9 +8,9 @@ from qtstirling.algebra import (
     T,
     X,
     ZERO,
+    _unpack,
     evaluate,
     monomial_rf,
-    poly_terms,
     subs_rational,
 )
 from qtstirling.partitions import Partition, rectangle, zeros
@@ -139,7 +139,7 @@ def test_bracket_rect_polynomial_degree():
     for i in range(1, 3):
         cleared = cleared * (ONE - monomial_rf(e_q=1, e_t=2 - i)) ** mu[i - 1]
     assert cleared.den == monomial_rf(e_q=n_stat_conj(mu)).num  # q^1
-    assert max(m.e_X for m, _ in poly_terms(cleared.num)) == weight(mu)
+    assert max(_unpack(key)[2] for key in cleared.num) == weight(mu)
 
 
 def test_bracket_binomial_relation():

@@ -1,13 +1,17 @@
 """Suite plumbing: registry completeness, determinism, tables, eval, CLI."""
 
 import hashlib
+import importlib
+import inspect
 import json
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import qtstirling
 from qtstirling import cli, verify
 from qtstirling.algebra import (
     ONE,
@@ -42,7 +46,6 @@ from qtstirling.verify import (
     eval_point,
     falling_factorial_coefficients,
     parse_expression,
-    registered_identities,
     run_suite,
 )
 
@@ -50,7 +53,6 @@ P = Partition
 
 
 def test_manifest_completeness():
-    assert registered_identities() == list(MANIFEST)
     assert len(set(MANIFEST)) == len(MANIFEST)
     expected_core = {
         "flip-formula", "limit-rule", "w-rect", "w-staircase", "w-vanishing",
@@ -61,6 +63,18 @@ def test_manifest_completeness():
         "x0-sums", "root-vanishing", "classical-stirling",
     }
     assert expected_core <= set(MANIFEST)
+
+
+def test_every_exported_function_and_class_is_defined_in_its_module():
+    foreign = []
+    for info in pkgutil.iter_modules(qtstirling.__path__):
+        module = importlib.import_module(f"qtstirling.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            value = getattr(module, name)
+            is_defined = isinstance(value, type) or inspect.isfunction(inspect.unwrap(value))
+            if is_defined and value.__module__ != module.__name__:
+                foreign.append(f"{module.__name__}.{name}")
+    assert not foreign
 
 
 def test_classical_oracles():
@@ -409,6 +423,24 @@ def test_cli_eval_pole_exit_code():
     assert proc.returncode == 2
 
 
+def test_cli_eval_prints_every_digit_past_the_str_limit():
+    # 6021 digits on each side of the slash, past CPython's default limit of
+    # 4300 digits on str(int)
+    proc = _run_cli("eval", "--expr", "qt_number(20000)", "--q", "1/2", "--t", "1/3")
+    assert proc.returncode == 0, proc.stderr
+    value = eval_point("qt_number(20000)", Fraction(1, 2), Fraction(1, 3))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        want = f"{value.numerator}/{value.denominator}"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert len(want) == 12043
+    assert proc.stdout == want + "\n"
+
+
 @pytest.mark.parametrize("args", [
     ("check", "--identity", "bogus"),
     ("check", "--n-max", "0"),
@@ -489,7 +521,7 @@ def no_work(monkeypatch):
     def never(*args):
         pytest.fail("computed before the output path was opened")
 
-    monkeypatch.setitem(verify._REGISTRY, "stirling-zero", never)
+    monkeypatch.setitem(verify._TABLE, "stirling-zero", verify._Row("holds", never, never))
     monkeypatch.setitem(verify._EVAL_EXPRS, "s1", (2, never))
 
 

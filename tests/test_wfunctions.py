@@ -11,6 +11,7 @@ from qtstirling.algebra import (
     X,
     ZERO,
     canonical_str,
+    clear_cache,
     monomial_rf,
     q_pow,
     subs_rational,
@@ -26,7 +27,6 @@ from qtstirling.partitions import (
 from qtstirling.pochhammer import poch, poch_partition_flipped
 from qtstirling.wfunctions import (
     NotAStripError,
-    clear_cache,
     generic_staircase_args,
     h_factor,
     staircase_args,
