@@ -6,7 +6,8 @@ generic exponential X = q^x:
 * finite and partition-indexed q-Pochhammer symbols,
 * the limiting well-poised Macdonald functions w and w-hat,
 * qt-binomial coefficients and qt-brackets,
-* multiple qt-Stirling numbers of both kinds and their V-algebra,
+* multiple qt-Stirling numbers of both kinds, built as entries of V-algebra
+  products (sums over the inclusion interval mu <= nu <= lam),
 * an identity-verification suite checking every claimed relation by exact
   rational-function equality.
 """
@@ -34,7 +35,6 @@ from .algebra import (
 )
 from .partitions import (
     Partition,
-    conjugate,
     contains,
     horizontal_strip_predecessors,
     is_horizontal_strip,
@@ -43,14 +43,12 @@ from .partitions import (
     partitions_between,
     partitions_in_box,
     rectangle,
-    staircase,
     subpartitions,
     weight,
     zeros,
 )
 from .pochhammer import (
     poch,
-    poch_multi,
     poch_partition,
     poch_partition_flipped,
 )
@@ -67,21 +65,16 @@ from .qtnumbers import (
 )
 from .reports import IdentityReport
 from .stirling import (
-    PartitionMatrix,
     f_factor,
-    identity_matrix,
-    matrix_from_function,
     ordinary_alpha_stirling,
     s1,
     s2,
-    stirling_matrix,
     u_limit,
     u_limit_direct,
     u_matrix,
     v_limit,
     v_limit_direct,
     v_matrix,
-    valgebra_multiply,
 )
 from .verify import (
     MANIFEST,

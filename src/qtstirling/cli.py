@@ -1,13 +1,15 @@
 """Command-line interface: identity checks, value tables, exact evaluation.
 
 Usage:
-    qtstirling check [--n-max K] [--part-max P] [--identity ID]... [--out FILE]
+    qtstirling check [--n-max K] [--part-max P] [--identity ID]... [--seed N] [--out FILE]
     qtstirling table --kind s1 --bound 2,1 [--format json|csv] --out FILE
     qtstirling eval --expr "s1(2,1;1,0)" --q 1/2 --t 1/3 [--x 2]
 
 `check` exits 0 iff every identity passes and 1 otherwise; bad input,
 including an --out path that cannot be written, exits 2 with a one-line
-message before any identity or table entry is computed.  `eval` prints its
+message before any identity or table entry is computed.  `eval` and `table`
+also exit 2 with one line on an input too deep for Python's recursion limit,
+such as an ambient length in the thousands.  `eval` prints its
 value as n/d (or n), with every digit however long.  It builds its
 one id once per process: the memo behind it (verify.parse_expression) pays
 off only for library callers that request an id again, at other points.
@@ -121,7 +123,7 @@ def _cmd_check(args) -> int:
 def _cmd_table(args) -> int:
     try:
         text = emit_table(args.kind, args.bound, args.format, args.out)
-    except OSError as exc:
+    except (OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not args.out:
@@ -135,7 +137,7 @@ def _cmd_eval(args) -> int:
     except PoleError as exc:
         print(f"pole: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     n, d = value.numerator, value.denominator

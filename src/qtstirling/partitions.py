@@ -14,13 +14,11 @@ from typing import Iterator, Sequence
 
 __all__ = [
     "Partition",
-    "staircase",
     "zeros",
     "rectangle",
     "weight",
     "n_stat",
     "n_stat_conj",
-    "conjugate",
     "contains",
     "is_horizontal_strip",
     "subpartitions",
@@ -73,11 +71,6 @@ def rectangle(k: int, n: int) -> Partition:
     return Partition((k,) * n)
 
 
-def staircase(n: int) -> tuple[int, ...]:
-    """The staircase delta(n) = (n-1, n-2, ..., 1, 0)."""
-    return tuple(range(n - 1, -1, -1))
-
-
 def weight(mu: Partition) -> int:
     """|mu|, the sum of the parts."""
     return sum(mu.parts)
@@ -91,12 +84,6 @@ def n_stat(mu: Partition) -> int:
 def n_stat_conj(mu: Partition) -> int:
     """n(mu') = sum binomial(mu_i, 2)."""
     return sum(comb(p, 2) for p in mu.parts)
-
-
-def conjugate(mu: Partition) -> Partition:
-    """The transpose of the Young diagram; ambient length max(mu_1, 1)."""
-    m = max(mu.parts[0], 1)
-    return Partition(tuple(sum(1 for p in mu.parts if p > i) for i in range(m)))
 
 
 def _check_ambient(lam: Partition, mu: Partition):

@@ -25,7 +25,6 @@ __all__ = [
     "poch",
     "poch_partition",
     "poch_partition_flipped",
-    "poch_multi",
 ]
 
 Factors = Iterator[tuple[RationalFn, int]]
@@ -101,7 +100,3 @@ def poch_partition_flipped(a: RationalFn, lam: Partition) -> RationalFn:
     """(a; 1/q, 1/t)_lam, built with explicit reciprocal bases."""
     return binomial_product(partition_factors(a, lam, flipped=True))
 
-
-def poch_multi(args: Sequence[RationalFn], lam: Partition) -> RationalFn:
-    """(a_1, ..., a_k; q, t)_lam, the product over all arguments."""
-    return binomial_product(f for a in args for f in partition_factors(a, lam))

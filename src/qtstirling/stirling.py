@@ -3,20 +3,20 @@
 The explicit formulas combine the change-of-basis matrices u and v, their
 q -> 1 limits (computed two independent ways: a closed form through w-bar
 and the f-factor, and directly by flipping parameters and cancelling), and
-monomial prefactors.  Partition-indexed lower-triangular matrices under the
-inclusion ordering form an algebra whose product realizes the inversion
-identities.
+monomial prefactors.  The V-algebra is the algebra of functions of pairs
+mu <= lam under the inclusion ordering; its product is `_product_entry`,
+whose (lam, mu) entry sums a(lam, nu) * b(nu, mu) over mu <= nu <= lam.  s1
+and s2 are such products, and the inversion identities are statements
+about them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Callable
 
 from .algebra import (
-    ONE,
     RationalFn,
     T,
     ZERO,
@@ -34,7 +34,6 @@ from .partitions import (
     n_stat,
     n_stat_conj,
     partitions_between,
-    subpartitions,
     weight,
 )
 from .pochhammer import binomial_product, qt_factors
@@ -42,7 +41,6 @@ from .qtnumbers import g_product, h_product, qt_binomial
 from .wfunctions import staircase_args, w_bar, w_hat_multi
 
 __all__ = [
-    "PartitionMatrix",
     "f_factor",
     "u_matrix",
     "v_matrix",
@@ -52,10 +50,6 @@ __all__ = [
     "v_limit_direct",
     "s1",
     "s2",
-    "valgebra_multiply",
-    "identity_matrix",
-    "matrix_from_function",
-    "stirling_matrix",
     "ordinary_alpha_stirling",
 ]
 
@@ -161,63 +155,6 @@ def s2(nu: Partition, mu: Partition) -> RationalFn:
     pref = pref * binomial_product(qt_factors([m - v for m, v in zip(mu, nu)]))
     return pref * _product_entry(
         lambda row, lam: u_limit(row, lam) * t_pow((n - 1) * weight(lam)), v_matrix, nu, mu)
-
-
-# ---------------------------------------------------------------------------
-# the V-algebra of inclusion-triangular partition matrices
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PartitionMatrix:
-    """Lower-triangular (w.r.t. inclusion) matrix over pairs mu <= lam <= bound."""
-
-    bound: Partition
-    entries: dict
-
-    @property
-    def n(self) -> int:
-        return self.bound.n
-
-    def entry(self, lam: Partition, mu: Partition) -> RationalFn:
-        return self.entries.get((lam.parts, mu.parts), ZERO)
-
-    def __eq__(self, other):
-        if not isinstance(other, PartitionMatrix):
-            return NotImplemented
-        if self.bound != other.bound:
-            return False
-        keys = set(self.entries) | set(other.entries)
-        return all(
-            self.entries.get(k, ZERO) == other.entries.get(k, ZERO) for k in keys
-        )
-
-
-def matrix_from_function(bound: Partition, fn: Callable[[Partition, Partition], RationalFn]) -> PartitionMatrix:
-    """Fill all entries fn(lam, mu) for mu <= lam <= bound, dropping zeros."""
-    entries = {}
-    for lam in subpartitions(bound):
-        for mu in subpartitions(lam):
-            value = fn(lam, mu)
-            if not value.is_zero:
-                entries[(lam.parts, mu.parts)] = value
-    return PartitionMatrix(bound, entries)
-
-
-def identity_matrix(bound: Partition) -> PartitionMatrix:
-    return matrix_from_function(bound, lambda lam, mu: ONE if lam == mu else ZERO)
-
-
-def valgebra_multiply(a: PartitionMatrix, b: PartitionMatrix) -> PartitionMatrix:
-    """(ab)_{lam, mu} = sum_{mu <= nu <= lam} a_{lam, nu} b_{nu, mu}."""
-    if a.bound != b.bound:
-        raise ValueError("matrix bounds do not match")
-    return matrix_from_function(a.bound, lambda lam, mu: _product_entry(a.entry, b.entry, lam, mu))
-
-
-def stirling_matrix(kind: str, bound: Partition) -> PartitionMatrix:
-    """The matrix of s1 or s2 values on all pairs within the bound."""
-    fn = {"s1": s1, "s2": s2, "u": u_matrix, "v": v_matrix}[kind]
-    return matrix_from_function(bound, fn)
 
 
 def ordinary_alpha_stirling(kind: str, nu: Partition, mu: Partition, alpha: int) -> RationalFn:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qtstirling.partitions import (
     Partition,
-    conjugate,
     contains,
     horizontal_strip_predecessors,
     is_horizontal_strip,
@@ -16,13 +15,18 @@ from qtstirling.partitions import (
     n_stat_conj,
     partitions_between,
     partitions_in_box,
-    staircase,
     subpartitions,
     weight,
     zeros,
 )
 
 P = Partition
+
+
+def conjugate(mu):
+    """Reference transpose of the Young diagram; ambient length max(mu_1, 1)."""
+    m = max(mu.parts[0], 1)
+    return P(tuple(sum(1 for p in mu.parts if p > i) for i in range(m)))
 
 
 def brute_force_subpartitions(lam):
@@ -122,9 +126,7 @@ def test_partitions_between():
     assert [p.parts for p in partitions_between(P((2, 1)), P((2, 1)))] == [(2, 1)]
 
 
-def test_staircase():
-    assert staircase(1) == (0,)
-    assert staircase(4) == (3, 2, 1, 0)
+def test_zeros():
     assert zeros(3) == P((0, 0, 0))
 
 

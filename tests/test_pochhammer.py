@@ -33,7 +33,6 @@ from qtstirling.partitions import (
 from qtstirling.pochhammer import (
     binomial_product,
     poch,
-    poch_multi,
     poch_partition,
     poch_partition_flipped,
 )
@@ -93,14 +92,6 @@ def test_poch_partition_single_part_reduces():
     a = X * Q
     for m in range(0, 7):
         assert poch_partition(a, P((m,))) == poch(a, m)
-
-
-def test_poch_multi():
-    lam = P((2, 1))
-    a, b = X, Q * T
-    assert poch_multi([a, b], lam) == poch_partition(a, lam) * poch_partition(b, lam)
-    assert poch_multi([], lam) == ONE
-    assert poch_multi([a], lam) == poch_partition(a, lam)
 
 
 def test_flipped_base_builds_reciprocals():

@@ -453,6 +453,9 @@ def test_cli_eval_prints_every_digit_past_the_str_limit():
     ("check", "--n-max", "1", "--part-max", "1", "--identity", "stirling-zero",
      "--out", "/nonexistent/dir/r.json"),
     ("table", "--kind", "s1", "--bound", "1", "--out", "/nonexistent/dir/x.json"),
+    # ambient length 2000: deeper than Python's default recursion limit
+    ("eval", "--expr", "w({0};{0})".format(",".join(["0"] * 2000)), "--q", "1/2", "--t", "1/3"),
+    ("table", "--kind", "s1", "--bound", ",".join(["0"] * 2000)),
 ])
 def test_cli_bad_input_exit_code(args):
     proc = _run_cli(*args)
