@@ -14,31 +14,49 @@ product of monomials is the sum of their keys.  m divides k exactly when
 borrows and sets that field's guard bit.  An exponent or degree that would
 reach a guard bit raises OverflowError instead of wrapping.
 
-`_exquo` divides exactly and gives up at the first leading term of the
-remainder that the divisor's leading term does not divide.
-`Polynomial.gcd` is the heuristic gcd of Char, Geddes and Gonnet (J.
-Symbolic Comput. 7, 1989), as sympy's `heugcd` runs it (Liao and Fateman,
-ISSAC 1995).  It evaluates q, then t, then X at a large integer, takes the
-integer gcd, and interpolates back in balanced base-x digits.  A candidate
-counts only once it divides both inputs.
+`_exquo` divides exactly, popping the leading terms of the remainder from
+a heap, and gives up at the first one that the divisor's leading term does
+not divide.  `Polynomial.gcd` is the heuristic gcd of Char, Geddes and
+Gonnet (J. Symbolic Comput. 7, 1989), as sympy's `heugcd` runs it (Liao and
+Fateman, ISSAC 1995).  It evaluates q, then t, then X at a large integer,
+takes the integer gcd, and interpolates back in balanced base-x digits.  A
+candidate counts only once it divides both inputs.  When a variable occurs
+in one operand only, the gcd is first folded over that operand's
+coefficients in the variable, where the heuristic would fail on some inputs.
 
-A RationalFn is the pair (num, den) of integer polynomials, and nothing
-else: `f.num` and `f.den` are the stored pair itself.  The pair is
-canonical: num and den are coprime over ZZ, integer content included, and
-the leading coefficient of den is positive.  So every Polynomial has int
-coefficients, and no product, sum, gcd or evaluation ever meets a
-rational coefficient.  Rationals enter only through `const`, the images of
-a substitution, `parse_rational` and `RationalFn(num, den)` on ints and
-Fractions, and are cleared to integers there.
+A RationalFn is the pair (num, den) of integer polynomials: `f.num` and
+`f.den` are the stored pair itself, and the pair alone decides equality,
+hashing, evaluation and the canonical string.  The pair is canonical: num
+and den are coprime over ZZ, integer content included, and the leading
+coefficient of den is positive.  So every Polynomial has int coefficients,
+and no product, sum, gcd or evaluation ever meets a rational coefficient.
+Rationals enter only through `const`, the images of a substitution,
+`parse_rational` and `RationalFn(num, den)` on ints and Fractions, and are
+cleared to integers there.
 
-The operators keep the pair canonical without a full gcd.  Canonical
-operands are coprime, so a product a/b * c/d needs only the cross gcds
-(a, d) and (c, b); a sum follows Henrici: with g = gcd(b, d) the only
-common factor left in a*(d/g) + c*(b/g) over (b/g)*(d/g)*g divides g.
-Every gcd divided out has a positive leading coefficient, and leading
-coefficients multiply under a monomial order, so the new denominator's
-stays positive.  Only values built from outside (`RationalFn(num, den)`,
-substitution, parsing) run the full reduction `_canonical`.
+The operators keep the pair canonical without a gcd.  Every quantity the
+library builds is a product, quotient or sum of binomials 1 - m, m a
+monomial, so every denominator is an integer times a monomial times
+cyclotomic factors Phi_d(m') of monomials m', each irreducible.  Beside the
+pair a value carries the factor map {(d, m'): e} of den and, where known,
+of num (`binomial_power` gives the maps of 1 - m; a sum's numerator has
+none).  Canonical operands are coprime, so a product a/b * c/d needs only
+the cross gcds (a, d) and (c, b); a sum follows Henrici: with g = gcd(b, d)
+the only common factor left in a*(d/g) + c*(b/g) over (b/g)*(d/g)*g
+divides g.  Each of these gcds has a factor map on one side at least, so
+`_cancel` finds it by exponent arithmetic, or by dividing the other side by
+the known factors with `_exquo`, which is exact because they are
+irreducible.  A monomial substitution with images of coefficient 1 or 0
+(flips, q -> 1, t = q^alpha, X -> 0) sends each Phi_d(m') to cyclotomic
+factors, an integer or a monomial, by Phi_d(y^n) = prod Phi_D(y) over the
+D | dn with D / gcd(D, n) = d, and reduces the same way.  Every gcd
+divided out has a positive leading coefficient, and leading coefficients
+multiply under a monomial order, so the new denominator's stays positive.
+Only where no map is known do the operators fall back to
+`Polynomial.gcd`, and substitution to the full reduction `_canonical`: for
+values built by `RationalFn(num, den)` or `parse_rational` with a
+denominator of several terms, for what is computed from them, and after a
+substitution with an image of another coefficient.
 
 The canonical string grammar of `canonical_str` is regular, so
 `parse_rational` reads it with a few compiled patterns, not a parser.
@@ -48,10 +66,11 @@ from __future__ import annotations
 
 import os
 import re
+from heapq import heapify, heappop, heappush
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from math import gcd, isqrt, lcm
+from itertools import chain, combinations
+from math import gcd, isqrt, lcm, prod
 from types import SimpleNamespace
 from typing import Callable, Mapping, Union
 
@@ -219,6 +238,17 @@ class Polynomial(dict):
             return -h if h and h.LC < 0 else h
         if len(f) == 1 or len(g) == 1:
             return Polynomial({_low(f, g): gcd(*f.values(), *g.values())})
+        for v, shift in enumerate(_SHIFTS):
+            in_f = any(k >> shift & _MASK for k in f)
+            if in_f != any(k >> shift & _MASK for k in g):
+                # only one operand has variable v: the gcd divides each of that
+                # operand's coefficients in v, so fold them into the other one
+                h = g if in_f else f
+                for c in _coefficients(f if in_f else g, v):
+                    h = h.gcd(c)
+                    if h == _Z1:
+                        break
+                return h
         h = _heugcd(f, g, 0)[0]
         return -h if h.LC < 0 else h
 
@@ -286,23 +316,42 @@ def _exquo(f: Polynomial, g: Polynomial) -> Union[Polynomial, None]:
     tail = [(k - lead, v) for k, v in g.items() if k != lead]
     rem = dict(f)
     get = rem.get
+    heap = [-k for k in rem]
+    heapify(heap)
     out = Polynomial()
-    while rem:
-        k = max(rem)
+    while heap:
+        k = -heappop(heap)
+        v = rem.pop(k, 0)
+        if not v:  # cancelled since it was pushed
+            continue
         d = k - lead
-        v = rem.pop(k)
         if d & _GUARD or v % lc:
             return None
         v //= lc
         out[d] = v
         for m, w in tail:
             m += k
-            w = get(m, 0) - v * w
-            if w:
-                rem[m] = w
+            old = get(m)
+            if old is None:
+                rem[m] = -v * w
+                heappush(heap, -m)
             else:
-                del rem[m]
+                w = old - v * w
+                if w:
+                    rem[m] = w
+                else:
+                    del rem[m]
     return out
+
+
+def _coefficients(p: Polynomial, v: int) -> list[Polynomial]:
+    """The coefficients of p as a polynomial in variable v, each free of v, shortest first."""
+    shift, unit = _SHIFTS[v], _UNITS[v]
+    out: dict[int, Polynomial] = {}
+    for k, c in p.items():
+        e = k >> shift & _MASK
+        out.setdefault(e, Polynomial())[k - e * unit] = c
+    return sorted(out.values(), key=len)
 
 
 def _content(p: Polynomial) -> int:
@@ -433,34 +482,6 @@ def _integer_parts(v) -> tuple[Polynomial, int]:
     raise TypeError(f"cannot build a polynomial from {type(v).__name__}")
 
 
-def _gcd_parts(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """(h, f/h, g/h) for h = gcd(f, g) over ZZ of the nonzero f and g.
-
-    h includes the integer content and has a positive leading coefficient.
-    When f or g is the constant 1 (most often the denominator of a
-    polynomial operand), h is 1 at once, before any term is walked.
-    When f or g has one term, h is the monomial of the minimum exponents
-    over the terms of both times the integer gcd of all their
-    coefficients.  Otherwise h is Polynomial.gcd's and the cofactors come
-    from exact division.
-    """
-    if (len(f) == 1 and f.get(0) == 1) or (len(g) == 1 and g.get(0) == 1):
-        return _Z1, f, g
-    if len(f) == 1 or len(g) == 1:
-        low = _low(f, g)
-        c = gcd(*f.values(), *g.values())
-        if c == 1 and not low:
-            return _Z1, f, g
-        return Polynomial({low: c}), _shift(f, low, c), _shift(g, low, c)
-    h = f.gcd(g)
-    if h.is_ground:
-        c = h[0]
-        if c == 1:
-            return _Z1, f, g
-        return h, _shift(f, 0, c), _shift(g, 0, c)
-    return h, _exquo(f, h), _exquo(g, h)
-
-
 def _canonical(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Full reduction of the integer pair num/den: remove the gcd, then fix the sign.
 
@@ -474,10 +495,215 @@ def _canonical(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial
         raise ZeroDivisionError("division by the zero rational function")
     if not num:
         return Polynomial(), _Z1
-    _, num, den = _gcd_parts(num, den)
+    _, _, num, _, den, _ = _cancel(num, None, den, None)
     if den.LC < 0:
         num, den = -num, -den
     return num, den
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic factor maps
+# ---------------------------------------------------------------------------
+
+#: A factor map {(d, m): e} stands for the product of Phi_d(m)^e, Phi_d the
+#: d-th cyclotomic polynomial and m = (a, b, x) the exponent vector of
+#: q^a t^b X^x, primitive and with its first nonzero entry positive.  Each
+#: Phi_d(m) is irreducible over ZZ.  The map of p is complete when p is an
+#: integer times a monomial times that product.  A map is never changed once
+#: built, so this one empty map serves every monomial.
+_NO_FACTORS: dict = {}
+
+
+def _one_term_map(p: Polynomial) -> Union[dict, None]:
+    """The factor map of p when p has one term (it is empty), else None: unknown."""
+    return _NO_FACTORS if len(p) == 1 else None
+
+
+def _divisors(n: int) -> list[int]:
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _primitive(m, g: int) -> tuple[int, int, int]:
+    """The exponent vector m / g, with its first nonzero entry made positive."""
+    m = tuple(e // g for e in m)
+    return m if next(e for e in m if e) > 0 else tuple(-e for e in m)
+
+
+@memo
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """The coefficients of Phi_d(y), constant term first.
+
+    For d > 1, Phi_d is the product of (1 - y^(d/s))^mu(s) over the
+    squarefree divisors s of d, taken as power series up to degree phi(d).
+    """
+    if d == 1:
+        return (-1, 1)
+    primes, rest, p = [], d, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    top = d
+    for p in primes:
+        top = top // p * (p - 1)
+    c = [1] + [0] * top
+    for r in range(len(primes) + 1):
+        for s in combinations(primes, r):
+            e = d // prod(s)
+            if r % 2:  # divide by 1 - y^e
+                for i in range(e, top + 1):
+                    c[i] += c[i - e]
+            else:  # multiply by 1 - y^e
+                for i in range(top, e - 1, -1):
+                    c[i] -= c[i - e]
+    return tuple(c)
+
+
+@memo
+def _factor_poly(key: tuple) -> Polynomial:
+    """Phi_d(m) for key (d, m) as a polynomial, v^phi(d) Phi_d(u/v) with m = u/v,
+    made to lead positive: its leading coefficient is then 1."""
+    d, m = key
+    u = _pack(*(max(e, 0) for e in m))
+    v = _pack(*(max(-e, 0) for e in m))
+    coeffs = _cyclotomic(d)
+    top = len(coeffs) - 1
+    if top * max(u >> 96, v >> 96) > _MASK:
+        raise OverflowError(f"a monomial degree exceeds {_MASK}")
+    p = Polynomial({i * u + (top - i) * v: c for i, c in enumerate(coeffs) if c})
+    return -p if p.LC < 0 else p
+
+
+@memo
+def _binomial_factors(m: tuple[int, int, int]) -> dict:
+    """The factor map of 1 - q^a t^b X^x, m = (a, b, x) nonzero: with m = y^(+-g),
+    y primitive, 1 - y^g is -1 times the product of Phi_d(y) over d | g."""
+    g = gcd(*m)
+    y = _primitive(m, g)
+    return {(d, y): 1 for d in _divisors(g)}
+
+
+@memo
+def _factor_image(key: tuple, images: tuple) -> dict:
+    """The factor map of the image of Phi_d(m) under images of coefficient 1
+    or 0, for a factor whose image is not 0.
+
+    When a variable of m goes to 0, so do all terms of Phi_d(m) but one,
+    which is a monomial.  Otherwise m goes to y^(+-g), y primitive, and
+    Phi_d(y^g) is the product of Phi_D(y) over the D | dg with
+    D / gcd(D, g) = d; or m goes to 1, and Phi_d(1) is an integer.
+    """
+    d, m = key
+    if any(e and not c for e, (c, _) in zip(m, images)):
+        return _NO_FACTORS
+    image = [sum(e * mono[j] for e, (_, mono) in zip(m, images)) for j in range(3)]
+    g = gcd(*image)
+    if not g:
+        return _NO_FACTORS
+    y = _primitive(image, g)
+    return {(D, y): 1 for D in _divisors(d * g) if D // gcd(D, g) == d}
+
+
+def _map_image(fmap: dict, images: tuple) -> dict:
+    out: dict = {}
+    for key, e in fmap.items():
+        for k, e2 in _factor_image(key, images).items():
+            out[k] = out.get(k, 0) + e * e2
+    return out
+
+
+def _merge(f, g):
+    """The factor map of a product from those of its factors; None if one is unknown."""
+    if f is None or g is None:
+        return None
+    if not g:
+        return f
+    if not f:
+        return g
+    out = dict(f)
+    for k, e in g.items():
+        out[k] = out.get(k, 0) + e
+    return out
+
+
+def _less(f, common: dict):
+    """The factor map f with the exponents of common, which it holds, taken off."""
+    if f is None or not common:
+        return f
+    out = dict(f)
+    for k, e in common.items():
+        e = out[k] - e
+        if e:
+            out[k] = e
+        else:
+            del out[k]
+    return out
+
+
+def _cancel(a: Polynomial, fa, b: Polynomial, fb) -> tuple:
+    """(h, fh, a/h, fa', b/h, fb') for h = gcd(a, b) over ZZ of the nonzero a and b.
+
+    fa and fb are the complete factor maps of a and b, or None where
+    unknown; fh is h's and fa', fb' those of the cofactors.  h is the integer
+    content and monomial that a and b share, times the factors of the maps.
+    With both maps known those factors are exponent arithmetic; with one,
+    each factor of it divides the other polynomial as often as `_exquo`
+    allows, which is exact because the factors are irreducible.  Only with
+    neither does the rest of h come from `Polynomial.gcd`, and then only
+    the one-term maps are known.  h has positive leading coefficient and is
+    _Z1 itself when it is 1, which is found at once when a or b is 1.
+    """
+    if fb is None and fa is not None:
+        h, fh, b, fb, a, fa = _cancel(b, fb, a, fa)
+        return h, fh, a, fa, b, fb
+    if (len(a) == 1 and a.get(0) == 1) or (len(b) == 1 and b.get(0) == 1):
+        return _Z1, _NO_FACTORS, a, fa, b, fb
+    low = 0 if 0 in a or 0 in b else _low(a, b)
+    c = gcd(*b.values(), *a.values())
+    if c != 1 or low:
+        a, b = _shift(a, low, c), _shift(b, low, c)
+    h, fh = _Z1, _NO_FACTORS
+    if fb is None:
+        # a and b now share no content and no monomial, so their gcd is 1 or
+        # has several terms
+        if len(a) > 1 and len(b) > 1:
+            g = a.gcd(b)
+            if len(g) > 1:
+                h, fh, a, b = g, None, _exquo(a, g), _exquo(b, g)
+        fa, fb = _one_term_map(a), _one_term_map(b)
+    else:
+        common = {}
+        if fa is not None:
+            small, big = (fa, fb) if len(fa) <= len(fb) else (fb, fa)
+            for key, e in small.items():
+                k = min(e, big.get(key, 0))
+                if k:
+                    common[key] = k
+                    h = _mul(h, _factor_poly(key) ** k)
+            if common:
+                a = _exquo(a, h)
+        elif len(a) > 1:
+            for key, e in fb.items():
+                p, k = _factor_poly(key), 0
+                while k < e:
+                    quotient = _exquo(a, p)
+                    if quotient is None:
+                        break
+                    a, k = quotient, k + 1
+                if k:
+                    common[key] = k
+                    h = _mul(h, p ** k)
+        if common:
+            b = _exquo(b, h)
+            fh, fa, fb = common, _less(fa, common), _less(fb, common)
+    if c != 1 or low:
+        h = _mul(h, Polynomial({low: c}))
+    return h, fh, a, fa, b, fb
 
 
 class RationalFn:
@@ -493,10 +719,12 @@ class RationalFn:
     hashes like its Fraction value, so `ONE == 1` and `hash(ONE) == hash(1)`.
 
     `RationalFn(num, den)` takes ints, Fractions or int-coefficient
-    Polynomials and reduces num/den to the canonical pair.
+    Polynomials and reduces num/den to the canonical pair.  A value it
+    builds knows the factor maps of num and den only where they have one
+    term.
     """
 
-    __slots__ = ("num", "den", "_hash", "_point")
+    __slots__ = ("num", "den", "_num_map", "_den_map", "_hash", "_point")
 
     def __init__(self, num, den=None):
         num, num_scale = _integer_parts(num)
@@ -505,6 +733,8 @@ class RationalFn:
         num, den = _canonical(_scale(num, den_scale), _scale(den, num_scale))
         _set_num(self, num)
         _set_den(self, den)
+        _set_num_map(self, _one_term_map(num))
+        _set_den_map(self, _one_term_map(den))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFn is immutable")
@@ -545,20 +775,20 @@ class RationalFn:
         if not self.num:
             return other
         # Henrici: num/den below share no factor outside g = gcd(b, d).
-        g, b, d = _gcd_parts(self.den, other.den)
+        g, fg, b, fb, d, fd = _cancel(self.den, self._den_map, other.den, other._den_map)
         num = self.num * d + other.num * b
         if not num:
             return ZERO
-        den = b * d
+        den, fden = b * d, _merge(fb, fd)
         if g is not _Z1:
-            _, num, g = _gcd_parts(num, g)
-            den = den * g
-        return _make(num, den)
+            _, _, num, _, g, fg = _cancel(num, None, g, fg)
+            den, fden = den * g, _merge(fden, fg)
+        return _make(num, den, _one_term_map(num), fden)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(-self.num, self.den)
+        return _make(-self.num, self.den, self._num_map, self._den_map)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -578,9 +808,9 @@ class RationalFn:
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
-        _, a, d = _gcd_parts(self.num, other.den)
-        _, c, b = _gcd_parts(other.num, self.den)
-        return _make(a * c, b * d)
+        _, _, a, fa, d, fd = _cancel(self.num, self._num_map, other.den, other._den_map)
+        _, _, c, fc, b, fb = _cancel(other.num, other._num_map, self.den, self._den_map)
+        return _make(a * c, b * d, _merge(fa, fc), _merge(fb, fd))
 
     __rmul__ = __mul__
 
@@ -601,8 +831,8 @@ class RationalFn:
         if not n:
             raise ZeroDivisionError("division by the zero rational function")
         if n.LC < 0:
-            return _make(-d, -n)
-        return _make(d, n)
+            d, n = -d, -n
+        return _make(d, n, self._den_map, self._num_map)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -611,7 +841,8 @@ class RationalFn:
             return self.inverse() ** (-k)
         if k == 0:
             return ONE
-        return _make(self.num ** k, self.den ** k)
+        return _make(self.num ** k, self.den ** k,
+                     _power(self._num_map, k), _power(self._den_map, k))
 
     def __repr__(self):
         return f"RationalFn({canonical_str(self)!r})"
@@ -622,16 +853,28 @@ class RationalFn:
 
 _set_num = RationalFn.num.__set__
 _set_den = RationalFn.den.__set__
+_set_num_map = RationalFn._num_map.__set__
+_set_den_map = RationalFn._den_map.__set__
 _set_hash = RationalFn._hash.__set__
 _set_point = RationalFn._point.__set__
 
 
-def _make(n: Polynomial, d: Polynomial) -> RationalFn:
-    """The RationalFn of an integer pair that is already canonical."""
+def _make(n: Polynomial, d: Polynomial, num_map=None, den_map=None) -> RationalFn:
+    """The RationalFn of an integer pair that is already canonical, with the
+    complete factor maps of n and d where known (None: unknown)."""
     f = object.__new__(RationalFn)
     _set_num(f, n)
     _set_den(f, d)
+    _set_num_map(f, num_map)
+    _set_den_map(f, den_map)
     return f
+
+
+def _power(fmap, k: int):
+    """The factor map of p^k from that of p, k >= 1."""
+    if not fmap or k == 1:
+        return fmap
+    return {key: e * k for key, e in fmap.items()}
 
 
 def _point_form(f: RationalFn) -> tuple[list, list, tuple[int, int, int]]:
@@ -661,7 +904,8 @@ def _coerce(v):
 def const(c: Union[int, Fraction]) -> RationalFn:
     """The constant rational function c."""
     c = Fraction(c)
-    return _make(_ground(c.numerator), _ground(c.denominator))
+    num = _ground(c.numerator)
+    return _make(num, _ground(c.denominator), _one_term_map(num), _NO_FACTORS)
 
 
 @memo
@@ -669,7 +913,7 @@ def monomial_rf(e_q: int = 0, e_t: int = 0, e_X: int = 0) -> RationalFn:
     """The monomial q^e_q * t^e_t * X^e_X; negative exponents go to the denominator."""
     num = _pack(max(e_q, 0), max(e_t, 0), max(e_X, 0))
     den = _pack(max(-e_q, 0), max(-e_t, 0), max(-e_X, 0))
-    return _make(Polynomial({num: 1}), Polynomial({den: 1}))
+    return _make(Polynomial({num: 1}), Polynomial({den: 1}), _NO_FACTORS, _NO_FACTORS)
 
 
 def q_pow(k: int) -> RationalFn:
@@ -684,11 +928,24 @@ def x_pow(k: int) -> RationalFn:
     return monomial_rf(e_X=k)
 
 
-ZERO = _make(Polynomial(), _Z1)
-ONE = _make(_Z1, _Z1)
+ZERO = _make(Polynomial(), _Z1, None, _NO_FACTORS)
+ONE = _make(_Z1, _Z1, _NO_FACTORS, _NO_FACTORS)
 Q = monomial_rf(e_q=1)
 T = monomial_rf(e_t=1)
 X = monomial_rf(e_X=1)
+
+
+def binomial_power(a: RationalFn, e: int) -> RationalFn:
+    """(1 - a)^e; when a is a monomial of coefficient 1, with the factor maps of 1 - a."""
+    n, d = a.num, a.den
+    if len(n) == 1 and len(d) == 1:
+        (u, cu), = n.items()
+        (v, cv), = d.items()
+        if cu == cv == 1 and u != v:
+            m = tuple(x - y for x, y in zip(_unpack(u), _unpack(v)))
+            one_minus = _make(Polynomial({v: 1, u: -1}), d, _binomial_factors(m), _NO_FACTORS)
+            return one_minus if e == 1 else one_minus ** e
+    return ONE - a if e == 1 else (ONE - a) ** e
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +973,7 @@ def _scaled_powers(x: Union[int, Fraction], top: int) -> list[int]:
 
 
 def _remap(f: RationalFn, images: tuple, pole: str) -> RationalFn:
-    """f with (q, t, X) sent to the three images, canonicalised once.
+    """f with (q, t, X) sent to the three images, reduced once.
 
     A zero image zeroes every term with a positive power of its variable.
     An image constant c = a/b turns q^i into a^i b^(D - i) times the image
@@ -725,11 +982,15 @@ def _remap(f: RationalFn, images: tuple, pole: str) -> RationalFn:
     Exponents may go negative; num and den are shifted by their common
     minimum exponents, which leaves the quotient unchanged.  Raises
     PoleError(pole) when the denominator maps to zero.
+
+    When den's factor map is known and every image has coefficient 1 or 0
+    (flips, q -> 1, t = q^alpha, X -> 0), the maps go to their images and
+    `_cancel` reduces the pair; otherwise `_canonical` does.
     """
     n, d, top = _point_form(f)
     tables = [None if c == 1 else _scaled_powers(Fraction(c), top[v])
               for v, (c, _) in enumerate(images)]
-    maps = []
+    pair = []
     for terms in (n, d):
         out: dict[tuple, int] = {}
         for *monom, c in terms:
@@ -742,15 +1003,23 @@ def _remap(f: RationalFn, images: tuple, pole: str) -> RationalFn:
                         exps[j] += k * image[j]
             key = tuple(exps)
             out[key] = out.get(key, 0) + c
-        maps.append({m: c for m, c in out.items() if c})
-    num, den = maps
+        pair.append({m: c for m, c in out.items() if c})
+    num, den = pair
     if not den:
         raise PoleError(pole)
     low = [min(m[j] for m in chain(num, den)) for j in range(3)]
-    return _make(*_canonical(*(
-        Polynomial({_pack(*(e - s for e, s in zip(m, low))): c for m, c in terms.items()})
-        for terms in (num, den)
-    )))
+    num, den = (Polynomial({_pack(*(e - s for e, s in zip(m, low))): c for m, c in terms.items()})
+                for terms in (num, den))
+    if f._den_map is None or any(c not in (0, 1) for c, _ in images):
+        num, den = _canonical(num, den)
+        return _make(num, den, _one_term_map(num), _one_term_map(den))
+    if not num:
+        return ZERO
+    num_map = None if f._num_map is None else _map_image(f._num_map, images)
+    _, _, num, num_map, den, den_map = _cancel(num, num_map, den, _map_image(f._den_map, images))
+    if den.LC < 0:
+        num, den = -num, -den
+    return _make(num, den, num_map, den_map)
 
 
 def _image(v) -> tuple:
@@ -815,7 +1084,7 @@ def limit_q_to_1(f: RationalFn, prefactor_order: int = 0) -> RationalFn:
     if prefactor_order < 0:
         raise ValueError("prefactor_order must be nonnegative")
     if prefactor_order:
-        f = f / (ONE - Q) ** prefactor_order
+        f = f / binomial_power(Q, prefactor_order)
     return _remap(f, ((1, (0, 0, 0)), *_KEEP[1:]),
                   "limit q->1 does not exist at this order")
 

@@ -7,9 +7,11 @@ Usage:
 
 `check` exits 0 iff every identity passes and 1 otherwise; bad input,
 including an --out path that cannot be written, exits 2 with a one-line
-message before any identity or table entry is computed.  `eval` and `table`
-also exit 2 with one line on an input too deep for Python's recursion limit,
-such as an ambient length in the thousands.  `eval` prints its
+message before any identity or table entry is computed; a `table` that
+fails leaves its --out path as it was.  `eval` and `table` also exit 2 with one
+line on an input too deep for Python's recursion limit, such as an ambient
+length in the thousands, and `eval` on an id with an integer past 100000 in
+absolute value (verify._ID_INT_MAX).  `eval` prints its
 value as n/d (or n), with every digit however long.  It builds its
 one id once per process: the memo behind it (verify.parse_expression) pays
 off only for library callers that request an id again, at other points.

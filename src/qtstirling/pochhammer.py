@@ -10,7 +10,10 @@ Every product of binomials in the package, these symbols and their quotients
 included, is a factor list of pairs (a, e) standing for (1 - a)^e, built by
 the generators below.  `binomial_product` is the one place that multiplies
 such a list out; it adds up the exponents of equal a first, so a factor that
-a quotient divides out again is never formed.
+a quotient divides out again is never formed.  Each (1 - a)^e comes from
+`algebra.binomial_power`, which gives it the cyclotomic factor map of
+1 - a when a is a monomial of coefficient 1, as every a the library forms
+is.  The product then cancels by those maps, without a gcd.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .algebra import ONE, PoleError, Q, RationalFn, ZERO, monomial_rf, q_pow, t_pow
+from .algebra import ONE, PoleError, Q, RationalFn, ZERO, binomial_power, monomial_rf, q_pow, t_pow
 from .partitions import Partition
 
 __all__ = [
@@ -34,9 +37,10 @@ def binomial_product(factors: Iterable[tuple[RationalFn, int]]) -> RationalFn:
     """prod (1 - a)^e over the pairs (a, e), the exponents of equal a summed first.
 
     Only equal a merge: (1 - q^2) and (1 - q) share the factor (1 - q), and
-    their quotient is left to the RationalFn operators.  A vanishing factor
-    (a = 1) raises PoleError if any pair gives it a negative exponent, even
-    when other pairs cancel it, and otherwise makes the product ZERO.
+    their quotient is left to the RationalFn operators and the factor maps.
+    A vanishing factor (a = 1) raises PoleError if any pair gives it a
+    negative exponent, even when other pairs cancel it, and otherwise makes
+    the product ZERO.
     """
     exps: dict[RationalFn, int] = {}
     for a, e in factors:
@@ -48,7 +52,7 @@ def binomial_product(factors: Iterable[tuple[RationalFn, int]]) -> RationalFn:
     out = ONE
     for a, e in exps.items():
         if e:
-            out = out * (ONE - a if e == 1 else (ONE - a) ** e)
+            out = out * binomial_power(a, e)
     return out
 
 

@@ -24,9 +24,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import random
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations, product
@@ -697,15 +698,15 @@ def check_identity(identity_id: str, **indices) -> IdentityReport:
 def run_suite(cfg: SuiteConfig) -> list[IdentityReport]:
     """Run all (or the selected) identities; failures are data, not exceptions.
 
-    The report file, if any, is opened before the first identity runs, so an
-    unwritable path raises OSError at once.
+    The report path, if any, is tried for writing before the first identity
+    runs, so an unwritable path raises OSError at once (see _output).
     """
     selected = cfg.identities if cfg.identities else list(_TABLE)
     unknown = [i for i in selected if i not in _TABLE]
     if unknown:
         raise ValueError(f"unknown identities: {unknown}")
     reports: list[IdentityReport] = []
-    with _open_output(cfg.output_path) as fh:
+    with _output(cfg.output_path) as write:
         for identity_id, row in _TABLE.items():
             if identity_id not in selected:
                 continue
@@ -718,15 +719,35 @@ def run_suite(cfg: SuiteConfig) -> list[IdentityReport]:
             except Exception as exc:  # from an enumerator or a generate row's own code
                 reports.append(IdentityReport(identity_id, {}, passed=False,
                                               witness=f"{type(exc).__name__}: {exc}"))
-        if fh is not None:
-            json.dump([r.to_json_dict() for r in reports], fh, indent=2)
-            fh.write("\n")
+        if write is not None:
+            write(json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n")
     return reports
 
 
-def _open_output(path: Optional[str]):
-    """The file at path opened for writing, or a context yielding None without a path."""
-    return open(path, "w", encoding="utf-8", newline="\n") if path else nullcontext()
+@contextmanager
+def _output(path: Optional[str]) -> Iterator[Optional[Callable[[str], None]]]:
+    """Yield a function that collects the text for path, or None without a path.
+
+    path is opened for appending first, so an unwritable path raises
+    OSError before the block runs.  The text is written when the block ends;
+    a block that raises leaves path as it was, and removes it if the trial
+    open created it.
+    """
+    if not path:
+        yield None
+        return
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    text = []
+    try:
+        yield text.append
+    except BaseException:
+        if not existed:
+            os.remove(path)
+        raise
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(text))
 
 
 # ---------------------------------------------------------------------------
@@ -740,15 +761,16 @@ _TABLE_KINDS = ("s1", "s2", "binomial", "bracket")
 def emit_table(kind: str, bound: Partition, fmt: str = "json", path: Optional[str] = None) -> str:
     """Write all entries (nu, mu, value) for mu <= nu <= bound; returns the text.
 
-    The file at path is opened before any entry is computed, so an
-    unwritable path raises OSError at once.
+    path is tried for writing before any entry is computed, so an
+    unwritable path raises OSError at once; an entry that raises leaves no
+    file behind (see _output).
     """
     if kind not in _TABLE_KINDS:
         raise ValueError(f"unknown table kind {kind!r}")
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
     fn = _EVAL_EXPRS[kind][1]
-    with _open_output(path) as fh:
+    with _output(path) as write:
         entries = [(nu, mu, canonical_str(fn(nu.parts, mu.parts))) for nu, mu in _pairs(bound)]
         if fmt == "json":
             doc = {
@@ -767,8 +789,8 @@ def emit_table(kind: str, bound: Partition, fmt: str = "json", path: Optional[st
             for nu, mu, value in entries:
                 writer.writerow([",".join(map(str, nu.parts)), ",".join(map(str, mu.parts)), value])
             text = buf.getvalue()
-        if fh is not None:
-            fh.write(text)
+        if write is not None:
+            write(text)
     return text
 
 
@@ -798,8 +820,20 @@ _EVAL_EXPRS: dict[str, tuple[int, Callable[..., RationalFn]]] = {
 }
 
 
+#: The largest absolute value of an integer in an expression id.  Degrees
+#: grow at least linearly in an id's integers: at this bound qt_number already
+#: builds a polynomial of 100000 terms and f an integer of 456574 digits.  The
+#: bound does not make every id below it fast: bracket_rect's degree grows
+#: with the square of its parts.
+_ID_INT_MAX = 100000
+
+
 @memo
 def _expression_value(name: str, groups: tuple[tuple[int, ...], ...]) -> RationalFn:
+    # checked here, on a memo miss, so that a repeated id pays nothing for it
+    if max(map(abs, chain(*groups))) > _ID_INT_MAX:
+        spelled = ";".join(",".join(map(str, g)) for g in groups)
+        raise ValueError(f"an integer of {name}({spelled}) exceeds {_ID_INT_MAX} in absolute value")
     return _EVAL_EXPRS[name][1](*groups)
 
 
@@ -808,9 +842,10 @@ def parse_expression(expr: str) -> RationalFn:
 
     Each ';'-separated group of comma-separated integers is one argument of
     the quantity named; an empty group or a wrong number of groups is a
-    ValueError.  Values are memoised under (name, integer groups), so
-    spellings of one id that differ only in whitespace share an entry;
-    a build that raises stores nothing.
+    ValueError, and so is an integer past _ID_INT_MAX in absolute value.
+    Values are memoised under (name, integer groups), so spellings of one
+    id that differ only in whitespace share an entry; a build that raises
+    stores nothing.
     Examples: "qt_number(2,1)", "s1(2,1;1,0)", "binomial(2;1)", "gaussian(2;1)".
     """
     expr = expr.strip()

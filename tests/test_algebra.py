@@ -20,10 +20,13 @@ from qtstirling.algebra import (
     T,
     X,
     ZERO,
+    _cyclotomic,
     _exquo,
+    _factor_poly,
     _make,
     _pack,
     _unpack,
+    binomial_power,
     canonical_str,
     const,
     evaluate,
@@ -34,6 +37,7 @@ from qtstirling.algebra import (
     q_pow,
     subs_rational,
     substitute_t_eq_q_pow,
+    t_pow,
 )
 
 #: sympy is the independent oracle of these tests; the library does not import it.
@@ -460,6 +464,156 @@ def test_kernel_gcd_and_exact_division_match_sympy(a, b, common, shared, content
     for p, d in ((f, g), (g, f), (f, b), (f, a + _P1)):
         if d:
             assert _exquo(p, d) == _sympy_exquo(p, d)
+
+
+
+#: The (e_q, e_t, c) terms of two gcd operands on which the heuristic gcd
+#: failed, as sympy's sparse heugcd does.  root-vanishing produced them at
+#: nu = (2,2,2,2,0) and (2,2,2,2,1), j = 1, m = 0 (check --n-max 5
+#: --part-max 2) while the operators still took gcds.  The first operand of
+#: each pair has no q.
+_NO_Q_PAIRS = (
+    (
+        (
+            (0, 3, -1), (0, 4, 2), (0, 5, 1), (0, 6, -2), (0, 7, -1), (0, 8, -4), (0, 9, 4),
+            (0, 10, 4), (0, 11, 2), (0, 13, -10), (0, 15, 2), (0, 16, 4), (0, 17, 4), (0, 18, -4),
+            (0, 19, -1), (0, 20, -2), (0, 21, 1), (0, 22, 2), (0, 23, -1),
+        ),
+        (
+            (4, 11, 1), (5, 12, -2), (5, 13, -2), (5, 14, -2), (5, 15, -2), (6, 13, 1), (6, 14, 4),
+            (6, 15, 5), (6, 16, 8), (6, 17, 5), (6, 18, 4), (6, 19, 1), (7, 15, -2), (7, 16, -4),
+            (7, 17, -10), (7, 18, -12), (7, 19, -12), (7, 20, -10), (7, 21, -4), (7, 22, -2),
+            (8, 17, 1), (8, 18, 4), (8, 19, 9), (8, 20, 12), (8, 21, 18), (8, 22, 12), (8, 23, 9),
+            (8, 24, 4), (8, 25, 1), (9, 20, -2), (9, 21, -4), (9, 22, -10), (9, 23, -12),
+            (9, 24, -12), (9, 25, -10), (9, 26, -4), (9, 27, -2), (10, 23, 1), (10, 24, 4),
+            (10, 25, 5), (10, 26, 8), (10, 27, 5), (10, 28, 4), (10, 29, 1), (11, 27, -2),
+            (11, 28, -2), (11, 29, -2), (11, 30, -2), (12, 31, 1),
+        ),
+    ),
+    (
+        (
+            (0, 0, 1), (0, 1, -1), (0, 2, -2), (0, 5, 6), (0, 6, 3), (0, 7, -3), (0, 8, -6),
+            (0, 9, -10), (0, 10, 4), (0, 11, 8), (0, 12, 8), (0, 13, 4), (0, 14, -10), (0, 15, -6),
+            (0, 16, -3), (0, 17, 3), (0, 18, 6), (0, 21, -2), (0, 22, -1), (0, 23, 1),
+        ),
+        (
+            (4, 7, -1), (5, 8, 3), (5, 9, 2), (5, 10, 2), (5, 11, 2), (6, 9, -3), (6, 10, -6),
+            (6, 11, -7), (6, 12, -10), (6, 13, -5), (6, 14, -4), (6, 15, -1), (7, 10, 1),
+            (7, 11, 6), (7, 12, 9), (7, 13, 18), (7, 14, 17), (7, 15, 16), (7, 16, 11), (7, 17, 4),
+            (7, 18, 2), (8, 12, -2), (8, 13, -5), (8, 14, -14), (8, 15, -21), (8, 16, -24),
+            (8, 17, -28), (8, 18, -16), (8, 19, -11), (8, 20, -4), (8, 21, -1), (9, 14, 1),
+            (9, 15, 4), (9, 16, 11), (9, 17, 16), (9, 18, 28), (9, 19, 24), (9, 20, 21),
+            (9, 21, 14), (9, 22, 5), (9, 23, 2), (10, 17, -2), (10, 18, -4), (10, 19, -11),
+            (10, 20, -16), (10, 21, -17), (10, 22, -18), (10, 23, -9), (10, 24, -6), (10, 25, -1),
+            (11, 20, 1), (11, 21, 4), (11, 22, 5), (11, 23, 10), (11, 24, 7), (11, 25, 6),
+            (11, 26, 3), (12, 24, -2), (12, 25, -2), (12, 26, -2), (12, 27, -3), (13, 28, 1),
+        ),
+    ),
+)
+
+
+@pytest.mark.parametrize("pair", _NO_Q_PAIRS)
+def test_gcd_of_operands_where_one_lacks_a_variable(pair):
+    from sympy import Poly
+
+    f, g = (_poly({(a, b, 0): c for a, b, c in terms}) for terms in pair)
+    # sympy's dense gcd is the oracle
+    want = Poly(_to_sympy(f).as_expr(), *_SZZ.symbols).gcd(Poly(_to_sympy(g).as_expr(), *_SZZ.symbols))
+    want = _to_sympy(_poly({m: int(c) for m, c in want.terms()}))
+    assert want.as_expr() in (_SZZ.symbols[1] ** 3, 1)
+    for h in (f.gcd(g), g.gcd(f)):
+        assert _to_sympy(h) == want
+
+
+# -- cyclotomic factor maps ------------------------------------------------------
+
+#: Monomials q^a t^b X^x other than 1, negative exponents included.
+_monomials = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-1, 1)).filter(any).map(
+    lambda e: monomial_rf(*e))
+
+
+def _forget(f):
+    """f rebuilt from its pair: the same value, with no factor map known past one term."""
+    return RationalFn(f.num, f.den)
+
+
+@st.composite
+def _binomial_values(draw):
+    """(value, plain): a product, quotient or sum of binomials (1 - m)^e, flipped,
+    sent to q = 1 and with a variable set to 0 along the way, and the same
+    steps replayed on map-free values."""
+    value = plain = binomial_power(draw(_monomials), draw(st.sampled_from([-2, -1, 1, 2])))
+    for _ in range(draw(st.integers(0, 5))):
+        op = draw(st.sampled_from(["*", "/", "+", "-", "flip", "limit", "zero"]))
+        if op in ("flip", "limit", "zero"):
+            var = draw(st.sampled_from(["q", "t", "X"]))
+            fn = {"flip": flip_qt, "limit": limit_q_to_1,
+                  "zero": lambda f: subs_rational(f, **{var: 0})}[op]
+            try:
+                value, plain = fn(value), fn(_forget(plain))
+            except PoleError:
+                with pytest.raises(PoleError):
+                    fn(_forget(plain))
+            continue
+        other = binomial_power(draw(_monomials), draw(st.sampled_from([-2, -1, 1, 2])))
+        if op != "/":
+            other = other * draw(_monomials)
+        apply = {"*": operator.mul, "/": operator.truediv, "+": operator.add, "-": operator.sub}[op]
+        value, plain = apply(value, other), apply(_forget(plain), _forget(other))
+    return value, plain
+
+
+def _sympy_factors(p):
+    """{terms: exponent} over the irreducible factors of p that are not monomials, by sympy."""
+    out = {}
+    for factor, e in _to_sympy(p).factor_list()[1]:
+        if len(factor) > 1:
+            factor = _from_sympy(factor)
+            out[frozenset((-factor if factor.LC < 0 else factor).items())] = e
+    return out
+
+
+@given(_binomial_values())
+@settings(max_examples=120, deadline=None)
+def test_factor_maps_are_complete_and_irreducible(values):
+    value, plain = values
+    assert value == plain  # the maps reduce the pair exactly as the gcd does
+    assert value._den_map is not None
+    for p, fmap in ((value.den, value._den_map), (value.num, value._num_map)):
+        if fmap is None:
+            continue
+        # expanding the map gives p up to an integer and a monomial
+        expanded = _P1
+        for key, e in fmap.items():
+            expanded = expanded * _factor_poly(key) ** e
+        assert len(_exquo(p, expanded)) == 1
+        # and its factors are exactly sympy's, each irreducible, with their multiplicities
+        got = {frozenset(_factor_poly(key).items()): e for key, e in fmap.items()}
+        assert len(got) == len(fmap)
+        assert got == _sympy_factors(p)
+
+
+def test_cyclotomic_coefficients_match_sympy():
+    from sympy import Poly, Symbol, cyclotomic_poly
+
+    y = Symbol("y")
+    # 105 = 3*5*7 is the first index with a coefficient other than 0 and +-1
+    for d in [*range(1, 41), 105, 385, 1155]:
+        assert _cyclotomic(d) == tuple(reversed(Poly(cyclotomic_poly(d, y), y).all_coeffs())), d
+
+
+def test_binomial_power_maps_every_cyclotomic_factor():
+    # 1 - q^6 t^-3 = -(1 - y^3) t^-3 with y = q^2 t^-1: Phi_1(y) Phi_3(y)
+    f = binomial_power(monomial_rf(6, -3), 1)
+    assert f == ONE - monomial_rf(6, -3)
+    assert f._num_map == {(1, (2, -1, 0)): 1, (3, (2, -1, 0)): 1} and f._den_map == {}
+    # Phi_3(y) = y^2 + y + 1, times t^2
+    assert sorted(_terms(_factor_poly((3, (2, -1, 0))))) == [((0, 2, 0), 1), ((2, 1, 0), 1),
+                                                             ((4, 0, 0), 1)]
+    # at q = 1, Phi_1(q^2 t^-1) goes to Phi_1(t) and Phi_3 to Phi_3(t)
+    g = limit_q_to_1(ONE / f)
+    assert g == ONE / (ONE - t_pow(-3))
+    assert g._den_map == {(1, (0, 1, 0)): 1, (3, (0, 1, 0)): 1}
 
 
 def test_import_and_runs_leave_sympy_unloaded():

@@ -8,9 +8,11 @@ from qtstirling import verify
 from qtstirling.algebra import (
     ONE,
     PoleError,
+    Polynomial,
     Q,
     T,
     ZERO,
+    clear_cache,
     const,
     limit_q_to_1,
 )
@@ -169,3 +171,21 @@ def test_ordinary_alpha_stirling():
 def test_s1_off_containment_zero():
     assert s1(P((1, 1)), P((2, 0))) == ZERO
     assert s2(P((1, 1)), P((2, 0))) == ZERO
+
+
+def test_stirling_tables_take_no_polynomial_gcd(monkeypatch):
+    # every denominator s1 and s2 meet is a product of binomials with a known
+    # factor map, so the operators reduce by trial division, never by gcd
+    calls = []
+    gcd = Polynomial.gcd
+
+    def counted(f, g):
+        calls.append((f, g))
+        return gcd(f, g)
+
+    monkeypatch.setattr(Polynomial, "gcd", counted)
+    clear_cache()
+    for nu, mu in _pairs(P((2, 2, 1))):
+        s1(nu, mu)
+        s2(nu, mu)
+    assert calls == []

@@ -450,6 +450,10 @@ def test_cli_eval_prints_every_digit_past_the_str_limit():
     ("eval", "--expr", "gaussian(2;;1)", "--q", "2", "--t", "0"),
     ("eval", "--expr", "qt_number(2,1)", "--q", "1/0", "--t", "2"),
     ("eval", "--expr", "qt_number(3000000000)", "--q", "1/2", "--t", "1/3"),
+    # integers past the id bound, each of which ran without end before it
+    ("eval", "--expr", "f(3000000000)", "--q", "1/2", "--t", "1/3"),
+    ("eval", "--expr", "bracket_rect(3000000000)", "--q", "1/2", "--t", "1/3"),
+    ("eval", "--expr", "qt_number(2147483647)", "--q", "1/2", "--t", "1/3"),
     ("check", "--n-max", "1", "--part-max", "1", "--identity", "stirling-zero",
      "--out", "/nonexistent/dir/r.json"),
     ("table", "--kind", "s1", "--bound", "1", "--out", "/nonexistent/dir/x.json"),
@@ -462,6 +466,30 @@ def test_cli_bad_input_exit_code(args):
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_eval_id_integers_are_bounded():
+    bound = verify._ID_INT_MAX
+    assert parse_expression(f"binomial({bound};0)") == ONE
+    for expr in (f"binomial({bound + 1};0)", f"qt_number(1,{-bound - 1})", f"s1({bound + 1};0)"):
+        with pytest.raises(ValueError, match="exceeds"):
+            parse_expression(expr)
+
+
+def test_table_out_is_left_alone_by_a_failed_table(tmp_path):
+    # an ambient length of 2000 is deeper than Python's recursion limit
+    deep = ",".join(["0"] * 2000)
+    missing, kept = tmp_path / "new.json", tmp_path / "kept.json"
+    kept.write_text("earlier table\n")
+    for out in (missing, kept):
+        proc = _run_cli("table", "--kind", "s1", "--bound", deep, "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+    assert not missing.exists()
+    assert kept.read_text() == "earlier table\n"
+    proc = _run_cli("table", "--kind", "s1", "--bound", "1", "--out", str(kept))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(kept.read_text())["bound"] == [1]
 
 
 def test_eval_arity_mismatch_is_value_error():
