@@ -53,9 +53,10 @@ D | dn with D / gcd(D, n) = d, and reduces the same way.  Every gcd
 divided out has a positive leading coefficient, and leading coefficients
 multiply under a monomial order, so the new denominator's stays positive.
 Only where no map is known do the operators fall back to
-`Polynomial.gcd`, and substitution to the full reduction `_canonical`: for
-values built by `RationalFn(num, den)` or `parse_rational` with a
-denominator of several terms, for what is computed from them, and after a
+`Polynomial.gcd`, and substitution to the full reduction `_canonical`.
+No row of `check`, `eval` or `table` reaches that fallback.  Only values
+built by `RationalFn(num, den)` or `parse_rational` with a denominator of
+several terms do, with what is computed from them, and the images of a
 substitution with an image of another coefficient.
 
 The canonical string grammar of `canonical_str` is regular, so

@@ -14,9 +14,9 @@ through their row.  The paper's expansions are data too: a row of
 `_EXPANSIONS` gives coefficient(nu, mu) and basis(mu), and the expansion at
 nu sums their products over mu <= nu.  Its terms are memoised per (nu, kind)
 and every identity that sums, specialises or substitutes them reads that
-memo.  Default bounds: partitions with parts up to part_max for ambient
-n <= 2, and parts up to min(part_max, 2) for n = 3.
-The w-function layer runs at the full part_max for every n.
+memo.  Bounds: every row that enumerates partitions takes one box per
+ambient length n in 1..n_max, the partitions with parts up to part_max
+(by default n <= 3 and parts <= 3).
 """
 
 from __future__ import annotations
@@ -135,14 +135,6 @@ class SuiteConfig:
             raise ValueError("n_max must be at least 1")
         if self.part_max < 0:
             raise ValueError("part_max must be nonnegative")
-
-    def w_boxes(self) -> Iterator[tuple[int, int]]:
-        for n in range(1, self.n_max + 1):
-            yield n, self.part_max
-
-    def stirling_boxes(self) -> Iterator[tuple[int, int]]:
-        for n in range(1, self.n_max + 1):
-            yield n, self.part_max if n <= 2 else min(self.part_max, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +362,7 @@ def _w_bar_exists(mu: Partition, lam: Partition) -> bool:
 
 def _gaussian_reduction(m: int, k: int) -> bool:
     value = qt_binomial(Partition((m,)), Partition((k,)))
-    t_free = value == subs_rational(value, t=7)
+    t_free = value == subs_rational(value, t=1)  # an image of coefficient 1 keeps the factor maps
     return value == gaussian_binomial(m, k) and t_free
 
 
@@ -488,41 +480,45 @@ def _plain(value):
     return value
 
 
-def _boxed(boxes: str, indices: Callable[..., Iterable[dict]],
+def _boxes(cfg: SuiteConfig) -> Iterator[tuple[int, int]]:
+    """The boxes (n, cap) of a run: every ambient length n in 1..n_max, at cap = part_max."""
+    return ((n, cfg.part_max) for n in range(1, cfg.n_max + 1))
+
+
+def _boxed(indices: Callable[..., Iterable[dict]],
            draw: Optional[Callable[[random.Random, int], Any]] = None):
-    """Enumerator of indices(n, cap) over every box (n, cap) of cfg.<boxes>().
+    """Enumerator of indices(n, cap) over every box (n, cap) of a run.
 
     With draw, indices(n, cap, draw(rng, n)) also gets values drawn once per
     box from one random.Random(cfg.seed) per run.
     """
     def enumerate_indices(cfg: SuiteConfig) -> Iterator[dict]:
         rng = random.Random(cfg.seed) if draw else None
-        for n, cap in getattr(cfg, boxes)():
+        for n, cap in _boxes(cfg):
             yield from (indices(n, cap) if draw is None else indices(n, cap, draw(rng, n)))
     return enumerate_indices
 
 
-def _each(boxes: str, key: str):
-    """Enumerator of {key: p} for every partition p of every box of cfg.<boxes>()."""
-    return _boxed(boxes, lambda n, cap: ({key: p} for p in partitions_in_box(n, cap)))
+def _each(key: str):
+    """Enumerator of {key: p} for every partition p of every box of a run."""
+    return _boxed(lambda n, cap: ({key: p} for p in partitions_in_box(n, cap)))
 
 
 def _sample_exponent_args(rng: random.Random, n: int) -> tuple[RationalFn, ...]:
-    exps = rng.sample(range(2, 11), n)
+    """n monomial arguments q^e t^s, with distinct e >= 2 and s in 0..2."""
+    exps = rng.sample(range(2, max(11, n + 2)), n)
     return tuple(monomial_rf(e_q=e, e_t=rng.randrange(0, 3)) for e in exps)
 
 
 def _h_factor_indices(cfg: SuiteConfig) -> Iterator[dict]:
-    for n, cap in cfg.w_boxes():
-        for mu in partitions_in_box(n, cap):
-            yield {"mu": mu}
+    yield from _each("mu")(cfg)
     for m in range(1, 5):
         # any single-row skew pair: both index products are empty
         yield {"lam": Partition((m,)), "mu": Partition((m - 1,))}
 
 
 def _w_vanishing_reports(identity_id: str, row: _Row, cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in cfg.w_boxes():
+    for n, cap in _boxes(cfg):
         box = list(partitions_in_box(n, cap))
         zero_on_contained: list[tuple] = []
         for mu in box:
@@ -541,24 +537,24 @@ def _w_vanishing_reports(identity_id: str, row: _Row, cfg: SuiteConfig) -> Itera
 
 def _qt_number_reports(identity_id: str, row: _Row, cfg: SuiteConfig) -> Iterator[IdentityReport]:
     rng = random.Random(cfg.seed)
-    for n, cap in cfg.stirling_boxes():
+    for n, _ in _boxes(cfg):
         for _ in range(2):
             yield row.report(identity_id, {"z": tuple(rng.randrange(0, 5) for _ in range(n))})
     for m in range(0, 6):
-        lhs = qt_number((m,))
-        rhs = (ONE - q_pow(m)) / (ONE - Q)
-        yield equality_report(identity_id, {"z": [m], "n": 1}, lhs, rhs)
+        # [m] = (1 - q^m) / (1 - q), as a factor list so that it keeps its factor map
+        rhs = binomial_product([(q_pow(m), 1), (Q, -1)])
+        yield equality_report(identity_id, {"z": [m], "n": 1}, qt_number((m,)), rhs)
 
 
-#: (lam, mu) for lam in every Stirling box and mu <= lam.
-_LAM_MU = _boxed("stirling_boxes", lambda n, cap: (
+#: (lam, mu) for lam in every box and mu <= lam.
+_LAM_MU = _boxed(lambda n, cap: (
     {"lam": lam, "mu": mu} for lam, mu in _pairs(rectangle(cap, n))))
 #: the points x of limit-rule
 _LIMIT_POINTS = (monomial_rf(e_q=2, e_t=1), t_pow(3) * q_pow(1), q_pow(1))
 
 _TABLE: dict[str, _Row] = {
     "inclusion-order": _Row(
-        "holds", _boxed("stirling_boxes", lambda n, cap: [{"n": n, "part_max": cap}]),
+        "holds", _boxed(lambda n, cap: [{"n": n, "part_max": cap}]),
         _inclusion_order, "partial-order axiom violated"),
     "poch-recurrence": _Row(
         "equal", lambda cfg: ({"m": m} for m in range(7)),
@@ -570,40 +566,39 @@ _TABLE: dict[str, _Row] = {
         "equal", lambda cfg: ({"m": m} for m in range(7)),
         lambda m: (poch_partition(X, Partition((m,))), poch(X, m))),
     "flip-formula": _Row(
-        "equal", _boxed("w_boxes", lambda n, cap: (
-            {"mu": mu, "x": X} for mu in partitions_in_box(n, cap))),
+        "equal", _boxed(lambda n, cap: ({"mu": mu, "x": X} for mu in partitions_in_box(n, cap))),
         _flip_formula),
     "limit-rule": _Row(
-        "equal", _boxed("stirling_boxes", lambda n, cap: (
+        "equal", _boxed(lambda n, cap: (
             {"mu": mu, "x": x} for mu in partitions_in_box(n, cap) for x in _LIMIT_POINTS)),
         _limit_rule),
     "h-factor-normalization": _Row(
         "equal", _h_factor_indices, lambda mu, lam=None: (h_factor(mu if lam is None else lam, mu), ONE)),
     "w-skew-triangularity": _Row(
-        "equal", _boxed("w_boxes", lambda n, cap: (
+        "equal", _boxed(lambda n, cap: (
             {"lam": lam, "mu": mu} for lam, mu in product(partitions_in_box(n, cap), repeat=2)
             if not is_horizontal_strip(lam, mu))),
         lambda lam, mu: (w_skew_single(lam, mu, X), ZERO)),
     "w-rect": _Row(
-        "equal", _boxed("w_boxes", lambda n, cap, arg_sets: (
+        "equal", _boxed(lambda n, cap, arg_sets: (
             {"n": n, "k": k, "args": xs} for k in range(cap + 1) for xs in arg_sets),
             draw=lambda rng, n: [_sample_exponent_args(rng, n), generic_staircase_args(n)]),
         _w_rect),
     "w-staircase": _Row(
-        "equal", _each("w_boxes", "mu"),
+        "equal", _each("mu"),
         lambda mu: (w_staircase(mu, X), w_multi(mu, generic_staircase_args(mu.n)))),
     "w-vanishing": _Row("equal", None, _w_vanishing, generate=_w_vanishing_reports),
     "w-symmetry": _Row(
-        "holds", _boxed("w_boxes", lambda n, cap, xs: (
+        "holds", _boxed(lambda n, cap, xs: (
             {"mu": mu, "args": xs} for mu in partitions_in_box(n, cap)), draw=_sample_exponent_args),
         _w_symmetric, "permuted value differs"),
     "w-duality": _Row(
-        "equal", _boxed("w_boxes", lambda n, cap, arg_sets: (
+        "equal", _boxed(lambda n, cap, arg_sets: (
             {"mu": mu, "args": xs} for mu in partitions_in_box(n, cap) for xs in arg_sets),
             draw=lambda rng, n: [generic_staircase_args(n), _sample_exponent_args(rng, n)]),
         _w_duality),
     "w-bar-limit-exists": _Row(
-        "holds", _boxed("stirling_boxes", lambda n, cap: (
+        "holds", _boxed(lambda n, cap: (
             {"mu": mu, "lam": lam} for mu, lam in product(partitions_in_box(n, cap), repeat=2)
             if contains(lam, mu))),
         _w_bar_exists),
@@ -612,61 +607,61 @@ _TABLE: dict[str, _Row] = {
         _gaussian_reduction,
         lambda m, k: canonical_str(qt_binomial(Partition((m,)), Partition((k,))))),
     "qt-binomial-rect": _Row(
-        "equal", _each("stirling_boxes", "mu"), lambda mu: (qt_binomial(XBAR, mu), qt_binomial_rect(mu))),
+        "equal", _each("mu"), lambda mu: (qt_binomial(XBAR, mu), qt_binomial_rect(mu))),
     "binomial-theorem": _Row(
-        "equal", _each("stirling_boxes", "lam"),
+        "equal", _each("lam"),
         lambda lam: (poch_partition(X, lam), _expansion(lam, "binomial"))),
     "qt-number-reduction": _Row(
         "holds", None, _qt_number_agrees,
         lambda z: canonical_str(qt_bracket(z, rectangle(1, len(z))) - qt_number(z)),
         generate=_qt_number_reports),
     "bracket-rect": _Row(
-        "equal", _each("stirling_boxes", "mu"), lambda mu: (qt_bracket(XBAR, mu), bracket_rect(mu))),
+        "equal", _each("mu"), lambda mu: (qt_bracket(XBAR, mu), bracket_rect(mu))),
     "bracket-binomial-relation": _Row(
-        "equal", _boxed("stirling_boxes", lambda n, cap, zs: (
+        "equal", _boxed(lambda n, cap, zs: (
             {"z": z, "mu": mu} for mu in partitions_in_box(n, cap) for z in zs),
             draw=lambda rng, n: [tuple(rng.randrange(0, 5) for _ in range(n)), XBAR]),
         _bracket_binomial_relation),
     "change-of-basis-u": _Row(
-        "equal", _each("stirling_boxes", "lam"),
+        "equal", _each("lam"),
         lambda lam: (poch_partition_flipped(X, lam), _expansion(lam, "u"))),
     "change-of-basis-v": _Row(
-        "equal", _each("stirling_boxes", "lam"),
+        "equal", _each("lam"),
         lambda lam: (x_pow(weight(lam)), _expansion(lam, "v"))),
-    "uv-inversion": _Row("record", _each("stirling_boxes", "nu"), _uv_inversion),
+    "uv-inversion": _Row("record", _each("nu"), _uv_inversion),
     "h-g-flip": _Row(
-        "holds", _each("stirling_boxes", "mu"), lambda mu: all(_hg_flip(mu)),
+        "holds", _each("mu"), lambda mu: all(_hg_flip(mu)),
         lambda mu: "h ok: {}, g ok: {}".format(*_hg_flip(mu))),
     "u-limit-closed-form": _Row(
         "equal", _LAM_MU, lambda lam, mu: (u_limit(lam, mu), u_limit_direct(lam, mu))),
     "v-limit-closed-form": _Row(
         "equal", _LAM_MU, lambda lam, mu: (v_limit(lam, mu), v_limit_direct(lam, mu))),
     "stirling-diagonal": _Row(
-        "holds", _each("stirling_boxes", "lam"), lambda lam: s1(lam, lam) == ONE and s2(lam, lam) == ONE,
+        "holds", _each("lam"), lambda lam: s1(lam, lam) == ONE and s2(lam, lam) == ONE,
         lambda lam: f"s1: {canonical_str(s1(lam, lam))}, s2: {canonical_str(s2(lam, lam))}"),
     "stirling-zero": _Row(
-        "holds", _boxed("stirling_boxes", lambda n, cap: (
+        "holds", _boxed(lambda n, cap: (
             {"lam": lam} for lam in partitions_in_box(n, cap) if lam[n - 1] != 0)),
         lambda lam: s1(lam, zeros(lam.n)).is_zero and s2(lam, zeros(lam.n)).is_zero,
         "nonzero value at the empty partition"),
     "defining-expansion-s1": _Row(
-        "equal", _each("stirling_boxes", "nu"), lambda nu: (bracket_rect(nu), _expansion(nu, "s1"))),
+        "equal", _each("nu"), lambda nu: (bracket_rect(nu), _expansion(nu, "s1"))),
     "defining-expansion-s2": _Row(
-        "equal", _each("stirling_boxes", "nu"), lambda nu: (_limit_bracket(nu), _expansion(nu, "s2"))),
+        "equal", _each("nu"), lambda nu: (_limit_bracket(nu), _expansion(nu, "s2"))),
     "stirling-inversion": _Row(
-        "holds", _boxed("stirling_boxes", lambda n, cap: [{"bound": rectangle(cap, n)}]),
+        "holds", _boxed(lambda n, cap: [{"bound": rectangle(cap, n)}]),
         _stirling_inversion, "a product of s1 and s2 differs from delta"),
     "valgebra-identity": _Row(
-        "holds", _boxed("stirling_boxes", lambda n, cap: [{"bound": rectangle(min(cap, 2), n)}]),
+        "holds", _boxed(lambda n, cap: [{"bound": rectangle(cap, n)}]),
         _valgebra_identity, "delta is not neutral for s1"),
     "adjacent-weight": _Row(
-        "equal", _boxed("stirling_boxes", lambda n, cap: (
+        "equal", _boxed(lambda n, cap: (
             {"nu": nu, "mu": mu} for nu, mu in _pairs(rectangle(cap, n))
             if weight(nu) - weight(mu) == 1)),
         lambda nu, mu: (s1(nu, mu), -s2(nu, mu))),
-    "x0-sums": _Row("record", _each("stirling_boxes", "nu"), _x0_sums),
+    "x0-sums": _Row("record", _each("nu"), _x0_sums),
     "root-vanishing": _Row(
-        "record", _boxed("stirling_boxes", lambda n, cap: (
+        "record", _boxed(lambda n, cap: (
             {"nu": nu, "j": j, "m": m} for nu in partitions_in_box(n, cap)
             for j in range(1, n + 1) for m in range(nu[j - 1]))),
         _root_vanishing),

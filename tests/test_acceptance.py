@@ -1,9 +1,9 @@
 """Acceptance criteria: every claimed identity holds by exact symbolic equality.
 
-The suite runs at the desk-scale defaults (partitions with parts up to 3
-for ambient n <= 2 and up to 2 for n = 3; the w-function layer runs at
-parts up to 3 for every n <= 3).  One line per criterion is printed; the
-tolerance everywhere is exact equality of canonical rational functions.
+The suite runs at the defaults: for every ambient length n <= 3, the
+partitions with parts up to 3, for every identity alike.  One line per
+criterion is printed; the tolerance everywhere is exact equality of
+canonical rational functions.
 """
 
 import pytest
@@ -77,7 +77,7 @@ def test_criterion_6_binomial_theorem(suite_reports):
     _criterion(suite_reports, 6, "terminating binomial theorem in X",
                ["binomial-theorem"])
     lams = {tuple(r.index_data["lam"]) for r in suite_reports["binomial-theorem"]}
-    assert (3, 3) in lams and (2, 2, 2) in lams
+    assert (3, 3) in lams and (2, 2, 2) in lams and (3, 3, 3) in lams
 
 
 def test_criterion_7_classical_reduction(suite_reports):

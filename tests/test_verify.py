@@ -12,11 +12,12 @@ from fractions import Fraction
 import pytest
 
 import qtstirling
-from qtstirling import cli, verify
+from qtstirling import algebra, cli, verify
 from qtstirling.algebra import (
     ONE,
     ZERO,
     PoleError,
+    Polynomial,
     canonical_str,
     clear_cache,
     monomial_rf,
@@ -201,6 +202,38 @@ def test_failures_are_reported_not_raised(monkeypatch):
     assert r.identity_id == "w-bar-limit-exists" and not r.passed
     assert r.index_data == {}
     assert r.witness == "ValueError: no box"
+
+
+def test_suite_takes_no_polynomial_gcd_or_full_reduction(monkeypatch):
+    # every value a row builds keeps its factor maps, so products, sums and
+    # substitutions reduce by trial division; only values built from a user's
+    # pair reach the fallback (test_multi_term_products_reach_polynomial_gcd)
+    calls = []
+    gcd, canonical = Polynomial.gcd, algebra._canonical
+
+    def counted_gcd(f, g):
+        calls.append("gcd")
+        return gcd(f, g)
+
+    def counted_canonical(num, den):
+        calls.append("_canonical")
+        return canonical(num, den)
+
+    monkeypatch.setattr(Polynomial, "gcd", counted_gcd)
+    monkeypatch.setattr(algebra, "_canonical", counted_canonical)
+    clear_cache()
+    reports = run_suite(SuiteConfig(n_max=3, part_max=1))
+    assert {r.identity_id for r in reports} == set(MANIFEST)
+    assert all(r.passed for r in reports)
+    assert calls == []
+
+
+def test_sampled_arguments_reach_ten_variables():
+    # w-rect and w-duality draw n distinct exponents per box, so the population
+    # must hold at least n of them
+    reports = run_suite(SuiteConfig(n_max=10, part_max=0, identities=["w-rect", "w-duality"]))
+    assert len(reports) == 40
+    assert all(r.passed for r in reports), [r.witness for r in reports if not r.passed]
 
 
 def test_x0_sums_records_both_readings():
