@@ -9,14 +9,13 @@ named flags that join the report.
 One runner turns each index dict and verdict into an IdentityReport whose
 index_data is the indices as JSON; a check that raises becomes a failing
 report at its indices, and `check_identity` runs one row at chosen indices.
-Two rows generate their reports themselves and still build each check
-through their row.  The paper's expansions are data too: a row of
-`_EXPANSIONS` gives coefficient(nu, mu) and basis(mu), and the expansion at
-nu sums their products over mu <= nu.  Its terms are memoised per (nu, kind)
-and every identity that sums, specialises or substitutes them reads that
-memo.  Bounds: every row that enumerates partitions takes one box per
-ambient length n in 1..n_max, the partitions with parts up to part_max
-(by default n <= 3 and parts <= 3).
+The paper's expansions are data too: a row of `_EXPANSIONS` gives
+coefficient(nu, mu) and basis(mu), and the expansion at nu sums their
+products over mu <= nu.  Its terms are memoised per (nu, kind) and every
+identity that sums, specialises or substitutes them reads that memo.
+Bounds: every row that enumerates partitions takes one box per ambient
+length n in 1..n_max, the partitions with parts up to part_max (by default
+n <= 3 and parts <= 3).
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 from .algebra import (
     ONE,
-    Q,
     RationalFn,
     T,
     X,
@@ -366,13 +364,23 @@ def _gaussian_reduction(m: int, k: int) -> bool:
     return value == gaussian_binomial(m, k) and t_free
 
 
-def _qt_number_agrees(z: tuple[int, ...]) -> bool:
-    """[z]_(1^n) as bracket and as binomial both equal the qt-number [z]."""
-    ones = rectangle(1, len(z))
-    lhs = qt_bracket(z, ones)
-    mid = qt_binomial(z, ones)
+def _q_number(m: int) -> RationalFn:
+    """[m]_q = 1 + q + ... + q^{m-1}, a sum of monomials."""
+    return sum((q_pow(i) for i in range(m)), ZERO)
+
+
+def _qt_number_agrees(z: tuple[int, ...], n: Optional[int] = None) -> bool:
+    """[z]_(1^n) as bracket and as binomial both equal the qt-number [z].
+
+    With n = 1, [z] for z = (m,) is instead compared with the q-number [m]_q.
+    """
     rhs = qt_number(z)
-    return lhs == rhs and mid == rhs
+    if n is not None:
+        if n != 1 or len(z) != 1:
+            raise ValueError("the q-number reduction takes n = 1 and one entry z = (m,)")
+        return rhs == _q_number(z[0])
+    ones = rectangle(1, len(z))
+    return qt_bracket(z, ones) == rhs and qt_binomial(z, ones) == rhs
 
 
 def _bracket_binomial_relation(z, mu: Partition) -> tuple[RationalFn, RationalFn]:
@@ -397,16 +405,10 @@ def _hg_flip(mu: Partition) -> tuple[bool, bool]:
     return ok_h, ok_g
 
 
-def _stirling_inversion(bound: Partition) -> bool:
-    """s1 * s2 = s2 * s1 = delta in the V-algebra, at every pair within the bound."""
-    return all(_product_entry(a, b, lam, mu) == _delta(lam, mu)
-               for a, b in ((s1, s2), (s2, s1)) for lam, mu in _pairs(bound))
-
-
-def _valgebra_identity(bound: Partition) -> bool:
-    """delta * s1 = s1 * delta = s1 in the V-algebra, at every pair within the bound."""
-    return all(_product_entry(a, b, lam, mu) == s1(lam, mu)
-               for a, b in ((_delta, s1), (s1, _delta)) for lam, mu in _pairs(bound))
+def _valgebra_product(bound: Partition, factors, expected) -> bool:
+    """a * b == expected in the V-algebra for each (a, b) of factors, at every pair within the bound."""
+    return all(_product_entry(a, b, lam, mu) == expected(lam, mu)
+               for a, b in factors for lam, mu in _pairs(bound))
 
 
 def _classical_values(m: int, k: int) -> tuple[RationalFn, RationalFn]:
@@ -423,24 +425,17 @@ def _classical_values(m: int, k: int) -> tuple[RationalFn, RationalFn]:
 class _Row:
     """One identity: an index enumerator and a check of those indices.
 
-    indices(cfg) yields index dicts; check(**indices) gives, by kind,
-    (lhs, rhs) for "equal", a bool for "holds" (witness, a string or a
-    function of the indices, explains a failure), and (flags, witness or
-    None) for "record", whose flags join the index data.  A row with
-    generate yields its reports itself, as generate(identity_id, row, cfg),
-    and has no indices.
+    indices(cfg) yields index dicts, and the suite reports each one through
+    report; check(**indices) gives, by kind, (lhs, rhs) for "equal", a bool
+    for "holds" (witness, a string or a function of the indices, explains a
+    failure), and (flags, witness or None) for "record", whose flags join
+    the index data.
     """
 
     kind: str
-    indices: Optional[Callable[[SuiteConfig], Iterable[dict]]]
+    indices: Callable[[SuiteConfig], Iterable[dict]]
     check: Callable[..., Any]
     witness: Union[str, Callable[..., str], None] = None
-    generate: Optional[Callable[[str, "_Row", SuiteConfig], Iterator[IdentityReport]]] = None
-
-    def reports(self, identity_id: str, cfg: SuiteConfig) -> Iterator[IdentityReport]:
-        if self.generate is not None:
-            return self.generate(identity_id, self, cfg)
-        return (self.report(identity_id, indices) for indices in self.indices(cfg))
 
     def report(self, identity_id: str, indices: dict) -> IdentityReport:
         """The report of one check; a check that raises fails at its indices."""
@@ -480,21 +475,17 @@ def _plain(value):
     return value
 
 
-def _boxes(cfg: SuiteConfig) -> Iterator[tuple[int, int]]:
-    """The boxes (n, cap) of a run: every ambient length n in 1..n_max, at cap = part_max."""
-    return ((n, cfg.part_max) for n in range(1, cfg.n_max + 1))
-
-
 def _boxed(indices: Callable[..., Iterable[dict]],
            draw: Optional[Callable[[random.Random, int], Any]] = None):
-    """Enumerator of indices(n, cap) over every box (n, cap) of a run.
+    """Enumerator of indices(n, cap) over the boxes of a run, n in 1..n_max at cap = part_max.
 
     With draw, indices(n, cap, draw(rng, n)) also gets values drawn once per
     box from one random.Random(cfg.seed) per run.
     """
     def enumerate_indices(cfg: SuiteConfig) -> Iterator[dict]:
         rng = random.Random(cfg.seed) if draw else None
-        for n, cap in _boxes(cfg):
+        cap = cfg.part_max
+        for n in range(1, cfg.n_max + 1):
             yield from (indices(n, cap) if draw is None else indices(n, cap, draw(rng, n)))
     return enumerate_indices
 
@@ -517,38 +508,19 @@ def _h_factor_indices(cfg: SuiteConfig) -> Iterator[dict]:
         yield {"lam": Partition((m,)), "mu": Partition((m - 1,))}
 
 
-def _w_vanishing_reports(identity_id: str, row: _Row, cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    for n, cap in _boxes(cfg):
-        box = list(partitions_in_box(n, cap))
-        zero_on_contained: list[tuple] = []
-        for mu in box:
-            for lam in box:
-                if contains(lam, mu):
-                    if weight(mu) and w_multi(mu, staircase_args(lam.parts)).is_zero:
-                        zero_on_contained.append((mu.parts, lam.parts))
-                    continue
-                yield row.report(identity_id, {"mu": mu, "lam": lam})
-        if zero_on_contained:
-            # flagged for review, not a failure: the theory does not pin these down
-            yield IdentityReport(identity_id,
-                                 {"n": n, "flagged_zero_on_contained": zero_on_contained},
-                                 passed=True)
-
-
-def _qt_number_reports(identity_id: str, row: _Row, cfg: SuiteConfig) -> Iterator[IdentityReport]:
-    rng = random.Random(cfg.seed)
-    for n, _ in _boxes(cfg):
-        for _ in range(2):
-            yield row.report(identity_id, {"z": tuple(rng.randrange(0, 5) for _ in range(n))})
-    for m in range(0, 6):
-        # [m] = (1 - q^m) / (1 - q), as a factor list so that it keeps its factor map
-        rhs = binomial_product([(q_pow(m), 1), (Q, -1)])
-        yield equality_report(identity_id, {"z": [m], "n": 1}, qt_number((m,)), rhs)
+def _qt_number_indices(cfg: SuiteConfig) -> Iterator[dict]:
+    yield from _boxed(lambda n, cap, zs: ({"z": z} for z in zs),
+                      draw=lambda rng, n: [tuple(rng.randrange(0, 5) for _ in range(n))
+                                           for _ in range(2)])(cfg)
+    for m in range(6):
+        yield {"z": (m,), "n": 1}
 
 
 #: (lam, mu) for lam in every box and mu <= lam.
 _LAM_MU = _boxed(lambda n, cap: (
     {"lam": lam, "mu": mu} for lam, mu in _pairs(rectangle(cap, n))))
+#: {"bound": the rectangle} of every box
+_BOUNDS = _boxed(lambda n, cap: [{"bound": rectangle(cap, n)}])
 #: the points x of limit-rule
 _LIMIT_POINTS = (monomial_rf(e_q=2, e_t=1), t_pow(3) * q_pow(1), q_pow(1))
 
@@ -587,7 +559,11 @@ _TABLE: dict[str, _Row] = {
     "w-staircase": _Row(
         "equal", _each("mu"),
         lambda mu: (w_staircase(mu, X), w_multi(mu, generic_staircase_args(mu.n)))),
-    "w-vanishing": _Row("equal", None, _w_vanishing, generate=_w_vanishing_reports),
+    "w-vanishing": _Row(
+        "equal", _boxed(lambda n, cap: (
+            {"mu": mu, "lam": lam} for mu, lam in product(partitions_in_box(n, cap), repeat=2)
+            if not contains(lam, mu))),
+        _w_vanishing),
     "w-symmetry": _Row(
         "holds", _boxed(lambda n, cap, xs: (
             {"mu": mu, "args": xs} for mu in partitions_in_box(n, cap)), draw=_sample_exponent_args),
@@ -612,9 +588,9 @@ _TABLE: dict[str, _Row] = {
         "equal", _each("lam"),
         lambda lam: (poch_partition(X, lam), _expansion(lam, "binomial"))),
     "qt-number-reduction": _Row(
-        "holds", None, _qt_number_agrees,
-        lambda z: canonical_str(qt_bracket(z, rectangle(1, len(z))) - qt_number(z)),
-        generate=_qt_number_reports),
+        "holds", _qt_number_indices, _qt_number_agrees,
+        lambda z, n=None: canonical_str(
+            (_q_number(z[0]) if n else qt_bracket(z, rectangle(1, len(z)))) - qt_number(z))),
     "bracket-rect": _Row(
         "equal", _each("mu"), lambda mu: (qt_bracket(XBAR, mu), bracket_rect(mu))),
     "bracket-binomial-relation": _Row(
@@ -649,11 +625,11 @@ _TABLE: dict[str, _Row] = {
     "defining-expansion-s2": _Row(
         "equal", _each("nu"), lambda nu: (_limit_bracket(nu), _expansion(nu, "s2"))),
     "stirling-inversion": _Row(
-        "holds", _boxed(lambda n, cap: [{"bound": rectangle(cap, n)}]),
-        _stirling_inversion, "a product of s1 and s2 differs from delta"),
+        "holds", _BOUNDS, lambda bound: _valgebra_product(bound, ((s1, s2), (s2, s1)), _delta),
+        "a product of s1 and s2 differs from delta"),
     "valgebra-identity": _Row(
-        "holds", _boxed(lambda n, cap: [{"bound": rectangle(cap, n)}]),
-        _valgebra_identity, "delta is not neutral for s1"),
+        "holds", _BOUNDS, lambda bound: _valgebra_product(bound, ((_delta, s1), (s1, _delta)), s1),
+        "delta is not neutral for s1"),
     "adjacent-weight": _Row(
         "equal", _boxed(lambda n, cap: (
             {"nu": nu, "mu": mu} for nu, mu in _pairs(rectangle(cap, n))
@@ -678,12 +654,15 @@ MANIFEST: tuple[str, ...] = tuple(_TABLE)
 
 
 def check_identity(identity_id: str, **indices) -> IdentityReport:
-    """Check one identity at the given indices, as the suite would report it.
+    """Check one identity at one index dict, as the suite would report it.
 
-    The indices are the keys of the identity's index_data, e.g.
+    The indices are an index dict of the identity's enumerator, with
+    partitions and functions as objects, e.g.
     check_identity("flip-formula", mu=Partition((2, 1)), x=X) or
     check_identity("root-vanishing", nu=Partition((2, 1)), j=1, m=1).
-    An exception of the check propagates; the suite reports it instead.
+    The report's index_data is the same dict as plain JSON; for a "record"
+    row it also holds the flags of the check.  An exception of the check
+    propagates; the suite reports it instead.
     """
     if identity_id not in _TABLE:
         raise ValueError(f"unknown identity {identity_id!r}")
@@ -707,11 +686,12 @@ def run_suite(cfg: SuiteConfig) -> list[IdentityReport]:
                 continue
             started = time.perf_counter()
             try:
-                for report in row.reports(identity_id, cfg):
+                for indices in row.indices(cfg):
+                    report = row.report(identity_id, indices)
                     report.elapsed = time.perf_counter() - started
                     started = time.perf_counter()
                     reports.append(report)
-            except Exception as exc:  # from an enumerator or a generate row's own code
+            except Exception as exc:  # from an enumerator
                 reports.append(IdentityReport(identity_id, {}, passed=False,
                                               witness=f"{type(exc).__name__}: {exc}"))
         if write is not None:

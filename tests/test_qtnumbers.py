@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from qtstirling.algebra import (
     ONE,
     Q,
@@ -105,6 +107,14 @@ def test_qt_number_values():
     for m in range(0, 6):
         assert qt_number((m,)) == (ONE - Q**m) / (ONE - Q)
     assert qt_number((2, 1)) == (ONE - Q**2 * T) / (ONE - Q * T)
+
+
+def test_qt_number_reduction_one_variable():
+    # [m] against the q-number 1 + q + ... + q^{m-1}, a sum of monomials
+    for m in range(0, 6):
+        assert check_identity("qt-number-reduction", z=(m,), n=1).passed
+    with pytest.raises(ValueError):
+        check_identity("qt-number-reduction", z=(2, 1), n=1)
 
 
 def test_qt_number_spot_value():

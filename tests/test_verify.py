@@ -122,6 +122,7 @@ def test_suite_determinism(tmp_path):
 _REPORT_DIGESTS = [
     (2, 2, 0, 447, "3d622370146c023f43dca1c217f96d25e1fcbbb113fcb98b905b2b4537e9702b"),
     (3, 1, 7, 403, "3488f8e994c8a4214da737db0f3548b66d6375b25fd81a644b2edb87987dd1f8"),
+    (3, 3, 0, 2428, "a12d22ed3a66b93d525b935b8dadc414496fc5a13f1f1608692a273788300dba"),
 ]
 
 
@@ -135,6 +136,18 @@ def test_suite_report_is_pinned(n_max, part_max, seed, count, digest):
     assert len(records) == count
     text = json.dumps(records, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_check_identity_reproduces_every_suite_report():
+    cfg = SuiteConfig(n_max=3, part_max=1, seed=7)
+    suite = iter(run_suite(cfg))
+    for identity_id, row in verify._TABLE.items():
+        for indices in row.indices(cfg):
+            want = next(suite).to_json_dict()
+            got = check_identity(identity_id, **indices).to_json_dict()
+            del want["elapsed"], got["elapsed"]
+            assert got == want
+    assert next(suite, None) is None
 
 
 def test_suite_report_without_memos_is_pinned():

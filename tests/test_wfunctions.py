@@ -22,6 +22,8 @@ from qtstirling.partitions import (
     horizontal_strip_predecessors,
     partitions_in_box,
     rectangle,
+    subpartitions,
+    weight,
     zeros,
 )
 from qtstirling.pochhammer import poch, poch_partition_flipped
@@ -134,6 +136,15 @@ def test_vanishing():
     assert check_identity("w-vanishing", mu=P((2, 1)), lam=P((1, 1))).passed
     with pytest.raises(ValueError):
         check_identity("w-vanishing", mu=P((1, 0)), lam=P((2, 1)))
+
+
+@pytest.mark.parametrize("n, cap", [(1, 3), (2, 3), (3, 3), (4, 2)])
+def test_w_nonzero_on_contained(n, cap):
+    # the converse of w-vanishing: w_mu(q^lam t^delta) != 0 for nonempty mu <= lam
+    for lam in partitions_in_box(n, cap):
+        for mu in subpartitions(lam):
+            if weight(mu):
+                assert not w_multi(mu, staircase_args(lam.parts)).is_zero, (mu, lam)
 
 
 def test_symmetry_exhaustive_small():
