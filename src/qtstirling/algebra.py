@@ -960,16 +960,23 @@ _FLIP = ((1, (-1, 0, 0)), (1, (0, -1, 0)), _KEEP[2])
 
 
 def _scaled_powers(x: Union[int, Fraction], top: int) -> list[int]:
-    """[a^i * b^(top - i) for i in 0..top], where x = a/b in lowest terms."""
+    """[a^i * b^(top - i) for i in 0..top], where x = a/b in lowest terms.
+
+    The table is allocated once; a's powers fill it upwards and b's scale it
+    downwards, each in one pass that is skipped when a or b is 1.
+    """
     a, b = x.numerator, x.denominator
-    out = [1]
-    for _ in range(top):
-        out.append(out[-1] * a)
+    out = [1] * (top + 1)
+    if a != 1:
+        p = 1
+        for i in range(1, top + 1):
+            p *= a
+            out[i] = p
     if b != 1:
-        scale = b
+        p = 1
         for i in range(top - 1, -1, -1):
-            out[i] *= scale
-            scale *= b
+            p *= b
+            out[i] *= p
     return out
 
 
@@ -1040,6 +1047,12 @@ def flip_qt(f: RationalFn) -> RationalFn:
     return _remap(f, _FLIP, "flip hits a pole")
 
 
+#: The point types evaluate uses as given; anything else goes through Fraction().
+_EXACT = (int, Fraction)
+#: The power table of a variable that a value lacks.
+_ABSENT = (1,)
+
+
 def evaluate(f: RationalFn, q0, t0, X0=0) -> Fraction:
     """Exact value of f at a rational point, computed over the integers.
 
@@ -1047,17 +1060,29 @@ def evaluate(f: RationalFn, q0, t0, X0=0) -> Fraction:
     each q^i becomes a^i b^(D - i): both sums gain the same factor b^D,
     which cancels in the quotient; likewise for t and X.  The pair's
     coefficients are integers, so both sums are integers and one Fraction
-    is built at the end.  Raises PoleError exactly when the denominator
-    sum is 0.
+    is built at the end.  A variable f lacks (D = 0) gets no table, and X
+    no factor in the sums.  Raises PoleError exactly when the denominator
+    sum is 0, before the numerator sum is taken.
     """
-    point = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in (q0, t0, X0)]
-    num, den, top = _point_form(f)
-    tq, tt, tx = [_scaled_powers(x, m) for x, m in zip(point, top)]
-    d = sum([c * tq[i] * tt[j] * tx[k] for i, j, k, c in den])
+    if type(q0) not in _EXACT:
+        q0 = Fraction(q0)
+    if type(t0) not in _EXACT:
+        t0 = Fraction(t0)
+    if type(X0) not in _EXACT:
+        X0 = Fraction(X0)
+    num, den, (top_q, top_t, top_x) = _point_form(f)
+    tq = _scaled_powers(q0, top_q) if top_q else _ABSENT
+    tt = _scaled_powers(t0, top_t) if top_t else _ABSENT
+    if top_x:
+        tx = _scaled_powers(X0, top_x)
+        d = sum([c * tq[i] * tt[j] * tx[k] for i, j, k, c in den])
+    else:
+        d = sum([c * tq[i] * tt[j] for i, j, _, c in den])
     if d == 0:
-        q0, t0, X0 = point
         raise PoleError(f"denominator vanishes at q={q0}, t={t0}, X={X0}")
-    return Fraction(sum([c * tq[i] * tt[j] * tx[k] for i, j, k, c in num]), d)
+    if top_x:
+        return Fraction(sum([c * tq[i] * tt[j] * tx[k] for i, j, k, c in num]), d)
+    return Fraction(sum([c * tq[i] * tt[j] for i, j, _, c in num]), d)
 
 
 def subs_rational(f: RationalFn, q=None, t=None, X=None) -> RationalFn:

@@ -10,11 +10,14 @@ including an --out path that cannot be written, exits 2 with a one-line
 message before any identity or table entry is computed; a `table` that
 fails leaves its --out path as it was.  `eval` and `table` also exit 2 with one
 line on an input too deep for Python's recursion limit, such as an ambient
-length in the thousands, and `eval` on an id with an integer past 100000 in
-absolute value (verify._ID_INT_MAX).  `eval` prints its
+length in the thousands, `eval` on an id with an integer past 100000 in
+absolute value (verify._ID_INT_MAX), and `table` on a bound with a part past
+that same bound.  `eval` prints its
 value as n/d (or n), with every digit however long.  It builds its
-one id once per process: the memo behind it (verify.parse_expression) pays
-off only for library callers that request an id again, at other points.
+one id once per process: the memo behind it (verify.parse_expression, keyed
+by the id string as given) pays off only for library callers that request an
+id again, at other points, where a repeat costs one memo hit and one integer
+evaluation.
 The QTSTIRLING_CACHE_SIZE environment variable caps
 every memo in the package (each an LRU cache of that many entries, 200000 by
 default); it is read once, at start-up.  0 turns caching off, and a value that
@@ -125,7 +128,7 @@ def _cmd_check(args) -> int:
 def _cmd_table(args) -> int:
     try:
         text = emit_table(args.kind, args.bound, args.format, args.out)
-    except (OSError, RecursionError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not args.out:

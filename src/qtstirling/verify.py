@@ -154,9 +154,9 @@ def classical_stirling1(m: int, k: int) -> int:
     return coeffs[k] if 0 <= k < len(coeffs) else 0
 
 
-def classical_stirling2(m: int, k: int) -> int:
-    """Stirling number of the second kind, by inverting the first-kind matrix."""
-    size = m + 1
+@memo
+def _stirling1_inverse(size: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The inverse of the first-kind matrix [s(i, j)] for 0 <= i, j < size."""
     a = [[classical_stirling1(i, j) for j in range(size)] for i in range(size)]
     inv = [[Fraction(0)] * size for _ in range(size)]
     for i in range(size):
@@ -166,7 +166,14 @@ def classical_stirling2(m: int, k: int) -> int:
             for r in range(j + 1, i + 1):
                 acc += inv[i][r] * a[r][j]
             inv[i][j] = -acc
-    value = inv[m][k]
+    return tuple(map(tuple, inv))
+
+
+def classical_stirling2(m: int, k: int) -> int:
+    """Stirling number of the second kind, by inverting the first-kind matrix."""
+    if not 0 <= k <= m:
+        return 0
+    value = _stirling1_inverse(m + 1)[m][k]
     assert value.denominator == 1
     return int(value)
 
@@ -738,12 +745,16 @@ def emit_table(kind: str, bound: Partition, fmt: str = "json", path: Optional[st
 
     path is tried for writing before any entry is computed, so an
     unwritable path raises OSError at once; an entry that raises leaves no
-    file behind (see _output).
+    file behind (see _output).  A bound part past _ID_INT_MAX, the bound on
+    an eval id's integers, is a ValueError before path is opened.
     """
     if kind not in _TABLE_KINDS:
         raise ValueError(f"unknown table kind {kind!r}")
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
+    if max(bound.parts) > _ID_INT_MAX:
+        spelled = ",".join(map(str, bound.parts))
+        raise ValueError(f"a part of the bound {spelled} exceeds {_ID_INT_MAX}")
     fn = _EVAL_EXPRS[kind][1]
     with _output(path) as write:
         entries = [(nu, mu, canonical_str(fn(nu.parts, mu.parts))) for nu, mu in _pairs(bound)]
@@ -812,15 +823,17 @@ def _expression_value(name: str, groups: tuple[tuple[int, ...], ...]) -> Rationa
     return _EVAL_EXPRS[name][1](*groups)
 
 
+@memo
 def parse_expression(expr: str) -> RationalFn:
     """Evaluate an expression id of the form name(ints;ints;...) symbolically.
 
     Each ';'-separated group of comma-separated integers is one argument of
     the quantity named; an empty group or a wrong number of groups is a
     ValueError, and so is an integer past _ID_INT_MAX in absolute value.
-    Values are memoised under (name, integer groups), so spellings of one
-    id that differ only in whitespace share an entry; a build that raises
-    stores nothing.
+    Values are memoised twice: under the id string exactly as given, so that
+    a repeated id costs one memo hit, and behind that under (name, integer
+    groups), so that spellings of one id that differ only in whitespace
+    share one value.  An id that raises stores nothing in either memo.
     Examples: "qt_number(2,1)", "s1(2,1;1,0)", "binomial(2;1)", "gaussian(2;1)".
     """
     expr = expr.strip()
@@ -845,7 +858,8 @@ def parse_expression(expr: str) -> RationalFn:
 def eval_point(expr: str, q0, t0, x0=0) -> Fraction:
     """Exact rational value of a library quantity at a rational point.
 
-    The rational function comes from parse_expression's memo, so a repeated
-    id costs one lookup plus one integer evaluation (algebra.evaluate).
+    The rational function comes from parse_expression's memo, keyed by the
+    id string as given, so a repeated id costs one memo hit plus one integer
+    evaluation (algebra.evaluate) and is not parsed again.
     """
     return evaluate(parse_expression(expr), q0, t0, x0)

@@ -713,8 +713,12 @@ _eval_operands = st.tuples(
     _operands, st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool),
 ).map(lambda fc: fc[0] * fc[1])
 
+#: Coordinates of each kind evaluate takes: Fractions and ints, used as they
+#: are, and floats, which it converts with Fraction().
 _coords = st.one_of(st.just(Fraction(0)),
-                    st.fractions(min_value=-3, max_value=3, max_denominator=5))
+                    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+                    st.integers(min_value=-3, max_value=3),
+                    st.sampled_from([0.5, -1.25, 2.0]))
 
 
 @given(_eval_operands, _coords, _coords, st.one_of(st.none(), _coords))
@@ -722,10 +726,12 @@ _coords = st.one_of(st.just(Fraction(0)),
 @example((ONE + Q) * Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(1, 2))
 @example(ONE / (ONE - Q * T), Fraction(-3, 2), Fraction(-2, 3), Fraction(0))
 @example(ZERO, Fraction(0), Fraction(0), None)
+@example((ONE - Q * T) / (ONE + T), 2, Fraction(1, 3), Fraction(5, 2))  # no X, at X != 0
+@example(ONE / (ONE - Q * X), 3, -1, 0.5)
 @settings(max_examples=300, deadline=None)
 def test_evaluate_matches_fraction_reference(f, q0, t0, X0):
     point = (q0, t0) if X0 is None else (q0, t0, X0)
-    X0 = Fraction(0) if X0 is None else X0
+    q0, t0, X0 = (Fraction(0 if x is None else x) for x in (q0, t0, X0))
     den = _eval_poly_reference(f.den, q0, t0, X0)
     if den == 0:
         with pytest.raises(PoleError):

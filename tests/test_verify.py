@@ -8,6 +8,7 @@ import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -85,6 +86,9 @@ def test_classical_oracles():
     assert classical_stirling2(4, 2) == 7
     assert classical_stirling2(5, 3) == 25
     assert classical_stirling2(0, 0) == 1
+    # outside 0 <= k <= m both kinds are 0
+    assert [classical_stirling2(3, k) for k in (-1, 4)] == [0, 0]
+    assert [classical_stirling1(3, k) for k in (-1, 4)] == [0, 0]
 
 
 def test_config_validation():
@@ -436,6 +440,8 @@ def test_eval_point_errors():
         eval_point("mystery(1)", 1, 1)
     with pytest.raises(ValueError):
         eval_point("no parens", 1, 1)
+    with pytest.raises(ValueError):  # whitespace does not join two integers
+        eval_point("qt_number(1 2)", 1, 1)
 
 
 def _run_cli(*args):
@@ -506,6 +512,8 @@ def test_cli_eval_prints_every_digit_past_the_str_limit():
     # ambient length 2000: deeper than Python's default recursion limit
     ("eval", "--expr", "w({0};{0})".format(",".join(["0"] * 2000)), "--q", "1/2", "--t", "1/3"),
     ("table", "--kind", "s1", "--bound", ",".join(["0"] * 2000)),
+    # a part past the id bound, which ran without end before it
+    ("table", "--kind", "s1", "--bound", "3000000000"),
 ])
 def test_cli_bad_input_exit_code(args):
     proc = _run_cli(*args)
@@ -523,12 +531,13 @@ def test_eval_id_integers_are_bounded():
 
 
 def test_table_out_is_left_alone_by_a_failed_table(tmp_path):
-    # an ambient length of 2000 is deeper than Python's recursion limit
+    # an ambient length of 2000 is deeper than Python's recursion limit, and
+    # 3000000000 is past the id bound
     deep = ",".join(["0"] * 2000)
     missing, kept = tmp_path / "new.json", tmp_path / "kept.json"
     kept.write_text("earlier table\n")
-    for out in (missing, kept):
-        proc = _run_cli("table", "--kind", "s1", "--bound", deep, "--out", str(out))
+    for bound, out in product((deep, "3000000000"), (missing, kept)):
+        proc = _run_cli("table", "--kind", "s1", "--bound", bound, "--out", str(out))
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ")
     assert not missing.exists()
@@ -580,13 +589,26 @@ def test_eval_memo_shares_whitespace_variants():
     assert parse_expression(" s1( 2,1 ; 1,0 ) ") is parse_expression("s1(2,1;1,0)")
 
 
+def test_eval_memo_is_keyed_by_the_id_string():
+    eval_point("s2(2,1;2,0)", 2, 3)
+    values, strings = _expression_value.cache_info(), parse_expression.cache_info()
+    eval_point("s2(2,1;2,0)", 5, 7)
+    assert _expression_value.cache_info() == values
+    assert parse_expression.cache_info().hits == strings.hits + 1
+    eval_point(" s2(2,1;2, 0)", 5, 7)  # a respelling: a new string, the same value
+    assert parse_expression.cache_info().currsize == strings.currsize + 1
+    assert _expression_value.cache_info().currsize == values.currsize
+
+
 def test_eval_memo_stores_no_error():
     parse_expression("s1(2,1;1,0)")
     size = _expression_value.cache_info().currsize
+    strings = parse_expression.cache_info().currsize
     for _ in range(3):
         with pytest.raises(ValueError):  # (1) over (2) is not a horizontal strip
             parse_expression("h(1;2)")
         assert _expression_value.cache_info().currsize == size
+        assert parse_expression.cache_info().currsize == strings
 
 
 # -- an unwritable --out fails before any work --------------------------------
