@@ -52,11 +52,12 @@ factors, an integer or a monomial, by Phi_d(y^n) = prod Phi_D(y) over the
 D | dn with D / gcd(D, n) = d, and reduces the same way.  Every gcd
 divided out has a positive leading coefficient, and leading coefficients
 multiply under a monomial order, so the new denominator's stays positive.
-Only where no map is known do the operators fall back to
-`Polynomial.gcd`, and substitution to the full reduction `_canonical`.
-No row of `check`, `eval` or `table` reaches that fallback.  Only values
-built by `RationalFn(num, den)` or `parse_rational` with a denominator of
-several terms do, with what is computed from them, and the images of a
+Every other pair, from `RationalFn(num, den)`, `parse_rational` or a
+substitution, becomes a value in one place, `_reduce`.  Only where no map
+is known does `_cancel` fall back to `Polynomial.gcd`.  No row of `check`,
+`eval` or `table` reaches that fallback.  Only values built by
+`RationalFn(num, den)` or `parse_rational` with a denominator of several
+terms do, with what is computed from them, and the images of a
 substitution with an image of another coefficient.
 
 The canonical string grammar of `canonical_str` is regular, so
@@ -483,25 +484,6 @@ def _integer_parts(v) -> tuple[Polynomial, int]:
     raise TypeError(f"cannot build a polynomial from {type(v).__name__}")
 
 
-def _canonical(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Full reduction of the integer pair num/den: remove the gcd, then fix the sign.
-
-    Only values built from outside the operators need it.  The operators
-    rely on the invariant it establishes (num and den coprime over ZZ, den
-    with positive leading coefficient): products divide out the two cross
-    gcds, sums follow Henrici, inverses swap and fix the sign, and none of
-    them calls this function.
-    """
-    if not den:
-        raise ZeroDivisionError("division by the zero rational function")
-    if not num:
-        return Polynomial(), _Z1
-    _, _, num, _, den, _ = _cancel(num, None, den, None)
-    if den.LC < 0:
-        num, den = -num, -den
-    return num, den
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic factor maps
 # ---------------------------------------------------------------------------
@@ -610,7 +592,10 @@ def _factor_image(key: tuple, images: tuple) -> dict:
     return {(D, y): 1 for D in _divisors(d * g) if D // gcd(D, g) == d}
 
 
-def _map_image(fmap: dict, images: tuple) -> dict:
+def _map_image(fmap, images: tuple):
+    """The factor map of the image of a polynomial with map fmap (None: unknown)."""
+    if fmap is None:
+        return None
     out: dict = {}
     for key, e in fmap.items():
         for k, e2 in _factor_image(key, images).items():
@@ -720,22 +705,18 @@ class RationalFn:
     hashes like its Fraction value, so `ONE == 1` and `hash(ONE) == hash(1)`.
 
     `RationalFn(num, den)` takes ints, Fractions or int-coefficient
-    Polynomials and reduces num/den to the canonical pair.  A value it
-    builds knows the factor maps of num and den only where they have one
-    term.
+    Polynomials, clears them to an integer pair and returns its value from
+    `_reduce`, as `parse_rational` and substitution do.  A value built so
+    knows the factor maps of num and den only where they have one term.
     """
 
     __slots__ = ("num", "den", "_num_map", "_den_map", "_hash", "_point")
 
-    def __init__(self, num, den=None):
+    def __new__(cls, num, den=None):
         num, num_scale = _integer_parts(num)
         den, den_scale = (_Z1, 1) if den is None else _integer_parts(den)
         # num/den == (num * den_scale) / (den * num_scale)
-        num, den = _canonical(_scale(num, den_scale), _scale(den, num_scale))
-        _set_num(self, num)
-        _set_den(self, den)
-        _set_num_map(self, _one_term_map(num))
-        _set_den_map(self, _one_term_map(den))
+        return _reduce(_scale(num, den_scale), None, _scale(den, num_scale), None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFn is immutable")
@@ -871,6 +852,27 @@ def _make(n: Polynomial, d: Polynomial, num_map=None, den_map=None) -> RationalF
     return f
 
 
+def _reduce(num: Polynomial, num_map, den: Polynomial, den_map) -> RationalFn:
+    """The value of an integer pair num/den that the operators did not build.
+
+    `_cancel` removes the gcd by the complete factor maps num_map and den_map
+    (None: unknown) and den is made to lead positive: the invariant that the
+    operators keep without this function.  Given neither map, `_cancel` takes
+    the gcd fallback and the value knows the one-term maps only.
+    """
+    if not den:
+        raise ZeroDivisionError("division by the zero rational function")
+    if not num:
+        return ZERO
+    mapless = num_map is None and den_map is None
+    _, _, num, num_map, den, den_map = _cancel(num, num_map, den, den_map)
+    if den.LC < 0:
+        num, den = -num, -den
+    if mapless:
+        num_map, den_map = _one_term_map(num), _one_term_map(den)
+    return _make(num, den, num_map, den_map)
+
+
 def _power(fmap, k: int):
     """The factor map of p^k from that of p, k >= 1."""
     if not fmap or k == 1:
@@ -992,8 +994,8 @@ def _remap(f: RationalFn, images: tuple, pole: str) -> RationalFn:
     PoleError(pole) when the denominator maps to zero.
 
     When den's factor map is known and every image has coefficient 1 or 0
-    (flips, q -> 1, t = q^alpha, X -> 0), the maps go to their images and
-    `_cancel` reduces the pair; otherwise `_canonical` does.
+    (flips, q -> 1, t = q^alpha, X -> 0), the maps go to their images;
+    otherwise the pair goes to `_reduce` with neither map.
     """
     n, d, top = _point_form(f)
     tables = [None if c == 1 else _scaled_powers(Fraction(c), top[v])
@@ -1018,16 +1020,12 @@ def _remap(f: RationalFn, images: tuple, pole: str) -> RationalFn:
     low = [min(m[j] for m in chain(num, den)) for j in range(3)]
     num, den = (Polynomial({_pack(*(e - s for e, s in zip(m, low))): c for m, c in terms.items()})
                 for terms in (num, den))
-    if f._den_map is None or any(c not in (0, 1) for c, _ in images):
-        num, den = _canonical(num, den)
-        return _make(num, den, _one_term_map(num), _one_term_map(den))
     if not num:
         return ZERO
-    num_map = None if f._num_map is None else _map_image(f._num_map, images)
-    _, _, num, num_map, den, den_map = _cancel(num, num_map, den, _map_image(f._den_map, images))
-    if den.LC < 0:
-        num, den = -num, -den
-    return _make(num, den, num_map, den_map)
+    # the maps have images only under images of coefficient 1 or 0
+    mapped = f._den_map is not None and all(c in (0, 1) for c, _ in images)
+    return _reduce(num, _map_image(f._num_map, images) if mapped else None,
+                   den, _map_image(f._den_map, images) if mapped else None)
 
 
 def _image(v) -> tuple:

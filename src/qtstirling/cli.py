@@ -11,8 +11,9 @@ message before any identity or table entry is computed; a `table` that
 fails leaves its --out path as it was.  `eval` and `table` also exit 2 with one
 line on an input too deep for Python's recursion limit, such as an ambient
 length in the thousands, `eval` on an id with an integer past 100000 in
-absolute value (verify._ID_INT_MAX), and `table` on a bound with a part past
-that same bound.  `eval` prints its
+absolute value (verify._ID_INT_MAX), and `table` on a bound that holds more
+than 100000 (nu, mu) pairs (verify._TABLE_PAIRS_MAX), as does every bound
+with a part of 447 or more.  `eval` prints its
 value as n/d (or n), with every digit however long.  It builds its
 one id once per process: the memo behind it (verify.parse_expression, keyed
 by the id string as given) pays off only for library callers that request an

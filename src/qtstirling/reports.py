@@ -1,13 +1,12 @@
-"""Outcome records for symbolic identity checks."""
+"""Outcome records for symbolic identity checks, each built by `verify._Row.judge`
+from one check's verdict (flags, witness)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .algebra import RationalFn, canonical_str
-
-__all__ = ["IdentityReport", "equality_report"]
+__all__ = ["IdentityReport"]
 
 
 @dataclass
@@ -31,13 +30,3 @@ class IdentityReport:
             out["witness"] = self.witness
         return out
 
-
-def equality_report(identity_id: str, index_data: dict, lhs: RationalFn, rhs: RationalFn) -> IdentityReport:
-    """Report asserting lhs == rhs; the witness is the canonical LHS - RHS."""
-    passed = lhs == rhs
-    return IdentityReport(
-        identity_id=identity_id,
-        index_data=index_data,
-        passed=passed,
-        witness=None if passed else canonical_str(lhs - rhs),
-    )

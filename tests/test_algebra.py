@@ -616,6 +616,17 @@ def test_binomial_power_maps_every_cyclotomic_factor():
     assert g._den_map == {(1, (0, 1, 0)): 1, (3, (0, 1, 0)): 1}
 
 
+def test_values_built_outside_the_operators_know_only_one_term_maps():
+    # the maps decide which cancellation later products take, so they are pinned:
+    # unknown (None) for a side of several terms, empty for a side of one term
+    for value, want in (
+        (RationalFn((Q + T).num), (None, {})),
+        (parse_rational("(q + t)/(q - 1)"), (None, None)),
+        (subs_rational(ONE - Q, q=Fraction(1, 2)), ({}, {})),
+    ):
+        assert (value._num_map, value._den_map) == want, value
+
+
 def test_import_and_runs_leave_sympy_unloaded():
     import subprocess
     import sys

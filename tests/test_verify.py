@@ -226,18 +226,19 @@ def test_suite_takes_no_polynomial_gcd_or_full_reduction(monkeypatch):
     # substitutions reduce by trial division; only values built from a user's
     # pair reach the fallback (test_multi_term_products_reach_polynomial_gcd)
     calls = []
-    gcd, canonical = Polynomial.gcd, algebra._canonical
+    gcd, reduce = Polynomial.gcd, algebra._reduce
 
     def counted_gcd(f, g):
         calls.append("gcd")
         return gcd(f, g)
 
-    def counted_canonical(num, den):
-        calls.append("_canonical")
-        return canonical(num, den)
+    def counted_reduce(num, num_map, den, den_map):
+        if num_map is None and den_map is None:  # the full reduction, by the gcd fallback
+            calls.append("_reduce")
+        return reduce(num, num_map, den, den_map)
 
     monkeypatch.setattr(Polynomial, "gcd", counted_gcd)
-    monkeypatch.setattr(algebra, "_canonical", counted_canonical)
+    monkeypatch.setattr(algebra, "_reduce", counted_reduce)
     clear_cache()
     reports = run_suite(SuiteConfig(n_max=3, part_max=1))
     assert {r.identity_id for r in reports} == set(MANIFEST)
@@ -514,6 +515,8 @@ def test_cli_eval_prints_every_digit_past_the_str_limit():
     ("table", "--kind", "s1", "--bound", ",".join(["0"] * 2000)),
     # a part past the id bound, which ran without end before it
     ("table", "--kind", "s1", "--bound", "3000000000"),
+    # a part at the id bound: about 5e9 pairs, past the cap on a table's pairs
+    ("table", "--kind", "s1", "--bound", "100000"),
 ])
 def test_cli_bad_input_exit_code(args):
     proc = _run_cli(*args)
@@ -531,12 +534,12 @@ def test_eval_id_integers_are_bounded():
 
 
 def test_table_out_is_left_alone_by_a_failed_table(tmp_path):
-    # an ambient length of 2000 is deeper than Python's recursion limit, and
-    # 3000000000 is past the id bound
+    # an ambient length of 2000 is deeper than Python's recursion limit,
+    # 3000000000 is past the id bound, and 100000 holds more pairs than a table may
     deep = ",".join(["0"] * 2000)
     missing, kept = tmp_path / "new.json", tmp_path / "kept.json"
     kept.write_text("earlier table\n")
-    for bound, out in product((deep, "3000000000"), (missing, kept)):
+    for bound, out in product((deep, "3000000000", "100000"), (missing, kept)):
         proc = _run_cli("table", "--kind", "s1", "--bound", bound, "--out", str(out))
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ")
@@ -620,7 +623,7 @@ def no_work(monkeypatch):
     def never(*args):
         pytest.fail("computed before the output path was opened")
 
-    monkeypatch.setitem(verify._TABLE, "stirling-zero", verify._Row("holds", never, never))
+    monkeypatch.setitem(verify._TABLE, "stirling-zero", verify._Row(never, never))
     monkeypatch.setitem(verify._EVAL_EXPRS, "s1", (2, never))
 
 
@@ -634,3 +637,47 @@ def test_unwritable_out_fails_before_any_work(no_work, capsys, args):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+# -- failure witnesses of the rows that decide and explain in one check -------
+
+#: (identity, builder replaced in verify, replacement of the real builder,
+#: indices, witness): each replacement makes the row fail at those indices.
+_WITNESS_CASES = [
+    ("gaussian-reduction", "gaussian_binomial", lambda real: lambda m, k: real(m, k) + ONE,
+     {"m": 2, "k": 1}, "q + 1"),
+    ("qt-number-reduction", "qt_number", lambda real: lambda z: ZERO,
+     {"z": (3,), "n": 1}, "q^2 + q + 1"),
+    ("qt-number-reduction", "qt_number", lambda real: lambda z: ZERO,
+     {"z": (2, 1)}, "(q^2*t - 1)/(q*t - 1)"),
+    # the bracket agrees and the binomial does not: the witness is the bracket's difference
+    ("qt-number-reduction", "qt_binomial", lambda real: lambda z, mu: ZERO,
+     {"z": (2, 1)}, "0"),
+    ("h-g-flip", "h_product", lambda real: lambda mu: real(mu) + ONE,
+     {"mu": P((2, 1))}, "h ok: False, g ok: True"),
+    ("h-g-flip", "g_product", lambda real: lambda mu: real(mu) + ONE,
+     {"mu": P((2, 1))}, "h ok: True, g ok: False"),
+    ("stirling-diagonal", "s2", lambda real: lambda nu, mu: ZERO,
+     {"lam": P((1, 0))}, "s1: 1, s2: 0"),
+    ("classical-stirling", "classical_stirling2", lambda real: lambda m, k: real(m, k) + 1,
+     {"m": 3, "k": 2}, "got (-3, 3), want (-3, 4)"),
+    ("inclusion-order", "contains", lambda real: lambda a, b: True,
+     {"n": 1, "part_max": 1}, "partial-order axiom violated"),
+    ("w-symmetry", "w_multi", lambda real: lambda mu, args: args[0],
+     {"mu": P((1, 0)), "args": (x_pow(1), x_pow(2))}, "permuted value differs"),
+    ("stirling-zero", "s1", lambda real: lambda nu, mu: ONE,
+     {"lam": P((1,))}, "nonzero value at the empty partition"),
+    ("stirling-inversion", "_product_entry", lambda real: lambda a, b, lam, mu: ZERO,
+     {"bound": P((1,))}, "a product of s1 and s2 differs from delta"),
+    ("valgebra-identity", "_product_entry", lambda real: lambda a, b, lam, mu: ZERO,
+     {"bound": P((1,))}, "delta is not neutral for s1"),
+]
+
+
+@pytest.mark.parametrize("identity_id, builder, replace, indices, witness", _WITNESS_CASES,
+                         ids=[f"{case[0]}-{case[1]}-{i}" for i, case in enumerate(_WITNESS_CASES)])
+def test_failure_witness_is_pinned(monkeypatch, identity_id, builder, replace, indices, witness):
+    monkeypatch.setattr(verify, builder, replace(getattr(verify, builder)))
+    report = check_identity(identity_id, **indices)
+    assert not report.passed
+    assert report.witness == witness
