@@ -8,8 +8,8 @@ reports and tables are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from operator import index
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -28,14 +28,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, init=False)
 class Partition:
-    """Weakly decreasing nonnegative integers; trailing zeros are significant."""
+    """Weakly decreasing nonnegative integers; trailing zeros are significant.
 
+    Immutable: equal only to a Partition of equal parts, hashable, and
+    assigning an attribute raises AttributeError.  Each part must be an
+    integer (operator.index), so a float or a string is a TypeError rather
+    than a truncated part.
+    """
+
+    __slots__ = ("parts",)
     parts: tuple[int, ...]
 
     def __init__(self, parts: Sequence[int]):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(index, parts))
         if not parts:
             raise ValueError("ambient length must be at least 1")
         if any(p < 0 for p in parts):
@@ -43,6 +49,26 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts not weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Partition, (self.parts,)
+
+    def __repr__(self):
+        return f"Partition(parts={self.parts!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     @property
     def n(self) -> int:

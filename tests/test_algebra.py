@@ -637,6 +637,12 @@ def test_import_and_runs_leave_sympy_unloaded():
         "import sys\n"
         "import qtstirling\n"
         "assert 'sympy' not in sys.modules, 'import'\n"
+        "qtstirling.Q * (qtstirling.ONE - qtstirling.T)\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('qtstirling'))\n"
+        "assert loaded == ['qtstirling', 'qtstirling.algebra'], loaded\n"
+        "assert 'dataclasses' not in sys.modules, 'dataclasses at import'\n"
+        "qtstirling.s1(qtstirling.Partition((1,)), qtstirling.Partition((0,)))\n"
+        "assert 'dataclasses' not in sys.modules, 'dataclasses at s1'\n"
         "from qtstirling.verify import SuiteConfig, emit_table, eval_point, run_suite\n"
         "from qtstirling.partitions import Partition\n"
         "assert all(r.passed for r in run_suite(SuiteConfig(n_max=2, part_max=1)))\n"

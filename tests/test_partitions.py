@@ -1,5 +1,6 @@
 """Partition lattice, interlacing, statistics; brute-force enumeration oracles."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -54,6 +55,29 @@ def test_validation():
         P((1, 2))
     with pytest.raises(ValueError):
         P((1, -1))
+    # a part that is not an integer is refused, never truncated
+    for parts in ((2.7, 1), ("3", True), (1.0,), (Fraction(3),)):
+        with pytest.raises(TypeError):
+            P(parts)
+    assert P((True, 0)).parts == (1, 0)
+
+
+def test_partition_value_behaviour():
+    import copy
+    import pickle
+
+    mu = P((2, 1))
+    assert repr(mu) == "Partition(parts=(2, 1))"
+    assert mu == P([2, 1]) and hash(mu) == hash(P([2, 1])) == hash(((2, 1),))
+    assert mu != (2, 1) and mu != P((2, 1, 0)) and mu != "(2,1)"
+    with pytest.raises(AttributeError):
+        mu.parts = (3, 1)
+    with pytest.raises(AttributeError):
+        mu.extra = 1
+    with pytest.raises(AttributeError):
+        del mu.parts
+    assert mu.parts == (2, 1)
+    assert copy.copy(mu) == copy.deepcopy(mu) == pickle.loads(pickle.dumps(mu)) == mu
 
 
 def test_statistics():

@@ -67,6 +67,26 @@ def test_manifest_completeness():
     assert expected_core <= set(MANIFEST)
 
 
+#: Every name `import qtstirling` binds: 72 functions, classes and constants
+#: and the 8 submodules (cli is not among them).
+_PACKAGE_NAMES = [
+    "IdentityReport", "MANIFEST", "NotAStripError", "ONE", "Partition", "PoleError", "Q",
+    "RationalFn", "SuiteConfig", "T", "X", "XBAR", "ZERO", "algebra", "bracket_rect",
+    "canonical_str", "check_identity", "classical_stirling1", "classical_stirling2", "const",
+    "contains", "emit_table", "eval_point", "evaluate", "f_factor", "flip_qt", "g_product",
+    "gaussian_binomial", "generic_staircase_args", "h_factor", "h_product",
+    "horizontal_strip_predecessors", "is_horizontal_strip", "limit_q_to_1", "monomial_rf",
+    "n_stat", "n_stat_conj", "ordinary_alpha_stirling", "parse_rational", "partitions",
+    "partitions_between", "partitions_in_box", "poch", "poch_partition",
+    "poch_partition_flipped", "pochhammer", "q_pow", "qt_binomial", "qt_binomial_rect",
+    "qt_bracket", "qt_number", "qtnumbers", "rectangle", "reports", "run_suite", "s1", "s2",
+    "staircase_args", "stirling", "subpartitions", "subs_rational", "substitute_t_eq_q_pow",
+    "t_pow", "u_limit", "u_limit_direct", "u_matrix", "v_limit", "v_limit_direct", "v_matrix",
+    "verify", "w_bar", "w_hat_multi", "w_hat_skew_single", "w_multi", "w_skew_single",
+    "w_staircase", "weight", "wfunctions", "x_pow", "zeros",
+]
+
+
 def test_every_exported_function_and_class_is_defined_in_its_module():
     foreign = []
     for info in pkgutil.iter_modules(qtstirling.__path__):
@@ -77,6 +97,20 @@ def test_every_exported_function_and_class_is_defined_in_its_module():
             if is_defined and value.__module__ != module.__name__:
                 foreign.append(f"{module.__name__}.{name}")
     assert not foreign
+    # the package namespace: the 72 names and 8 submodules an eager import bound,
+    # each the very object its module defines, loaded on first access
+    assert qtstirling.__all__ == _PACKAGE_NAMES
+    for name in _PACKAGE_NAMES:
+        value = getattr(qtstirling, name)
+        home = sys.modules[f"qtstirling.{qtstirling._LAZY.get(name, 'algebra')}"]
+        assert value is (home if inspect.ismodule(value) else getattr(home, name)), name
+    star = {}
+    exec("from qtstirling import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == _PACKAGE_NAMES
+    assert set(_PACKAGE_NAMES) <= set(dir(qtstirling))
+    with pytest.raises(AttributeError):
+        qtstirling.not_a_name
+    assert not hasattr(qtstirling, "falling_factorial_coefficients")
 
 
 def test_classical_oracles():
