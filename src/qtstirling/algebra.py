@@ -304,15 +304,6 @@ def _exquo(f: Polynomial, g: Polynomial) -> Union[Polynomial, None]:
     the first one that does not divide ends the division: a multiple of g
     has every leading term divisible by g's.
     """
-    if len(g) == 1:
-        (m, c), = g.items()
-        out = Polynomial()
-        for k, v in f.items():
-            k -= m
-            if k & _GUARD or v % c:
-                return None
-            out[k] = v // c
-        return out
     lead = max(g)
     lc = g[lead]
     tail = [(k - lead, v) for k, v in g.items() if k != lead]

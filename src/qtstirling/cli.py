@@ -5,20 +5,27 @@ Usage:
     qtstirling table --kind s1 --bound 2,1 [--format json|csv] --out FILE
     qtstirling eval --expr "s1(2,1;1,0)" --q 1/2 --t 1/3 [--x 2]
 
-`check` exits 0 iff every identity passes and 1 otherwise; bad input,
-including an --out path that cannot be written, exits 2 with a one-line
-message before any identity or table entry is computed; a `table` that
-fails leaves its --out path as it was.  `eval` and `table` also exit 2 with one
-line on an input too deep for Python's recursion limit, such as an ambient
-length in the thousands, `eval` on an id with an integer past 100000 in
-absolute value (verify._ID_INT_MAX), and `table` on a bound that holds more
-than 100000 (nu, mu) pairs (verify._TABLE_PAIRS_MAX), as does every bound
-with a part of 447 or more.  `eval` prints its
-value as n/d (or n), with every digit however long.  It builds its
-one id once per process: the memo behind it (verify.parse_expression, keyed
-by the id string as given) pays off only for library callers that request an
-id again, at other points, where a repeat costs one memo hit and one integer
-evaluation.
+`check` exits 0 iff every identity passes and 1 otherwise.  This module is
+the package's one boundary with the outside: it alone writes --out, and
+`main` alone turns an exception into an exit code.  Bad input exits 2 with
+one line, `pole: ...` for a PoleError and `error: ...` for a ValueError,
+OSError, OverflowError or RecursionError, the same for every command.  An
+--out path that cannot be written fails before any identity or table entry
+is computed, and a command that fails leaves its --out path as it was.
+Bad input includes an input too deep for Python's recursion limit, such as
+an ambient length in the thousands, in all three commands (`check` reports
+such a box as bad input, not as failing identities), `eval` on an id with an
+integer past 100000 in absolute value (verify._ID_INT_MAX) or on a point
+whose decimal exponent is past that bound (1e3000000 would have 3000001
+digits), and `table` on a bound that holds more than 100000 (nu, mu) pairs
+(verify._TABLE_PAIRS_MAX), as does every bound with a part of 447 or more.
+
+`eval` prints its value as n/d (or n), with every digit however long.  It
+builds its one id once per process: the memo behind it
+(verify.parse_expression, keyed by the id string as given) pays off only for
+library callers that request an id again, at other points, where a repeat
+costs one memo hit and one integer evaluation.
+
 The QTSTIRLING_CACHE_SIZE environment variable caps
 every memo in the package (each an LRU cache of that many entries, 200000 by
 default); it is read once, at start-up.  0 turns caching off, and a value that
@@ -28,14 +35,19 @@ is not a nonnegative integer falls back to 200000.
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from typing import Callable, Iterator, Optional
 
 from .algebra import PoleError, _int_str
 from .partitions import Partition
 from .verify import (
     MANIFEST,
     SuiteConfig,
+    _ID_INT_MAX,
     _TABLE_KINDS,
     emit_table,
     eval_point,
@@ -51,6 +63,11 @@ def _parse_partition(text: str) -> Partition:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    # Fraction("1e3000000") would build an integer of 3000001 digits
+    digits = text.lower().partition("e")[2].strip().replace("_", "").lstrip("+-").lstrip("0")
+    if digits.isdecimal() and (len(digits) > len(str(_ID_INT_MAX)) or int(digits) > _ID_INT_MAX):
+        raise argparse.ArgumentTypeError(
+            f"bad rational {text!r}: its exponent exceeds {_ID_INT_MAX} in absolute value")
     try:
         return Fraction(text)
     except ValueError as exc:
@@ -97,19 +114,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_check(args) -> int:
+@contextmanager
+def _output(path: Optional[str]) -> Iterator[Optional[Callable[[str], None]]]:
+    """Yield a function that collects the text for path, or None without a path.
+
+    path is opened for appending first, so an unwritable path raises
+    OSError before the block runs.  The text is written when the block ends;
+    a block that raises leaves path as it was, and removes it if the trial
+    open created it.
+    """
+    if not path:
+        yield None
+        return
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    text = []
     try:
-        cfg = SuiteConfig(
-            n_max=args.n_max,
-            part_max=args.part_max,
-            identities=args.identity,
-            seed=args.seed,
-            output_path=args.out,
-        )
+        yield text.append
+    except BaseException:
+        if not existed:
+            os.remove(path)
+        raise
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(text))
+
+
+def _cmd_check(args) -> int:
+    cfg = SuiteConfig(n_max=args.n_max, part_max=args.part_max,
+                      identities=args.identity, seed=args.seed)
+    with _output(args.out) as write:
         reports = run_suite(cfg)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if write is not None:
+            write(json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n")
     by_id: dict[str, list] = {}
     for rep in reports:
         by_id.setdefault(rep.identity_id, []).append(rep)
@@ -127,38 +164,31 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    try:
-        text = emit_table(args.kind, args.bound, args.format, args.out)
-    except (ValueError, OSError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not args.out:
-        sys.stdout.write(text)
+    with _output(args.out) as write:
+        (write or sys.stdout.write)(emit_table(args.kind, args.bound, args.format))
     return 0
 
 
 def _cmd_eval(args) -> int:
-    try:
-        value = eval_point(args.expr, args.q, args.t, args.x)
-    except PoleError as exc:
-        print(f"pole: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    value = eval_point(args.expr, args.q, args.t, args.x)
     n, d = value.numerator, value.denominator
     text = ("-" if n < 0 else "") + _int_str(abs(n))
     print(text if d == 1 else f"{text}/{_int_str(d)}")
     return 0
 
 
+_COMMANDS = {"check": _cmd_check, "table": _cmd_table, "eval": _cmd_eval}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "table":
-        return _cmd_table(args)
-    return _cmd_eval(args)
+    try:
+        return _COMMANDS[args.command](args)
+    except PoleError as exc:
+        print(f"pole: {exc}", file=sys.stderr)
+    except (ValueError, OSError, OverflowError, RecursionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

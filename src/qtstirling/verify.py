@@ -9,7 +9,11 @@ the witness, computed by the check only on failure, is None when the
 identity holds (`_equal` gives the canonical LHS - RHS).  `_Row.judge` turns
 each index dict and verdict into an IdentityReport whose index_data is the
 indices as JSON; a check or an enumerator that raises becomes a failing
-report (`_raised`), and `check_identity` runs one row at chosen indices.
+report (`_raised`), except that a RecursionError propagates: an index too
+deep for the interpreter is bad input.  `check_identity` runs one row at
+chosen indices.
+Nothing here reads or writes a file: `run_suite` and `emit_table` return
+their results, and the command line writes them.
 The paper's expansions are data too: a row of `_EXPANSIONS` gives
 coefficient(nu, mu) and basis(mu), and the expansion at nu sums their
 products over mu <= nu.  Its terms are memoised per (nu, kind) and every
@@ -24,10 +28,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import random
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, permutations, product
@@ -121,13 +123,12 @@ __all__ = [
 
 @dataclass
 class SuiteConfig:
-    """Bounds, identity filter, seed for sampled checks, optional report path."""
+    """Bounds, identity filter and seed for sampled checks."""
 
     n_max: int = 3
     part_max: int = 3
     identities: Optional[list[str]] = None
     seed: int = 0
-    output_path: Optional[str] = None
 
     def __post_init__(self):
         if self.n_max < 1:
@@ -658,59 +659,36 @@ def check_identity(identity_id: str, **indices) -> IdentityReport:
 def run_suite(cfg: SuiteConfig) -> list[IdentityReport]:
     """Run all (or the selected) identities; failures are data, not exceptions.
 
-    The report path, if any, is tried for writing before the first identity
-    runs, so an unwritable path raises OSError at once (see _output).
+    A check or an enumerator that raises becomes a failing report, except
+    for RecursionError: an index too deep for the interpreter is bad input,
+    not a failing identity, so it propagates as it does from emit_table and
+    eval_point.
     """
     selected = cfg.identities if cfg.identities else list(_TABLE)
     unknown = [i for i in selected if i not in _TABLE]
     if unknown:
         raise ValueError(f"unknown identities: {unknown}")
     reports: list[IdentityReport] = []
-    with _output(cfg.output_path) as write:
-        for identity_id, row in _TABLE.items():
-            if identity_id not in selected:
-                continue
-            started = time.perf_counter()
-            try:
-                for indices in row.indices(cfg):
-                    try:
-                        report = row.judge(identity_id, indices)
-                    except Exception as exc:  # a PoleError here is a genuine failure
-                        report = _raised(identity_id, indices, exc)
-                    report.elapsed = time.perf_counter() - started
-                    started = time.perf_counter()
-                    reports.append(report)
-            except Exception as exc:  # from an enumerator
-                reports.append(_raised(identity_id, {}, exc))
-        if write is not None:
-            write(json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n")
+    for identity_id, row in _TABLE.items():
+        if identity_id not in selected:
+            continue
+        started = time.perf_counter()
+        try:
+            for indices in row.indices(cfg):
+                try:
+                    report = row.judge(identity_id, indices)
+                except RecursionError:
+                    raise
+                except Exception as exc:  # a PoleError here is a genuine failure
+                    report = _raised(identity_id, indices, exc)
+                report.elapsed = time.perf_counter() - started
+                started = time.perf_counter()
+                reports.append(report)
+        except RecursionError:
+            raise
+        except Exception as exc:  # from an enumerator
+            reports.append(_raised(identity_id, {}, exc))
     return reports
-
-
-@contextmanager
-def _output(path: Optional[str]) -> Iterator[Optional[Callable[[str], None]]]:
-    """Yield a function that collects the text for path, or None without a path.
-
-    path is opened for appending first, so an unwritable path raises
-    OSError before the block runs.  The text is written when the block ends;
-    a block that raises leaves path as it was, and removes it if the trial
-    open created it.
-    """
-    if not path:
-        yield None
-        return
-    existed = os.path.exists(path)
-    with open(path, "a", encoding="utf-8"):
-        pass
-    text = []
-    try:
-        yield text.append
-    except BaseException:
-        if not existed:
-            os.remove(path)
-        raise
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(text))
 
 
 # ---------------------------------------------------------------------------
@@ -727,15 +705,12 @@ _TABLE_KINDS = ("s1", "s2", "binomial", "bracket")
 _TABLE_PAIRS_MAX = 100000
 
 
-def emit_table(kind: str, bound: Partition, fmt: str = "json", path: Optional[str] = None) -> str:
-    """Write all entries (nu, mu, value) for mu <= nu <= bound; returns the text.
+def emit_table(kind: str, bound: Partition, fmt: str = "json") -> str:
+    """The text of all entries (nu, mu, value) for mu <= nu <= bound, as JSON or CSV.
 
-    path is tried for writing before any entry is computed, so an
-    unwritable path raises OSError at once; an entry that raises leaves no
-    file behind (see _output).  A bound with more than _TABLE_PAIRS_MAX
-    pairs, as every bound with a part past that number has, is a ValueError
-    before any entry is computed or path is opened; the pairs are counted
-    lazily, up to one past the cap.
+    A bound with more than _TABLE_PAIRS_MAX pairs, as every bound with a
+    part past that number has, is a ValueError before any entry is
+    computed; the pairs are counted lazily, up to one past the cap.
     """
     if kind not in _TABLE_KINDS:
         raise ValueError(f"unknown table kind {kind!r}")
@@ -745,28 +720,23 @@ def emit_table(kind: str, bound: Partition, fmt: str = "json", path: Optional[st
         spelled = ",".join(map(str, bound.parts))
         raise ValueError(f"the bound {spelled} holds more than {_TABLE_PAIRS_MAX} (nu, mu) pairs")
     fn = _EVAL_EXPRS[kind][1]
-    with _output(path) as write:
-        entries = [(nu, mu, canonical_str(fn(nu.parts, mu.parts))) for nu, mu in _pairs(bound)]
-        if fmt == "json":
-            doc = {
-                "n": bound.n,
-                "bound": list(bound.parts),
-                "entries": [
-                    {"nu": list(nu.parts), "mu": list(mu.parts), "value": value}
-                    for nu, mu, value in entries
-                ],
-            }
-            text = json.dumps(doc, indent=2) + "\n"
-        else:
-            buf = io.StringIO()
-            writer = csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator="\n")
-            writer.writerow(["nu", "mu", "value"])
-            for nu, mu, value in entries:
-                writer.writerow([",".join(map(str, nu.parts)), ",".join(map(str, mu.parts)), value])
-            text = buf.getvalue()
-        if write is not None:
-            write(text)
-    return text
+    entries = [(nu, mu, canonical_str(fn(nu.parts, mu.parts))) for nu, mu in _pairs(bound)]
+    if fmt == "json":
+        doc = {
+            "n": bound.n,
+            "bound": list(bound.parts),
+            "entries": [
+                {"nu": list(nu.parts), "mu": list(mu.parts), "value": value}
+                for nu, mu, value in entries
+            ],
+        }
+        return json.dumps(doc, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator="\n")
+    writer.writerow(["nu", "mu", "value"])
+    for nu, mu, value in entries:
+        writer.writerow([",".join(map(str, nu.parts)), ",".join(map(str, mu.parts)), value])
+    return buf.getvalue()
 
 
 def _gaussian(m: tuple[int, ...], k: tuple[int, ...]) -> RationalFn:

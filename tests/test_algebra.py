@@ -628,6 +628,7 @@ def test_values_built_outside_the_operators_know_only_one_term_maps():
 
 
 def test_import_and_runs_leave_sympy_unloaded():
+    import os
     import subprocess
     import sys
 
@@ -652,7 +653,7 @@ def test_import_and_runs_leave_sympy_unloaded():
     )
     src = qtstirling.__file__.rsplit("/qtstirling/", 1)[0]
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={"PYTHONPATH": src}, timeout=120)
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,5 +1,6 @@
 """Suite plumbing: registry completeness, determinism, tables, eval, CLI."""
 
+import argparse
 import hashlib
 import importlib
 import inspect
@@ -397,8 +398,8 @@ def test_root_vanishing_preconditions():
 
 def test_report_json_shape(tmp_path):
     out = tmp_path / "report.json"
-    run_suite(SuiteConfig(n_max=1, part_max=1, identities=["stirling-diagonal"],
-                          output_path=str(out)))
+    assert cli.main(["check", "--n-max", "1", "--part-max", "1",
+                     "--identity", "stirling-diagonal", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert isinstance(data, list) and data
     record = data[0]
@@ -408,7 +409,7 @@ def test_report_json_shape(tmp_path):
 
 def test_emit_table_json_schema(tmp_path):
     out = tmp_path / "table.json"
-    emit_table("s1", P((1,)), "json", str(out))
+    assert cli.main(["table", "--kind", "s1", "--bound", "1", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert set(doc) == {"n", "bound", "entries"}
     assert doc["n"] == 1
@@ -433,7 +434,8 @@ def test_emit_table_binomial_gaussian_row():
 
 def test_emit_table_csv(tmp_path):
     out = tmp_path / "table.csv"
-    emit_table("bracket", P((1, 1)), "csv", str(out))
+    assert cli.main(["table", "--kind", "bracket", "--bound", "1,1", "--format", "csv",
+                     "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == '"nu","mu","value"'
     assert all(line.count('"') >= 6 for line in lines[1:])
@@ -537,6 +539,9 @@ def test_cli_eval_prints_every_digit_past_the_str_limit():
     ("eval", "--expr", "gaussian(2;;1)", "--q", "2", "--t", "0"),
     ("eval", "--expr", "qt_number(2,1)", "--q", "1/0", "--t", "2"),
     ("eval", "--expr", "qt_number(3000000000)", "--q", "1/2", "--t", "1/3"),
+    # decimal exponents past the id bound: Fraction would build 3000001 digits
+    ("eval", "--expr", "qt_number(2)", "--q", "1e3000000", "--t", "1/3"),
+    ("eval", "--expr", "qt_number(2)", "--q", "1/2", "--t", "1e-3000000"),
     # integers past the id bound, each of which ran without end before it
     ("eval", "--expr", "f(3000000000)", "--q", "1/2", "--t", "1/3"),
     ("eval", "--expr", "bracket_rect(3000000000)", "--q", "1/2", "--t", "1/3"),
@@ -565,6 +570,42 @@ def test_eval_id_integers_are_bounded():
     for expr in (f"binomial({bound + 1};0)", f"qt_number(1,{-bound - 1})", f"s1({bound + 1};0)"):
         with pytest.raises(ValueError, match="exceeds"):
             parse_expression(expr)
+
+
+def test_point_exponents_are_bounded():
+    bound = verify._ID_INT_MAX
+    for text, want in (("1/2", Fraction(1, 2)), ("0.5", Fraction(1, 2)), ("-3", Fraction(-3)),
+                       ("1e3", Fraction(1000)), (f"1E-{bound}", Fraction(1, 10**bound))):
+        assert cli._parse_fraction(text) == want
+    for text in (f"1e{bound + 1}", f"-2E-{bound + 1}", "1e3_000_000", "1e" + "9" * 5000):
+        with pytest.raises(argparse.ArgumentTypeError, match="exponent exceeds"):
+            cli._parse_fraction(text)
+
+
+#: Each command at a depth past a recursion limit of 150: an ambient length of 200.
+_DEEP = ",".join(["0"] * 200)
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--n-max", "200", "--part-max", "0", "--identity", "inclusion-order"],
+    ["table", "--kind", "s1", "--bound", _DEEP],
+    ["eval", "--expr", f"w({_DEEP};{_DEEP})", "--q", "1/2", "--t", "1/3"],
+])
+def test_too_deep_is_bad_input_in_every_command(tmp_path, args):
+    # a box too deep for the interpreter is bad input, not a failing identity
+    out = tmp_path / "deep.out"
+    if args[0] != "eval":
+        args = [*args, "--out", str(out)]
+    code = ("import sys\n"
+            "from qtstirling import cli\n"
+            "sys.setrecursionlimit(150)\n"
+            f"sys.exit(cli.main({args!r}))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert not out.exists()
 
 
 def test_table_out_is_left_alone_by_a_failed_table(tmp_path):
