@@ -504,24 +504,19 @@ def _primitive(m, g: int) -> tuple[int, int, int]:
     return m if next(e for e in m if e) > 0 else tuple(-e for e in m)
 
 
-@memo
 def _cyclotomic(d: int) -> tuple[int, ...]:
     """The coefficients of Phi_d(y), constant term first.
 
     For d > 1, Phi_d is the product of (1 - y^(d/s))^mu(s) over the
     squarefree divisors s of d, taken as power series up to degree phi(d).
+    Not memoised: its one caller, _factor_poly, is.
     """
     if d == 1:
         return (-1, 1)
-    primes, rest, p = [], d, 2
-    while p * p <= rest:
-        if rest % p == 0:
+    primes = []
+    for p in _divisors(d)[1:]:  # ascending, so p is prime iff no smaller prime divides it
+        if all(p % r for r in primes):
             primes.append(p)
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        primes.append(rest)
     top = d
     for p in primes:
         top = top // p * (p - 1)

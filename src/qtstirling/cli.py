@@ -18,12 +18,17 @@ such a box as bad input, not as failing identities), `eval` on an id with an
 integer past 100000 in absolute value (verify._ID_INT_MAX) or on a point
 whose decimal exponent is past that bound (1e3000000 would have 3000001
 digits), and `table` on a bound that holds more than 100000 (nu, mu) pairs
-(verify._TABLE_PAIRS_MAX), as does every bound with a part of 447 or more.
+(verify._TABLE_PAIRS_MAX), as does every bound with a part of 446 or more.
+Neither bound makes every input below it fast: bracket_rect's degree grows
+with the square of its parts, and the pair cap bounds a table's size, not
+its time.  `table --kind s1 --bound N` took 0.08, 0.71, 3.8 and 20 s at
+N = 10, 20, 30 and 40 (2-core x86 host), growing about as N^5, so
+--bound 445, which the cap admits, would run for weeks.
 
 `eval` prints its value as n/d (or n), with every digit however long.  It
-builds its one id once per process: the memo behind it
-(verify.parse_expression, keyed by the id string as given) pays off only for
-library callers that request an id again, at other points, where a repeat
+builds its one id once per process.  The one memo of that value,
+verify.parse_expression's, keyed by the id string as given, pays off only
+for library callers that request an id again, at other points: a repeat
 costs one memo hit and one integer evaluation.
 
 The QTSTIRLING_CACHE_SIZE environment variable caps

@@ -774,25 +774,17 @@ _ID_INT_MAX = 100000
 
 
 @memo
-def _expression_value(name: str, groups: tuple[tuple[int, ...], ...]) -> RationalFn:
-    # checked here, on a memo miss, so that a repeated id pays nothing for it
-    if max(map(abs, chain(*groups))) > _ID_INT_MAX:
-        spelled = ";".join(",".join(map(str, g)) for g in groups)
-        raise ValueError(f"an integer of {name}({spelled}) exceeds {_ID_INT_MAX} in absolute value")
-    return _EVAL_EXPRS[name][1](*groups)
-
-
-@memo
 def parse_expression(expr: str) -> RationalFn:
     """Evaluate an expression id of the form name(ints;ints;...) symbolically.
 
     Each ';'-separated group of comma-separated integers is one argument of
     the quantity named; an empty group or a wrong number of groups is a
     ValueError, and so is an integer past _ID_INT_MAX in absolute value.
-    Values are memoised twice: under the id string exactly as given, so that
-    a repeated id costs one memo hit, and behind that under (name, integer
-    groups), so that spellings of one id that differ only in whitespace
-    share one value.  An id that raises stores nothing in either memo.
+    Values are memoised once, under the id string exactly as given, so a
+    repeated id costs one memo hit and is not parsed or checked again; an id
+    that raises stores nothing.  Two spellings of one id (say, with other
+    whitespace) are two entries with equal values, one object only where the
+    builder keeps its own memo.
     Examples: "qt_number(2,1)", "s1(2,1;1,0)", "binomial(2;1)", "gaussian(2;1)".
     """
     expr = expr.strip()
@@ -808,17 +800,20 @@ def parse_expression(expr: str) -> RationalFn:
         if not chunk:
             raise ValueError(f"empty argument group in {expr!r}")
         groups.append(tuple(int(v) for v in chunk.split(",")))
-    arity = _EVAL_EXPRS[name][0]
+    arity, build = _EVAL_EXPRS[name]
     if len(groups) != arity:
         raise ValueError(f"{name} takes {arity} argument group(s), got {len(groups)}")
-    return _expression_value(name, tuple(groups))
+    if max(map(abs, chain(*groups))) > _ID_INT_MAX:
+        spelled = ";".join(",".join(map(str, g)) for g in groups)
+        raise ValueError(f"an integer of {name}({spelled}) exceeds {_ID_INT_MAX} in absolute value")
+    return build(*groups)
 
 
 def eval_point(expr: str, q0, t0, x0=0) -> Fraction:
     """Exact rational value of a library quantity at a rational point.
 
-    The rational function comes from parse_expression's memo, keyed by the
-    id string as given, so a repeated id costs one memo hit plus one integer
-    evaluation (algebra.evaluate) and is not parsed again.
+    The rational function comes from parse_expression, whose one memo is
+    keyed by the id string as given: a repeated id costs one memo hit plus
+    one integer evaluation (algebra.evaluate) and is not parsed again.
     """
     return evaluate(parse_expression(expr), q0, t0, x0)

@@ -598,7 +598,8 @@ def test_cyclotomic_coefficients_match_sympy():
 
     y = Symbol("y")
     # 105 = 3*5*7 is the first index with a coefficient other than 0 and +-1
-    for d in [*range(1, 41), 105, 385, 1155]:
+    # 729 = 3^6 has one prime; 2310 = 2*3*5*7*11 has five
+    for d in [*range(1, 41), 105, 385, 729, 1155, 2310]:
         assert _cyclotomic(d) == tuple(reversed(Poly(cyclotomic_poly(d, y), y).all_coeffs())), d
 
 

@@ -41,7 +41,6 @@ from qtstirling.verify import (
     _EVAL_EXPRS,
     MANIFEST,
     SuiteConfig,
-    _expression_value,
     check_identity,
     classical_stirling1,
     classical_stirling2,
@@ -556,6 +555,8 @@ def test_cli_eval_prints_every_digit_past_the_str_limit():
     ("table", "--kind", "s1", "--bound", "3000000000"),
     # a part at the id bound: about 5e9 pairs, past the cap on a table's pairs
     ("table", "--kind", "s1", "--bound", "100000"),
+    # the first one-part bound past the cap: 100128 pairs, where 445 holds 99681
+    ("table", "--kind", "s1", "--bound", "446"),
 ])
 def test_cli_bad_input_exit_code(args):
     proc = _run_cli(*args)
@@ -567,9 +568,11 @@ def test_cli_bad_input_exit_code(args):
 def test_eval_id_integers_are_bounded():
     bound = verify._ID_INT_MAX
     assert parse_expression(f"binomial({bound};0)") == ONE
+    size = parse_expression.cache_info().currsize
     for expr in (f"binomial({bound + 1};0)", f"qt_number(1,{-bound - 1})", f"s1({bound + 1};0)"):
         with pytest.raises(ValueError, match="exceeds"):
             parse_expression(expr)
+    assert parse_expression.cache_info().currsize == size
 
 
 def test_point_exponents_are_bounded():
@@ -663,29 +666,28 @@ def test_eval_memo_is_transparent(expr):
     assert [eval_point(expr, *pt) for pt in points] == warm
 
 
-def test_eval_memo_shares_whitespace_variants():
+def test_eval_memo_respelled_ids_give_equal_values():
+    # qt_number has no memo of its own, so a respelling builds a new, equal value
+    assert parse_expression(" qt_number( 2, 1 ) ") == parse_expression("qt_number(2,1)")
+    # s1 keeps its own memo, so a respelling returns the very same value
     assert parse_expression(" s1( 2,1 ; 1,0 ) ") is parse_expression("s1(2,1;1,0)")
 
 
 def test_eval_memo_is_keyed_by_the_id_string():
     eval_point("s2(2,1;2,0)", 2, 3)
-    values, strings = _expression_value.cache_info(), parse_expression.cache_info()
+    strings = parse_expression.cache_info()
     eval_point("s2(2,1;2,0)", 5, 7)
-    assert _expression_value.cache_info() == values
     assert parse_expression.cache_info().hits == strings.hits + 1
-    eval_point(" s2(2,1;2, 0)", 5, 7)  # a respelling: a new string, the same value
+    eval_point(" s2(2,1;2, 0)", 5, 7)  # a respelling: a new string, a new entry
     assert parse_expression.cache_info().currsize == strings.currsize + 1
-    assert _expression_value.cache_info().currsize == values.currsize
 
 
 def test_eval_memo_stores_no_error():
     parse_expression("s1(2,1;1,0)")
-    size = _expression_value.cache_info().currsize
     strings = parse_expression.cache_info().currsize
     for _ in range(3):
         with pytest.raises(ValueError):  # (1) over (2) is not a horizontal strip
             parse_expression("h(1;2)")
-        assert _expression_value.cache_info().currsize == size
         assert parse_expression.cache_info().currsize == strings
 
 

@@ -242,8 +242,8 @@ def test_cache_cap_env():
         "from qtstirling.wfunctions import _w_rec, generic_staircase_args, w_multi\n"
         "print(canonical_str(w_multi(Partition((2, 2)), generic_staircase_args(2))))\n"
         "print(_w_rec.cache_info().maxsize)\n"
-        "from qtstirling.verify import _expression_value\n"
-        "print(_expression_value.cache_info().maxsize)\n"
+        "from qtstirling.verify import parse_expression\n"
+        "print(parse_expression.cache_info().maxsize)\n"
     )
     src = os.path.dirname(os.path.dirname(qtstirling.__file__))
     env = {**os.environ, "QTSTIRLING_CACHE_SIZE": "4", "PYTHONPATH": src}
@@ -295,7 +295,7 @@ def _package_memos():
 
 def test_clear_cache_empties_every_memo():
     from qtstirling.stirling import s1, s2, u_matrix, v_matrix
-    from qtstirling.verify import _expression_value, parse_expression
+    from qtstirling.verify import parse_expression
 
     nu, mu = P((2, 1)), P((1, 0))
     s1(nu, mu)
@@ -305,9 +305,9 @@ def test_clear_cache_empties_every_memo():
     w_multi(P((2, 1)), generic_staircase_args(2))
     parse_expression("binomial(2,1;1,0)")
     memos = _package_memos()
-    assert _expression_value in memos
+    assert parse_expression in memos
     assert all(f.cache_info().currsize
-               for f in (s1, s2, u_matrix, v_matrix, _expression_value))
+               for f in (s1, s2, u_matrix, v_matrix, parse_expression))
     clear_cache()
     assert {f.__name__: f.cache_info().currsize for f in memos} == {f.__name__: 0 for f in memos}
 
