@@ -39,26 +39,28 @@ library builds is a product, quotient or sum of binomials 1 - m, m a
 monomial, so every denominator is an integer times a monomial times
 cyclotomic factors Phi_d(m') of monomials m', each irreducible.  Beside the
 pair a value carries the factor map {(d, m'): e} of den and, where known,
-of num (`binomial_power` gives the maps of 1 - m; a sum's numerator has
-none).  Canonical operands are coprime, so a product a/b * c/d needs only
-the cross gcds (a, d) and (c, b); a sum follows Henrici: with g = gcd(b, d)
-the only common factor left in a*(d/g) + c*(b/g) over (b/g)*(d/g)*g
-divides g.  Each of these gcds has a factor map on one side at least, so
-`_cancel` finds it by exponent arithmetic, or by dividing the other side by
-the known factors with `_exquo`, which is exact because they are
-irreducible.  A monomial substitution with images of coefficient 1 or 0
-(flips, q -> 1, t = q^alpha, X -> 0) sends each Phi_d(m') to cyclotomic
-factors, an integer or a monomial, by Phi_d(y^n) = prod Phi_D(y) over the
-D | dn with D / gcd(D, n) = d, and reduces the same way.  Every gcd
-divided out has a positive leading coefficient, and leading coefficients
-multiply under a monomial order, so the new denominator's stays positive.
-Every other pair, from `RationalFn(num, den)`, `parse_rational` or a
-substitution, becomes a value in one place, `_reduce`.  Only where no map
-is known does `_cancel` fall back to `Polynomial.gcd`.  No row of `check`,
-`eval` or `table` reaches that fallback.  Only values built by
-`RationalFn(num, den)` or `parse_rational` with a denominator of several
-terms do, with what is computed from them, and the images of a
-substitution with an image of another coefficient.
+of num (a sum's numerator has none).  One rule, `_split`, builds every map:
+Phi_d(y^n) is the product of Phi_D(y) over the D | dn with
+D / gcd(D, n) = d, for y primitive; `binomial_power` reads the map of
+1 - m = -Phi_1(m) from it.  Canonical operands are coprime, so a product
+a/b * c/d needs only the cross gcds (a, d) and (c, b); a sum follows
+Henrici: with g = gcd(b, d) the only common factor left in
+a*(d/g) + c*(b/g) over (b/g)*(d/g)*g divides g.  Each of these gcds has a
+factor map on one side at least, so `_cancel` finds it by exponent
+arithmetic, or by dividing the other side by the known factors with
+`_exquo`, which is exact because they are irreducible.  A monomial
+substitution with images of coefficient 1 or 0 (flips, q -> 1,
+t = q^alpha, X -> 0) sends each Phi_d(m') to an integer, a monomial or
+Phi_d of the image of m', which `_split` splits, and reduces the same way.
+Every gcd divided out has a positive leading coefficient, and leading
+coefficients multiply under a monomial order, so the new denominator's
+stays positive.  Every other pair, from `RationalFn(num, den)`,
+`parse_rational` or a substitution, becomes a value in one place,
+`_reduce`.  Only where no map is known does `_cancel` fall back to
+`Polynomial.gcd`.  No row of `check`, `eval` or `table` reaches that
+fallback.  Only values built by `RationalFn(num, den)` or `parse_rational`
+with a denominator of several terms do, with what is computed from them,
+and the images of a substitution with an image of another coefficient.
 
 The canonical string grammar of `canonical_str` is regular, so
 `parse_rational` reads it with a few compiled patterns, not a parser.
@@ -228,10 +230,6 @@ class Polynomial(dict):
                 return out
             base = _mul(base, base)
 
-    def mul_ground(self, c):
-        """self times the nonzero constant c."""
-        return Polynomial({k: v * c for k, v in self.items()})
-
     def gcd(self, g: "Polynomial") -> "Polynomial":
         """The gcd over ZZ, integer content included, with positive leading coefficient."""
         f = self
@@ -358,7 +356,8 @@ def _shift(p: Polynomial, low: int, c: int) -> Polynomial:
 
 
 def _scale(p: Polynomial, c: int) -> Polynomial:
-    return p if c == 1 else p.mul_ground(c)
+    """p times the nonzero integer c."""
+    return p if c == 1 else Polynomial({k: v * c for k, v in p.items()})
 
 
 #: Evaluation points heugcd tries before it gives up.
@@ -498,12 +497,6 @@ def _divisors(n: int) -> list[int]:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def _primitive(m, g: int) -> tuple[int, int, int]:
-    """The exponent vector m / g, with its first nonzero entry made positive."""
-    m = tuple(e // g for e in m)
-    return m if next(e for e in m if e) > 0 else tuple(-e for e in m)
-
-
 def _cyclotomic(d: int) -> tuple[int, ...]:
     """The coefficients of Phi_d(y), constant term first.
 
@@ -549,43 +542,33 @@ def _factor_poly(key: tuple) -> Polynomial:
 
 
 @memo
-def _binomial_factors(m: tuple[int, int, int]) -> dict:
-    """The factor map of 1 - q^a t^b X^x, m = (a, b, x) nonzero: with m = y^(+-g),
-    y primitive, 1 - y^g is -1 times the product of Phi_d(y) over d | g."""
-    g = gcd(*m)
-    y = _primitive(m, g)
-    return {(d, y): 1 for d in _divisors(g)}
+def _split(d: int, m: tuple[int, int, int]) -> dict:
+    """The factor map of Phi_d(q^a t^b X^x), m = (a, b, x) nonzero.
 
-
-@memo
-def _factor_image(key: tuple, images: tuple) -> dict:
-    """The factor map of the image of Phi_d(m) under images of coefficient 1
-    or 0, for a factor whose image is not 0.
-
-    When a variable of m goes to 0, so do all terms of Phi_d(m) but one,
-    which is a monomial.  Otherwise m goes to y^(+-g), y primitive, and
+    With m = y^(+-g), y primitive with its first nonzero entry positive,
     Phi_d(y^g) is the product of Phi_D(y) over the D | dg with
-    D / gcd(D, g) = d; or m goes to 1, and Phi_d(1) is an integer.
+    D / gcd(D, g) = d, and Phi_d(y^-g) is that up to a sign and a monomial.
     """
-    d, m = key
-    if any(e and not c for e, (c, _) in zip(m, images)):
-        return _NO_FACTORS
-    image = [sum(e * mono[j] for e, (_, mono) in zip(m, images)) for j in range(3)]
-    g = gcd(*image)
-    if not g:
-        return _NO_FACTORS
-    y = _primitive(image, g)
+    g = gcd(*m)
+    sign = 1 if next(e for e in m if e) > 0 else -1
+    y = tuple(sign * e // g for e in m)
     return {(D, y): 1 for D in _divisors(d * g) if D // gcd(D, g) == d}
 
 
 def _map_image(fmap, images: tuple):
-    """The factor map of the image of a polynomial with map fmap (None: unknown)."""
+    """The factor map of the image of a polynomial with map fmap (None: unknown)
+    under images of coefficient 1 or 0.  A factor Phi_d(m) leaves the map when a
+    variable of m goes to 0 (it goes to a monomial) or m goes to 1 (an integer)."""
     if fmap is None:
         return None
     out: dict = {}
-    for key, e in fmap.items():
-        for k, e2 in _factor_image(key, images).items():
-            out[k] = out.get(k, 0) + e * e2
+    for (d, m), e in fmap.items():
+        if any(k and not c for k, (c, _) in zip(m, images)):
+            continue
+        image = tuple(sum(k * mono[j] for k, (_, mono) in zip(m, images)) for j in range(3))
+        if any(image):
+            for key in _split(d, image):  # each with exponent 1
+                out[key] = out.get(key, 0) + e
     return out
 
 
@@ -932,7 +915,7 @@ def binomial_power(a: RationalFn, e: int) -> RationalFn:
         (v, cv), = d.items()
         if cu == cv == 1 and u != v:
             m = tuple(x - y for x, y in zip(_unpack(u), _unpack(v)))
-            one_minus = _make(Polynomial({v: 1, u: -1}), d, _binomial_factors(m), _NO_FACTORS)
+            one_minus = _make(Polynomial({v: 1, u: -1}), d, _split(1, m), _NO_FACTORS)
             return one_minus if e == 1 else one_minus ** e
     return ONE - a if e == 1 else (ONE - a) ** e
 

@@ -25,11 +25,12 @@ its time.  `table --kind s1 --bound N` took 0.08, 0.71, 3.8 and 20 s at
 N = 10, 20, 30 and 40 (2-core x86 host), growing about as N^5, so
 --bound 445, which the cap admits, would run for weeks.
 
-`eval` prints its value as n/d (or n), with every digit however long.  It
-builds its one id once per process.  The one memo of that value,
-verify.parse_expression's, keyed by the id string as given, pays off only
-for library callers that request an id again, at other points: a repeat
-costs one memo hit and one integer evaluation.
+`eval` prints its value as n/d (or n), with every digit however long, and
+reads such a value back as --q, --t or --x, past CPython's 4300-digit
+limit on int(str).  It builds its one id once per process.  The one memo
+of that value, verify.parse_expression's, keyed by the id string as given,
+pays off only for library callers that request an id again, at other
+points: a repeat costs one memo hit and one integer evaluation.
 
 The QTSTIRLING_CACHE_SIZE environment variable caps
 every memo in the package (each an LRU cache of that many entries, 200000 by
@@ -42,12 +43,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .algebra import PoleError, _int_str
+from .algebra import PoleError, _int_str, _parse_int
 from .partitions import Partition
 from .verify import (
     MANIFEST,
@@ -73,7 +75,13 @@ def _parse_fraction(text: str) -> Fraction:
     if digits.isdecimal() and (len(digits) > len(str(_ID_INT_MAX)) or int(digits) > _ID_INT_MAX):
         raise argparse.ArgumentTypeError(
             f"bad rational {text!r}: its exponent exceeds {_ID_INT_MAX} in absolute value")
+    # n/d as eval prints it: Fraction(text) would stop at CPython's digit limit on int(str)
+    ratio = re.fullmatch(r"\s*([+-]?)(\d+)(?:/(\d+))?\s*", text)
     try:
+        if ratio:
+            sign, num, den = ratio.groups()
+            value = Fraction(_parse_int(num), _parse_int(den or "1"))
+            return -value if sign == "-" else value
         return Fraction(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")

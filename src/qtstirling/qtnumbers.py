@@ -10,6 +10,7 @@ a multiplicative shift s with the exponential vector z.
 from __future__ import annotations
 
 from itertools import chain
+from operator import index
 from typing import Sequence, Union
 
 from .algebra import ONE, Q, RationalFn, X, ZERO, memo, monomial_rf, q_pow, t_pow
@@ -61,7 +62,6 @@ def _z_entries(z: ZVector, n: int) -> tuple:
         return generic_staircase_args(n)
     if isinstance(z, Partition):
         z = z.parts
-    z = tuple(int(v) for v in z)
     if len(z) != n:
         raise ValueError(f"exponent vector {z} does not match ambient length {n}")
     return staircase_args(z)
@@ -121,11 +121,12 @@ def qt_bracket(z: ZVector, mu: Partition, s: RationalFn = ONE) -> RationalFn:
 
 
 def qt_number(z: Sequence[int]) -> RationalFn:
-    """[z] = prod_i (1 - q^{z_i} t^{n-i}) / (1 - q t^{n-i})."""
+    """[z] = prod_i (1 - q^{z_i} t^{n-i}) / (1 - q t^{n-i}); an entry of z that is
+    not an integer (operator.index) is a TypeError, not truncated."""
     if isinstance(z, Partition):
         z = z.parts
     n = len(z)
-    zs = [(monomial_rf(e_q=int(z[i - 1]), e_t=n - i), 1) for i in range(1, n + 1)]
+    zs = [(monomial_rf(e_q=index(z[i - 1]), e_t=n - i), 1) for i in range(1, n + 1)]
     return binomial_product(chain(qt_factors([-1] * n), zs))
 
 

@@ -13,6 +13,7 @@ when arguments specialize to staircase points.
 from __future__ import annotations
 
 from itertools import chain
+from operator import index
 from typing import Sequence
 
 from .algebra import (
@@ -55,9 +56,10 @@ class NotAStripError(ValueError):
 
 
 def staircase_args(z: Sequence[int]) -> tuple[RationalFn, ...]:
-    """Arguments q^{z_i} * t^{n-i} for an integer vector z."""
+    """Arguments q^{z_i} * t^{n-i} for an integer vector z; an entry that is not an
+    integer (operator.index) is a TypeError, not truncated."""
     n = len(z)
-    return tuple(monomial_rf(e_q=int(z[i]), e_t=n - 1 - i) for i in range(n))
+    return tuple(monomial_rf(e_q=index(z[i]), e_t=n - 1 - i) for i in range(n))
 
 
 def generic_staircase_args(n: int) -> tuple[RationalFn, ...]:

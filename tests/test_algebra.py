@@ -540,15 +540,23 @@ def _forget(f):
 @st.composite
 def _binomial_values(draw):
     """(value, plain): a product, quotient or sum of binomials (1 - m)^e, flipped,
-    sent to q = 1 and with a variable set to 0 along the way, and the same
-    steps replayed on map-free values."""
+    sent to q = 1, with a variable set to 0, with t = q^alpha and with X sent to
+    q^m t^s along the way, and the same steps replayed on map-free values.
+
+    The last two can send a factor Phi_d(y) with d > 1 to Phi_d(y'^g) with g > 1,
+    the image case of the splitting rule that a binomial 1 - y^g never reaches.
+    """
     value = plain = binomial_power(draw(_monomials), draw(st.sampled_from([-2, -1, 1, 2])))
     for _ in range(draw(st.integers(0, 5))):
-        op = draw(st.sampled_from(["*", "/", "+", "-", "flip", "limit", "zero"]))
-        if op in ("flip", "limit", "zero"):
+        op = draw(st.sampled_from(["*", "/", "+", "-", "flip", "limit", "zero", "alpha", "root"]))
+        if op in ("flip", "limit", "zero", "alpha", "root"):
             var = draw(st.sampled_from(["q", "t", "X"]))
+            alpha = draw(st.integers(1, 3))
+            root = monomial_rf(draw(st.integers(0, 2)), draw(st.integers(-2, 0)))
             fn = {"flip": flip_qt, "limit": limit_q_to_1,
-                  "zero": lambda f: subs_rational(f, **{var: 0})}[op]
+                  "zero": lambda f: subs_rational(f, **{var: 0}),
+                  "alpha": lambda f: substitute_t_eq_q_pow(f, alpha),
+                  "root": lambda f: subs_rational(f, X=root)}[op]
             try:
                 value, plain = fn(value), fn(_forget(plain))
             except PoleError:
@@ -573,7 +581,17 @@ def _sympy_factors(p):
     return out
 
 
+def _replayed(fn, f):
+    """(fn(f), fn(f rebuilt from its pair)), as _binomial_values draws them."""
+    return fn(f), fn(_forget(f))
+
+
 @given(_binomial_values())
+# t = q^2 sends Phi_2(t), Phi_3(t), Phi_6(t) to Phi_4(q), Phi_3(q) Phi_6(q), Phi_12(q);
+# X = q^2 t^-2 splits the factors of both sides the same way in y = q/t
+@example(_replayed(lambda f: substitute_t_eq_q_pow(f, 2), binomial_power(t_pow(6), -1)))
+@example(_replayed(lambda f: subs_rational(f, X=monomial_rf(2, -2)),
+                   binomial_power(monomial_rf(0, 0, 6), 1) / binomial_power(monomial_rf(0, 0, 4), 1)))
 @settings(max_examples=120, deadline=None)
 def test_factor_maps_are_complete_and_irreducible(values):
     value, plain = values

@@ -164,3 +164,14 @@ def test_bracket_with_multiplicative_shift():
     # q / (1-q) * w_(1)(X) = q/(1-q) * (1-X)/q = (1-X)/(1-q)
     got = qt_bracket((0,), P((1,)), s=X)
     assert got == (ONE - X) / (ONE - Q)
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", Fraction(5, 2)])
+def test_exponents_that_are_not_integers_are_refused(bad):
+    # never truncated: qt_number((2.5,)) once read as qt_number((2,))
+    for build in (lambda: qt_number((bad,)),
+                  lambda: qt_binomial((bad, 0), P((1, 0))),
+                  lambda: qt_bracket((bad, 1), P((1, 0)))):
+        with pytest.raises(TypeError):
+            build()
+    assert qt_number((True,)) == qt_number((1,))

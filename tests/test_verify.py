@@ -585,6 +585,15 @@ def test_point_exponents_are_bounded():
             cli._parse_fraction(text)
 
 
+def test_eval_reads_back_a_value_past_the_int_digit_limit():
+    # eval prints every digit of n/d; Fraction(text) stops at 4300 digits
+    n = 7**6000
+    proc = _run_cli("eval", "--expr", "qt_number(2)", "--q", f"{algebra._int_str(n)}/3", "--t", "1/3")
+    assert proc.returncode == 0, proc.stderr[:500]
+    assert proc.stdout == algebra._int_str(n + 3) + "/3\n"  # 1 + q
+    assert cli._parse_fraction(f" -{algebra._int_str(n)}/6 ") == Fraction(-n, 6)
+
+
 #: Each command at a depth past a recursion limit of 150: an ambient length of 200.
 _DEEP = ",".join(["0"] * 200)
 

@@ -1,5 +1,6 @@
 """Limiting Macdonald functions: closed forms vs recursion, duality, limits."""
 
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -55,6 +56,10 @@ def rect_oracle(k, xs):
 def test_argument_entries():
     assert staircase_args((2, 1)) == (Q**2 * T, Q)
     assert generic_staircase_args(2) == (X * T, X)
+    # an exponent that is not an integer is refused, never truncated
+    for bad in (2.5, 1.7, "3", Fraction(5, 2)):
+        with pytest.raises(TypeError):
+            staircase_args((bad, 0))
 
 
 def test_h_factor_diagonal_and_single_row():
