@@ -13,7 +13,8 @@ such a list out; it adds up the exponents of equal a first, so a factor that
 a quotient divides out again is never formed.  Each (1 - a)^e comes from
 `algebra.binomial_power`, which gives it the cyclotomic factor map of
 1 - a when a is a monomial of coefficient 1, as every a the library forms
-is.  The product then cancels by those maps, without a gcd.
+is.  The product then cancels by those maps, without a gcd, and is cached,
+keyed by its merged factor list: the package's one memo of such products.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .algebra import ONE, PoleError, Q, RationalFn, ZERO, binomial_power, monomial_rf, q_pow, t_pow
+from .algebra import ONE, PoleError, Q, RationalFn, ZERO, binomial_power, memo, monomial_rf, q_pow, t_pow
 from .partitions import Partition
 
 __all__ = [
@@ -40,19 +41,22 @@ def binomial_product(factors: Iterable[tuple[RationalFn, int]]) -> RationalFn:
     their quotient is left to the RationalFn operators and the factor maps.
     A vanishing factor (a = 1) raises PoleError if any pair gives it a
     negative exponent, even when other pairs cancel it, and otherwise makes
-    the product ZERO.
+    the product ZERO.  Each product is cached by its merged factor list.
     """
     exps: dict[RationalFn, int] = {}
     for a, e in factors:
-        if a == ONE and e < 0:
+        if e < 0 and a == ONE:
             raise PoleError("a vanishing binomial factor is divided by")
         exps[a] = exps.get(a, 0) + e
-    if exps.get(ONE):
-        return ZERO
+    return ZERO if exps.get(ONE) else _multiplied(tuple((a, e) for a, e in exps.items() if e))
+
+
+@memo
+def _multiplied(factors: tuple[tuple[RationalFn, int], ...]) -> RationalFn:
+    """prod (1 - a)^e over the merged pairs (a, e) of nonzero e, in their order."""
     out = ONE
-    for a, e in exps.items():
-        if e:
-            out = out * binomial_power(a, e)
+    for a, e in factors:
+        out = out * binomial_power(a, e)
     return out
 
 

@@ -13,7 +13,7 @@ from itertools import chain
 from operator import index
 from typing import Sequence, Union
 
-from .algebra import ONE, Q, RationalFn, X, ZERO, memo, monomial_rf, q_pow, t_pow
+from .algebra import ONE, Q, RationalFn, X, ZERO, monomial_rf, q_pow, t_pow
 from .partitions import (
     Partition,
     contains,
@@ -25,7 +25,6 @@ from .pochhammer import (
     pair_factors,
     partition_factors,
     poch_factors,
-    poch_partition,
     poch_partition_flipped,
     qt_factors,
 )
@@ -67,19 +66,17 @@ def _z_entries(z: ZVector, n: int) -> tuple:
     return staircase_args(z)
 
 
-@memo
 def h_product(mu: Partition) -> RationalFn:
     """prod_{i<j} (q t^{j-i})_{mu_i - mu_j} / (q t^{j-i-1})_{mu_i - mu_j}."""
     return binomial_product(chain(pair_factors(mu, 1, 0), pair_factors(mu, 1, -1, e=-1)))
 
 
-@memo
 def g_product(mu: Partition) -> RationalFn:
-    """(q t^{n-1}; q, t)_mu = prod_i (q t^{n-i}; q)_{mu_i}."""
-    return poch_partition(monomial_rf(e_q=1, e_t=mu.n - 1), mu)
+    """(q t^{n-1}; q, t)_mu = prod_i (q t^{n-i}; q)_{mu_i}, each factor one monomial_rf call."""
+    return binomial_product((monomial_rf(e_q=1 + k, e_t=mu.n - i), 1)
+                            for i, part in enumerate(mu, start=1) for k in range(part))
 
 
-@memo
 def _t_ratio_bracket(mu: Partition) -> RationalFn:
     # prod_{i<j} (t^{j-i})_{mu_i-mu_j} / (t^{j-i+1})_{mu_i-mu_j}
     return binomial_product(chain(pair_factors(mu, 0, 0), pair_factors(mu, 0, 1, e=-1)))

@@ -54,7 +54,6 @@ __all__ = [
 ]
 
 
-@memo
 def f_factor(mu: Partition) -> RationalFn:
     """The t-rational factor entering both Stirling limit formulas.
 
@@ -164,5 +163,6 @@ def ordinary_alpha_stirling(kind: str, nu: Partition, mu: Partition, alpha: int)
     happens: s1((2,1),(1,0)) = (1-t)/(1-qt)^2 has a pole at q = 1 once
     t = q^alpha, for every alpha >= 1.
     """
-    value = {"s1": s1, "s2": s2}[kind](nu, mu)
-    return limit_q_to_1(substitute_t_eq_q_pow(value, alpha), 0)
+    if kind not in ("s1", "s2"):
+        raise ValueError(f"unknown Stirling kind {kind!r}; known: 's1', 's2'")
+    return limit_q_to_1(substitute_t_eq_q_pow((s1 if kind == "s1" else s2)(nu, mu), alpha), 0)

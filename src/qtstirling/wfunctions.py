@@ -67,7 +67,6 @@ def generic_staircase_args(n: int) -> tuple[RationalFn, ...]:
     return tuple(monomial_rf(e_t=n - 1 - i, e_X=1) for i in range(n))
 
 
-@memo
 def h_factor(lam: Partition, mu: Partition) -> RationalFn:
     """The interlacing factor of the skew closed forms (equals 1 for lam = mu)."""
     if not is_horizontal_strip(lam, mu):

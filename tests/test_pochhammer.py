@@ -18,6 +18,7 @@ from qtstirling.algebra import (
     X,
     ZERO,
     canonical_str,
+    clear_cache,
     const,
     monomial_rf,
     q_pow,
@@ -31,6 +32,7 @@ from qtstirling.partitions import (
     weight,
 )
 from qtstirling.pochhammer import (
+    _multiplied,
     binomial_product,
     poch,
     poch_partition,
@@ -45,7 +47,7 @@ from qtstirling.qtnumbers import (
 )
 from qtstirling.stirling import f_factor
 from qtstirling.verify import _limit_bracket, check_identity
-from qtstirling.wfunctions import h_factor, w_skew_single, w_staircase
+from qtstirling.wfunctions import h_factor, w_hat_skew_single, w_skew_single, w_staircase
 
 P = Partition
 
@@ -135,6 +137,32 @@ def test_binomial_product_merges_equal_factors_only():
     # (1 - q^2) / (1 - q) = 1 + q: different binomials, reduced by the operators
     assert binomial_product([(Q**2, 1), (Q, -1)]) == ONE + Q
     assert binomial_product([(Q, 0), (X, -3)]) == ((ONE - X) ** 3).inverse()
+
+
+def _product_memo_traffic():
+    info = _multiplied.cache_info()
+    return info.hits, info.misses
+
+
+def test_binomial_product_is_the_product_memo():
+    # h_product keeps no memo of its own: its second call is one hit of the product memo
+    clear_cache()
+    mu = P((2, 1, 0))
+    value = h_product(mu)
+    hits, misses = _product_memo_traffic()
+    assert misses >= 1
+    assert h_product(mu) == value
+    assert _product_memo_traffic() == (hits + 1, misses)
+
+
+def test_w_and_w_hat_share_their_strip_products():
+    # the h factor and the strip ratio of a strip are built once for w and w-hat
+    clear_cache()
+    lam, nu, x = P((2, 1)), P((1, 0)), monomial_rf(e_q=2, e_t=1)
+    assert not w_skew_single(lam, nu, x).is_zero
+    hits, misses = _product_memo_traffic()
+    assert not w_hat_skew_single(lam, nu, x).is_zero
+    assert _product_memo_traffic() == (hits + 2, misses)
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,9 @@ def test_ordinary_alpha_stirling():
     # s1((2,1),(1,0)) = (1-t)/(1-qt)^2 has a pole at q = 1 once t = q^2
     with pytest.raises(PoleError):
         ordinary_alpha_stirling("s1", P((2, 1)), P((1, 0)), 2)
+    # an unknown kind is a ValueError, as an unknown identity or table kind is
+    with pytest.raises(ValueError, match="'s1', 's2'"):
+        ordinary_alpha_stirling("s3", P((1,)), P((0,)), 1)
 
 
 def test_s1_off_containment_zero():

@@ -215,6 +215,32 @@ def test_suite_report_without_memos_is_pinned():
     assert proc.stdout.split() == [str(count), digest]
 
 
+def test_suite_report_with_evicting_memos_matches():
+    # a cap of 8 entries makes every busy memo evict; the report must not change
+    import os
+
+    code = (
+        "import json\n"
+        "from qtstirling.algebra import _MEMOS\n"
+        "from qtstirling.verify import SuiteConfig, run_suite\n"
+        "assert {f.cache_info().maxsize for f in _MEMOS} == {8}\n"
+        "records = [r.to_json_dict() for r in run_suite(SuiteConfig(n_max=2, part_max=2))]\n"
+        "assert max(f.cache_info().misses for f in _MEMOS) > 8\n"
+        "for record in records:\n"
+        "    del record['elapsed']\n"
+        "print(json.dumps(records))\n"
+    )
+    src = os.path.dirname(os.path.dirname(qtstirling.__file__))
+    env = {**os.environ, "QTSTIRLING_CACHE_SIZE": "8", "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    want = [r.to_json_dict() for r in run_suite(SuiteConfig(n_max=2, part_max=2))]
+    for record in want:
+        del record["elapsed"]
+    assert json.loads(proc.stdout) == want
+
+
 def test_failures_are_reported_not_raised(monkeypatch):
     real = verify.bracket_rect
     monkeypatch.setattr(verify, "bracket_rect", lambda mu: real(mu) + ONE)
