@@ -102,7 +102,13 @@ def qt_binomial_rect(mu: Partition) -> RationalFn:
 
 
 def gaussian_binomial(m: int, k: int) -> RationalFn:
-    """(q)_m / ((q)_{m-k} (q)_k), the one-variable q-binomial coefficient."""
+    """(q)_m / ((q)_{m-k} (q)_k), the one-variable q-binomial coefficient.
+
+    It is 0 for k < 0 or k > m >= 0; m < 0 is a ValueError, since (q)_m has
+    a pole there.
+    """
+    if m < 0:
+        raise ValueError(f"gaussian_binomial takes m >= 0, got {m}")
     if k < 0 or k > m:
         return ZERO
     return binomial_product(chain(

@@ -16,8 +16,8 @@ Nothing here reads or writes a file: `run_suite` and `emit_table` return
 their results, and the command line writes them.
 The paper's expansions are data too: a row of `_EXPANSIONS` gives
 coefficient(nu, mu) and basis(mu), and the expansion at nu sums their
-products over mu <= nu.  Its terms are memoised per (nu, kind) and every
-identity that sums, specialises or substitutes them reads that memo.
+products over mu <= nu.  The sum is memoised per (nu, kind); the rows
+that substitute X term by term substitute into the basis alone.
 Bounds: every row that enumerates partitions takes one box per ambient
 length n in 1..n_max, the partitions with parts up to part_max (by default
 n <= 3 and parts <= 3).
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, permutations, product
 from math import prod
+from operator import index
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .algebra import (
@@ -131,6 +132,10 @@ class SuiteConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # bounds are integers, as Partition's parts are; a float is a TypeError
+        self.n_max, self.part_max = index(self.n_max), index(self.part_max)
+        if isinstance(self.identities, str):
+            raise ValueError("identities must be a list of ids, not one string")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
         if self.part_max < 0:
@@ -211,21 +216,20 @@ _EXPANSIONS: dict[str, tuple[Callable[..., RationalFn], Callable[..., RationalFn
 
 
 @memo
-def _expansion_terms(nu: Partition, kind: str) -> tuple[tuple[Partition, RationalFn], ...]:
-    """(mu, coefficient * basis) for every mu <= nu, by the kind row of _EXPANSIONS."""
-    coefficient, basis = _EXPANSIONS[kind]
-    return tuple((mu, coefficient(nu, mu) * basis(mu)) for mu in subpartitions(nu))
-
-
-@memo
 def _expansion(nu: Partition, kind: str) -> RationalFn:
-    """The expansion of kind at nu, the sum of its terms."""
-    return sum((term for _, term in _expansion_terms(nu, kind)), ZERO)
+    """The expansion of kind at nu: coefficient(nu, mu) * basis(mu) summed over mu <= nu."""
+    coefficient, basis = _EXPANSIONS[kind]
+    return sum((coefficient(nu, mu) * basis(mu) for mu in subpartitions(nu)), ZERO)
 
 
 def _terms_at(nu: Partition, kind: str, x) -> Iterator[tuple[Partition, RationalFn]]:
-    """(mu, term at X = x) for every term of the expansion of kind at nu."""
-    return ((mu, subs_rational(term, X=x)) for mu, term in _expansion_terms(nu, kind))
+    """(mu, term at X = x) for every term of the expansion of kind at nu.
+
+    No coefficient has X in it, so only the basis, a short product of
+    binomials with a known factor map, is substituted, not the expanded term.
+    """
+    coefficient, basis = _EXPANSIONS[kind]
+    return ((mu, coefficient(nu, mu) * subs_rational(basis(mu), X=x)) for mu in subpartitions(nu))
 
 
 def _x0_sums(nu: Partition) -> _Verdict:

@@ -62,6 +62,15 @@ def test_gaussian_binomial_at_two():
     assert evaluate(gaussian_binomial(2, 1), 2, 0) == 3
 
 
+def test_gaussian_binomial_outside_its_range():
+    # 0 off 0 <= k <= m; for m < 0, (q)_m has a pole, and k = 0 would be 1
+    for m, k in ((0, -1), (0, 1), (3, -1), (3, 4)):
+        assert gaussian_binomial(m, k) == ZERO
+    for m, k in ((-1, 0), (-1, -1), (-2, 1), (-3, -5)):
+        with pytest.raises(ValueError, match="m >= 0"):
+            gaussian_binomial(m, k)
+
+
 def test_binomial_rect_matches_definition():
     for parts in [(0, 0), (1, 0), (2, 1), (2, 2), (1, 1, 0), (2, 1, 1)]:
         mu = P(parts)

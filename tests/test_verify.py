@@ -130,6 +130,16 @@ def test_config_validation():
         SuiteConfig(n_max=0)
     with pytest.raises(ValueError):
         run_suite(SuiteConfig(identities=["not-an-identity"]))
+    # a bound that is not an integer would reach range() in the checks, not here
+    with pytest.raises(TypeError):
+        SuiteConfig(n_max=2.5)
+    with pytest.raises(TypeError):
+        SuiteConfig(part_max=1.5)
+    with pytest.raises(TypeError):
+        SuiteConfig(n_max=Fraction(2))
+    # a string would be read as a list of one-letter ids
+    with pytest.raises(ValueError, match="list"):
+        SuiteConfig(identities="w-rect")
 
 
 def test_suite_filtering_contract():
@@ -398,13 +408,23 @@ def test_root_sums_match_sums_substituted_after(nu):
 
 @pytest.mark.parametrize("lam", _EXPANSION_NUS, ids=str)
 def test_binomial_terms_match_explicit_coefficient(lam):
-    terms = dict(verify._expansion_terms(lam, "binomial"))
-    assert list(terms) == list(subpartitions(lam))
-    for mu, term in terms.items():
+    coefficient, basis = verify._EXPANSIONS["binomial"]
+    for mu in subpartitions(lam):
         wt = weight(mu)
         sign = -1 if wt % 2 else 1
         coeff = sign * monomial_rf(e_q=n_stat_conj(mu), e_t=-n_stat(mu)) * qt_binomial(lam, mu)
-        assert term == coeff * x_pow(wt)
+        assert coefficient(lam, mu) * basis(mu) == coeff * x_pow(wt)
+
+
+@pytest.mark.parametrize("kind", list(verify._EXPANSIONS))
+def test_terms_at_match_the_substituted_expanded_terms(kind):
+    # the reference route: multiply each term out, then substitute X
+    coefficient, basis = verify._EXPANSIONS[kind]
+    for nu in (nu for n in range(1, 4) for nu in partitions_in_box(n, 2)):
+        roots = [monomial_rf(e_q=m, e_t=1 - j) for j in range(1, nu.n + 1) for m in range(nu[j - 1])]
+        for x in (ZERO, *roots):
+            want = {mu: subs_rational(coefficient(nu, mu) * basis(mu), X=x) for mu in subpartitions(nu)}
+            assert dict(verify._terms_at(nu, kind, x)) == want
 
 
 def test_root_vanishing_examples():
@@ -583,6 +603,8 @@ def test_cli_eval_prints_every_digit_past_the_str_limit():
     ("table", "--kind", "s1", "--bound", "100000"),
     # the first one-part bound past the cap: 100128 pairs, where 445 holds 99681
     ("table", "--kind", "s1", "--bound", "446"),
+    # (q)_m has a pole at every m < 0, where gaussian once gave 0
+    ("eval", "--expr", "gaussian(-1;0)", "--q", "2", "--t", "3"),
 ])
 def test_cli_bad_input_exit_code(args):
     proc = _run_cli(*args)
