@@ -42,7 +42,8 @@ pair a value carries the factor map {(d, m'): e} of den and, where known,
 of num (a sum's numerator has none).  One rule, `_split`, builds every map:
 Phi_d(y^n) is the product of Phi_D(y) over the D | dn with
 D / gcd(D, n) = d, for y primitive; `binomial_power` reads the map of
-1 - m = -Phi_1(m) from it.  Canonical operands are coprime, so a product
+1 - m = -Phi_1(m) from it, m given by its exponent vector (a, b, x), as
+in every factor list.  Canonical operands are coprime, so a product
 a/b * c/d needs only the cross gcds (a, d) and (c, b); a sum follows
 Henrici: with g = gcd(b, d) the only common factor left in
 a*(d/g) + c*(b/g) over (b/g)*(d/g)*g divides g.  Each of these gcds has a
@@ -75,6 +76,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from math import gcd, isqrt, lcm, prod
+from operator import index
 from types import SimpleNamespace
 from typing import Callable, Mapping, Union
 
@@ -907,17 +909,12 @@ T = monomial_rf(e_t=1)
 X = monomial_rf(e_X=1)
 
 
-def binomial_power(a: RationalFn, e: int) -> RationalFn:
-    """(1 - a)^e; when a is a monomial of coefficient 1, with the factor maps of 1 - a."""
-    n, d = a.num, a.den
-    if len(n) == 1 and len(d) == 1:
-        (u, cu), = n.items()
-        (v, cv), = d.items()
-        if cu == cv == 1 and u != v:
-            m = tuple(x - y for x, y in zip(_unpack(u), _unpack(v)))
-            one_minus = _make(Polynomial({v: 1, u: -1}), d, _split(1, m), _NO_FACTORS)
-            return one_minus if e == 1 else one_minus ** e
-    return ONE - a if e == 1 else (ONE - a) ** e
+def binomial_power(m: tuple[int, int, int], e: int) -> RationalFn:
+    """(1 - q^a t^b X^x)^e, with its factor maps, for the nonzero exponent vector m = (a, b, x)."""
+    u = _pack(*(max(k, 0) for k in m))
+    v = _pack(*(max(-k, 0) for k in m))
+    one_minus = _make(Polynomial({v: 1, u: -1}), Polynomial({v: 1}), _split(1, m), _NO_FACTORS)
+    return one_minus if e == 1 else one_minus ** e
 
 
 # ---------------------------------------------------------------------------
@@ -1006,7 +1003,7 @@ def _image(v) -> tuple:
         return 0, (0, 0, 0)
     (m_num, a), = f.num.items()
     (m_den, b), = f.den.items()
-    return Fraction(a, b), tuple(x - y for x, y in zip(_unpack(m_num), _unpack(m_den)))
+    return a if b == 1 else Fraction(a, b), tuple(x - y for x, y in zip(_unpack(m_num), _unpack(m_den)))
 
 
 def flip_qt(f: RationalFn) -> RationalFn:
@@ -1072,18 +1069,22 @@ def limit_q_to_1(f: RationalFn, prefactor_order: int = 0) -> RationalFn:
 
     The result is a rational function of t and X only.  Raises PoleError
     when the reduced denominator still vanishes at q=1, i.e. the limit does
-    not exist at the requested order.
+    not exist at the requested order.  A prefactor_order that is not an
+    integer (operator.index) is a TypeError.
     """
+    prefactor_order = index(prefactor_order)
     if prefactor_order < 0:
         raise ValueError("prefactor_order must be nonnegative")
     if prefactor_order:
-        f = f / binomial_power(Q, prefactor_order)
+        f = f / binomial_power((1, 0, 0), prefactor_order)
     return _remap(f, ((1, (0, 0, 0)), *_KEEP[1:]),
                   "limit q->1 does not exist at this order")
 
 
 def substitute_t_eq_q_pow(f: RationalFn, alpha: int) -> RationalFn:
-    """Substitute t = q^alpha (alpha a positive integer) and re-canonicalize."""
+    """Substitute t = q^alpha (alpha a positive integer) and re-canonicalize;
+    an alpha that is not an integer (operator.index) is a TypeError."""
+    alpha = index(alpha)
     if alpha < 1:
         raise ValueError("alpha must be a positive integer")
     return _remap(f, (_KEEP[0], (1, (alpha, 0, 0)), _KEEP[2]),

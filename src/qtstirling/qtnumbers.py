@@ -13,7 +13,7 @@ from itertools import chain
 from operator import index
 from typing import Sequence, Union
 
-from .algebra import ONE, Q, RationalFn, X, ZERO, monomial_rf, q_pow, t_pow
+from .algebra import ONE, RationalFn, X, ZERO, monomial_rf, q_pow, t_pow
 from .partitions import (
     Partition,
     contains,
@@ -72,9 +72,8 @@ def h_product(mu: Partition) -> RationalFn:
 
 
 def g_product(mu: Partition) -> RationalFn:
-    """(q t^{n-1}; q, t)_mu = prod_i (q t^{n-i}; q)_{mu_i}, each factor one monomial_rf call."""
-    return binomial_product((monomial_rf(e_q=1 + k, e_t=mu.n - i), 1)
-                            for i, part in enumerate(mu, start=1) for k in range(part))
+    """(q t^{n-1}; q, t)_mu = prod_i (q t^{n-i}; q)_{mu_i}."""
+    return binomial_product(partition_factors((1, mu.n - 1, 0), mu))
 
 
 def _t_ratio_bracket(mu: Partition) -> RationalFn:
@@ -111,12 +110,12 @@ def gaussian_binomial(m: int, k: int) -> RationalFn:
         raise ValueError(f"gaussian_binomial takes m >= 0, got {m}")
     if k < 0 or k > m:
         return ZERO
-    return binomial_product(chain(
-        poch_factors(Q, m), poch_factors(Q, m - k, e=-1), poch_factors(Q, k, e=-1)))
+    return binomial_product(chain(poch_factors((1, 0, 0), m), poch_factors((1, 0, 0), m - k, e=-1),
+                                  poch_factors((1, 0, 0), k, e=-1)))
 
 
 def qt_bracket(z: ZVector, mu: Partition, s: RationalFn = ONE) -> RationalFn:
-    """The mu-shifted qt-number [z, s]_mu with multiplicative shift s."""
+    """The mu-shifted qt-number [z, s]_mu with shift s, a monomial of coefficient 1."""
     n = mu.n
     args = tuple(s * entry for entry in _z_entries(z, n))
     out = q_pow(weight(mu)) * binomial_product(qt_factors([-m for m in mu]))
@@ -129,11 +128,11 @@ def qt_number(z: Sequence[int]) -> RationalFn:
     if isinstance(z, Partition):
         z = z.parts
     n = len(z)
-    zs = [(monomial_rf(e_q=index(z[i - 1]), e_t=n - i), 1) for i in range(1, n + 1)]
+    zs = [((index(z[i - 1]), n - i, 0), 1) for i in range(1, n + 1)]
     return binomial_product(chain(qt_factors([-1] * n), zs))
 
 
 def bracket_rect(mu: Partition) -> RationalFn:
     """The bracket at the generic diagonal point, prod_i (X t^{i-1}; 1/q)_{mu_i} / (1-q t^{n-i})^{mu_i}."""
-    return binomial_product(chain(partition_factors(X, mu, flipped=True), qt_factors([-m for m in mu])))
+    return binomial_product(chain(partition_factors((0, 0, 1), mu, True), qt_factors([-m for m in mu])))
 

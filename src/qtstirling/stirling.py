@@ -18,7 +18,6 @@ from typing import Callable
 
 from .algebra import (
     RationalFn,
-    T,
     ZERO,
     const,
     flip_qt,
@@ -63,11 +62,11 @@ def f_factor(mu: Partition) -> RationalFn:
     n = mu.n
     factors = []
     for i in range(1, n):
-        factors += [(T, mu[i - 1] - mu[i]), (t_pow(n - i), -mu[i - 1])]
+        factors += [((0, 1, 0), mu[i - 1] - mu[i]), ((0, n - i, 0), -mu[i - 1])]
     for i in range(1, n + 1):
         for j in range(i + 2, n + 1):
             d = mu[i - 1] - mu[j - 1]
-            factors += [(t_pow(j - i), d), (t_pow(j - i - 1), -d)]
+            factors += [((0, j - i, 0), d), ((0, j - i - 1, 0), -d)]
     denom = factorial(mu[n - 1])
     for i in range(1, n):
         denom *= factorial(mu[i - 1] - mu[i])

@@ -193,8 +193,7 @@ def _holds(ok: bool, witness: str) -> _Verdict:
 
 def _limit_bracket(mu: Partition) -> RationalFn:
     # prod_i (1 - X t^{n-i})^{mu_i} / (1 - q t^{n-i})^{mu_i}
-    n = mu.n
-    xs = [(monomial_rf(e_t=n - i, e_X=1), m) for i, m in enumerate(mu, start=1) if m]
+    xs = [((0, mu.n - i, 1), m) for i, m in enumerate(mu, start=1) if m]
     return binomial_product(chain(xs, qt_factors([-m for m in mu])))
 
 

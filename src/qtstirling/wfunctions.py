@@ -35,7 +35,7 @@ from .partitions import (
     n_stat_conj,
     weight,
 )
-from .pochhammer import binomial_product, pair_factors, partition_factors, poch_factors
+from .pochhammer import _vector, binomial_product, pair_factors, partition_factors, poch_factors
 
 __all__ = [
     "NotAStripError",
@@ -74,27 +74,25 @@ def h_factor(lam: Partition, mu: Partition) -> RationalFn:
     factors = []
     for j in range(2, lam.n + 1):
         m = mu[j - 2] - lam[j - 1]
-        if m == 0:
-            continue
         for i in range(1, j):
-            factors += poch_factors(monomial_rf(e_q=mu[i - 1] - mu[j - 2], e_t=j - i), m)
-            factors += poch_factors(monomial_rf(e_q=lam[i - 1] - mu[j - 2] + 1, e_t=j - i - 1), m)
-            factors += poch_factors(monomial_rf(e_q=mu[i - 1] - mu[j - 2] + 1, e_t=j - i - 1), m, e=-1)
-            factors += poch_factors(monomial_rf(e_q=lam[i - 1] - mu[j - 2], e_t=j - i), m, e=-1)
+            factors += poch_factors((mu[i - 1] - mu[j - 2], j - i, 0), m)
+            factors += poch_factors((lam[i - 1] - mu[j - 2] + 1, j - i - 1, 0), m)
+            factors += poch_factors((mu[i - 1] - mu[j - 2] + 1, j - i - 1, 0), m, e=-1)
+            factors += poch_factors((lam[i - 1] - mu[j - 2], j - i, 0), m, e=-1)
     return binomial_product(factors)
 
 
 def _strip_poch_ratio(lam: Partition, mu: Partition, x: RationalFn) -> RationalFn:
     """(1/x; q, t)_lam / (1/x; q, t)_mu as one cancelled product over strip cells."""
-    xinv = x.inverse()
+    a, b, c = _vector(x, "x")
     return binomial_product(
         f for i, (top, bottom) in enumerate(zip(lam, mu)) if top > bottom
-        for f in poch_factors(xinv * monomial_rf(e_q=bottom, e_t=-i), top - bottom))
+        for f in poch_factors((bottom - a, -i - b, -c), top - bottom))
 
 
 @memo
 def w_skew_single(lam: Partition, mu: Partition, x: RationalFn) -> RationalFn:
-    """Single-variable skew w; zero when lam/mu is not a horizontal strip."""
+    """Single-variable skew w, x a monomial of coefficient 1; zero off horizontal strips."""
     if not is_horizontal_strip(lam, mu):
         return ZERO
     d = weight(lam) - weight(mu)
@@ -105,7 +103,7 @@ def w_skew_single(lam: Partition, mu: Partition, x: RationalFn) -> RationalFn:
 
 @memo
 def w_hat_skew_single(lam: Partition, mu: Partition, x: RationalFn) -> RationalFn:
-    """Single-variable skew dual w-hat; zero off horizontal strips."""
+    """Single-variable skew dual w-hat, x as for w_skew_single; zero off horizontal strips."""
     if not is_horizontal_strip(lam, mu):
         return ZERO
     pref = t_pow(-n_stat(lam) + weight(mu) + n_stat(mu))
@@ -117,10 +115,11 @@ def _w_rec(lam: Partition, xs: tuple[RationalFn, ...], dual: bool) -> RationalFn
     # called with positional arguments only, so that every call shares one memo key
     if not xs:
         return ONE if weight(lam) == 0 else ZERO
-    y = xs[0]
     rest = xs[1:]
     ell = len(rest)
-    y_shift = y * t_pow(-ell) if ell else y
+    # read each argument before the inner values, since a vanishing rest skips the skew w's
+    a, b, c = _vector(xs[0], "x")
+    y_shift = monomial_rf(a, b - ell, c)
     total = ZERO
     for nu in horizontal_strip_predecessors(lam):
         inner = _w_rec(nu, rest, dual)
@@ -144,7 +143,8 @@ def _argument_tuple(mu: Partition, xs: Sequence[RationalFn]) -> tuple[RationalFn
 
 
 def w_multi(mu: Partition, xs: Sequence[RationalFn]) -> RationalFn:
-    """w_mu(x_1, ..., x_n; q, t) via the horizontal-strip recursion."""
+    """w_mu(x_1, ..., x_n; q, t) by the horizontal-strip recursion; each x is a monomial of
+    coefficient 1, and any other argument is a ValueError."""
     return _w_rec(mu, _argument_tuple(mu, xs), False)
 
 
@@ -154,9 +154,9 @@ def w_hat_multi(mu: Partition, xs: Sequence[RationalFn]) -> RationalFn:
 
 
 def w_staircase(mu: Partition, x: RationalFn) -> RationalFn:
-    """Closed form of w_mu at the staircase specialization (x t^{n-1}, ..., x t, x)."""
-    return q_pow(-weight(mu)) * binomial_product(chain(
-        partition_factors(x, mu, flipped=True), pair_factors(mu, 0, 1), pair_factors(mu, 0, 0, e=-1)))
+    """Closed form of w_mu at (x t^{n-1}, ..., x t, x), x a monomial of coefficient 1."""
+    return q_pow(-weight(mu)) * binomial_product(chain(partition_factors(
+        _vector(x, "x"), mu, flipped=True), pair_factors(mu, 0, 1), pair_factors(mu, 0, 0, e=-1)))
 
 
 def w_bar(mu: Partition, lam: Partition, invert: bool = False) -> RationalFn:

@@ -14,6 +14,7 @@ from qtstirling.algebra import (
     ONE,
     PoleError,
     Q,
+    RationalFn,
     T,
     X,
     ZERO,
@@ -43,11 +44,19 @@ from qtstirling.qtnumbers import (
     bracket_rect,
     gaussian_binomial,
     h_product,
+    qt_bracket,
     qt_number,
 )
 from qtstirling.stirling import f_factor
 from qtstirling.verify import _limit_bracket, check_identity
-from qtstirling.wfunctions import h_factor, w_hat_skew_single, w_skew_single, w_staircase
+from qtstirling.wfunctions import (
+    h_factor,
+    w_hat_multi,
+    w_hat_skew_single,
+    w_multi,
+    w_skew_single,
+    w_staircase,
+)
 
 P = Partition
 
@@ -121,22 +130,26 @@ def test_flip_identity_composite_argument():
     assert check_identity("flip-formula", mu=P((2, 1)), x=X * Q**2 / T).passed
 
 
+#: the exponent vectors (a, b, x) of the monomials 1, q, X and X t in a factor list
+_V1, _VQ, _VX, _VXT = (0, 0, 0), (1, 0, 0), (0, 0, 1), (0, 1, 1)
+
+
 def test_binomial_product_edge_cases():
     assert binomial_product([]) == ONE
-    assert binomial_product([(ONE, 1)]) == ZERO
-    assert binomial_product([(X, 1), (ONE, 2), (Q, -1)]) == ZERO
+    assert binomial_product([(_V1, 1)]) == ZERO
+    assert binomial_product([(_VX, 1), (_V1, 2), (_VQ, -1)]) == ZERO
     with pytest.raises(PoleError):
-        binomial_product([(ONE, 1), (ONE, -1)])
+        binomial_product([(_V1, 1), (_V1, -1)])
     with pytest.raises(PoleError):
-        binomial_product([(ONE, -1), (X, 1), (ONE, 1)])
+        binomial_product([(_V1, -1), (_VX, 1), (_V1, 1)])
 
 
 def test_binomial_product_merges_equal_factors_only():
-    assert binomial_product([(X, 1), (X * T, -2), (X, 2), (X * T, 2)]) == (ONE - X) ** 3
-    assert binomial_product([(Q, 1), (Q, -1)]) == ONE
+    assert binomial_product([(_VX, 1), (_VXT, -2), (_VX, 2), (_VXT, 2)]) == (ONE - X) ** 3
+    assert binomial_product([(_VQ, 1), (_VQ, -1)]) == ONE
     # (1 - q^2) / (1 - q) = 1 + q: different binomials, reduced by the operators
-    assert binomial_product([(Q**2, 1), (Q, -1)]) == ONE + Q
-    assert binomial_product([(Q, 0), (X, -3)]) == ((ONE - X) ** 3).inverse()
+    assert binomial_product([((2, 0, 0), 1), (_VQ, -1)]) == ONE + Q
+    assert binomial_product([(_VQ, 0), (_VX, -3)]) == ((ONE - X) ** 3).inverse()
 
 
 def _product_memo_traffic():
@@ -299,3 +312,55 @@ def test_negative_poch_matches_inverted_reference():
                         poch(a, m, base)
                     continue
                 assert poch(a, m, base) == expected
+
+
+#: every public entry point that turns a RationalFn argument into a factor list, directly or
+#: through the skew w's, as a function of that argument
+_ENTRY_POINTS = {
+    "poch": lambda a: poch(a, 2),
+    "poch-base": lambda a: poch(X, 2, base=a),
+    "poch_partition": lambda a: poch_partition(a, P((2, 1))),
+    "poch_partition_flipped": lambda a: poch_partition_flipped(a, P((2, 1))),
+    "w_staircase": lambda a: w_staircase(P((2, 1)), a),
+    "w_skew_single": lambda a: w_skew_single(P((2, 1)), P((1, 0)), a),
+    "w_hat_skew_single": lambda a: w_hat_skew_single(P((2, 1)), P((1, 0)), a),
+    "w_multi": lambda a: w_multi(P((2, 1)), (a, Q**3)),
+    "w_hat_multi": lambda a: w_hat_multi(P((2, 1)), (a, Q**3)),
+    # the rest vanishes here, so no skew w ever reads the first argument
+    "w_multi-rest-vanishes": lambda a: w_multi(P((1, 1)), (a, ONE)),
+    "w_hat_multi-rest-vanishes": lambda a: w_hat_multi(P((1, 1)), (a, ONE)),
+    "qt_bracket": lambda a: qt_bracket((2, 1), P((1, 0)), s=a),
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [2 * X, ONE + X, ZERO], ids=["2X", "1+X", "0"])
+def test_arguments_that_are_not_monomials_of_coefficient_one_are_refused(entry, bad):
+    with pytest.raises(ValueError, match="is not a monomial .* of coefficient 1") as info:
+        _ENTRY_POINTS[entry](bad)
+    assert "substitution image" not in str(info.value)
+    # a composite monomial is an argument like any other
+    assert isinstance(_ENTRY_POINTS[entry](X * Q**2 / T), RationalFn)
+
+
+@pytest.mark.parametrize("build, products", [
+    (lambda: h_product(P((3, 1, 0))), 0),
+    (lambda: bracket_rect(P((3, 1, 0))), 0),
+    (lambda: poch(X, 3), 0),
+    (lambda: f_factor(P((3, 1, 0))), 1),  # the division by its factorial constant
+    (lambda: w_staircase(P((3, 1, 0)), X), 1),  # its monomial prefactor
+], ids=["h_product", "bracket_rect", "poch", "f_factor", "w_staircase"])
+def test_a_product_memo_hit_does_no_rational_arithmetic(monkeypatch, build, products):
+    # the factor list is built from exponent vectors, so a warm call multiplies nothing
+    value = build()
+    real = RationalFn.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(RationalFn, "__mul__", counted)
+    monkeypatch.setattr(RationalFn, "__rmul__", counted)
+    assert build() == value
+    assert len(calls) == products
