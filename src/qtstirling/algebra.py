@@ -44,13 +44,15 @@ Phi_d(y^n) is the product of Phi_D(y) over the D | dn with
 D / gcd(D, n) = d, for y primitive; `binomial_power` reads the map of
 1 - m = -Phi_1(m) from it, m given by its exponent vector (a, b, x), as
 in every factor list.  Canonical operands are coprime, so a product
-a/b * c/d needs only the cross gcds (a, d) and (c, b); a sum follows
-Henrici: with g = gcd(b, d) the only common factor left in
-a*(d/g) + c*(b/g) over (b/g)*(d/g)*g divides g.  Each of these gcds has a
-factor map on one side at least, so `_cancel` finds it by exponent
-arithmetic, or by dividing the other side by the known factors with
-`_exquo`, which is exact because they are irreducible.  A monomial
-substitution with images of coefficient 1 or 0 (flips, q -> 1,
+a/b * c/d needs only the cross gcds (a, d) and (c, b).  When c and d are
+one term each, those gcds are a content and the least shared monomial, so
+the product shifts the keys of a/b and scales its coefficients, and a/b
+keeps its factor maps.  A sum follows Henrici: with g = gcd(b, d) the only
+common factor left in a*(d/g) + c*(b/g) over (b/g)*(d/g)*g divides g.
+Each of these gcds has a factor map on one side at least, so `_cancel`
+finds it by exponent arithmetic, or by dividing the other side by the
+known factors with `_exquo`, which is exact because they are irreducible.
+A monomial substitution with images of coefficient 1 or 0 (flips, q -> 1,
 t = q^alpha, X -> 0) sends each Phi_d(m') to an integer, a monomial or
 Phi_d of the image of m', which `_split` splits, and reduces the same way.
 Every gcd divided out has a positive leading coefficient, and leading
@@ -761,6 +763,10 @@ class RationalFn:
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
+        if len(other.num) == 1 == len(other.den):
+            return _by_term(self, other)
+        if len(self.num) == 1 == len(self.den):
+            return _by_term(other, self)
         _, _, a, fa, d, fd = _cancel(self.num, self._num_map, other.den, other._den_map)
         _, _, c, fc, b, fb = _cancel(other.num, other._num_map, self.den, self._den_map)
         return _make(a * c, b * d, _merge(fa, fc), _merge(fb, fd))
@@ -821,6 +827,37 @@ def _make(n: Polynomial, d: Polynomial, num_map=None, den_map=None) -> RationalF
     _set_num_map(f, num_map)
     _set_den_map(f, den_map)
     return f
+
+
+def _moved(p: Polynomial, shift: int, div: int, c: int) -> Polynomial:
+    """p with every key plus shift and every coefficient divided exactly by div, times c.
+
+    The new keys are valid monomials; only a positive shift can raise the
+    degree field, which is the top one, past its guard bit.
+    """
+    if not shift and div == c == 1:
+        return p
+    if shift > 0 and (max(p) + shift) & _DEG_GUARD:
+        raise OverflowError(f"a monomial degree exceeds {_MASK}")
+    return Polynomial({k + shift: v // div * c for k, v in p.items()})
+
+
+def _by_term(f: RationalFn, g: RationalFn) -> RationalFn:
+    """f * g for g one term over one term: a key shift of f's pair that keeps f's maps.
+
+    The cross gcds (f.num, g.den) and (g.num, f.den) are each a content and
+    the least monomial the two sides share, an integer gcd and a `_low`, and
+    one `_moved` per side divides them out and multiplies by g's side.
+    """
+    (m, c), = g.num.items()
+    (k, d), = g.den.items()
+    a, b = f.num, f.den
+    ca = 1 if d == 1 else gcd(d, *a.values())
+    cb = 1 if c in (1, -1) else gcd(c, *b.values())
+    la = 0 if k == 0 or 0 in a else _low(a, g.den)
+    lb = 0 if m == 0 or 0 in b else _low(b, g.num)
+    return _make(_moved(a, m - lb - la, ca, c // cb), _moved(b, k - la - lb, cb, d // ca),
+                 f._num_map, f._den_map)
 
 
 def _reduce(num: Polynomial, num_map, den: Polynomial, den_map) -> RationalFn:
@@ -964,27 +1001,23 @@ def _remap(f: RationalFn, images: tuple, pole: str) -> RationalFn:
     otherwise the pair goes to `_reduce` with neither map.
     """
     n, d, top = _point_form(f)
-    tables = [None if c == 1 else _scaled_powers(Fraction(c), top[v])
-              for v, (c, _) in enumerate(images)]
+    tables = [(v, _scaled_powers(Fraction(c), top[v])) for v, (c, _) in enumerate(images) if c != 1]
+    (qa, qb, qx), (ta, tb, tx), (xa, xb, xx) = (image for _, image in images)
     pair = []
     for terms in (n, d):
         out: dict[tuple, int] = {}
-        for *monom, c in terms:
-            exps = [0, 0, 0]
-            for k, (_, image), table in zip(monom, images, tables):
-                if table is not None:
-                    c = c * table[k]
-                if k:
-                    for j in range(3):
-                        exps[j] += k * image[j]
-            key = tuple(exps)
+        for term in terms:
+            i, j, k, c = term
+            for v, table in tables:
+                c *= table[term[v]]
+            key = (i * qa + j * ta + k * xa, i * qb + j * tb + k * xb, i * qx + j * tx + k * xx)
             out[key] = out.get(key, 0) + c
         pair.append({m: c for m, c in out.items() if c})
     num, den = pair
     if not den:
         raise PoleError(pole)
-    low = [min(m[j] for m in chain(num, den)) for j in range(3)]
-    num, den = (Polynomial({_pack(*(e - s for e, s in zip(m, low))): c for m, c in terms.items()})
+    lq, lt, lx = (min([m[j] for m in chain(num, den)]) for j in range(3))
+    num, den = (Polynomial({_pack(a - lq, b - lt, x - lx): c for (a, b, x), c in terms.items()})
                 for terms in (num, den))
     if not num:
         return ZERO

@@ -13,7 +13,9 @@ vectors first, so a factor that a quotient divides out again is never
 formed.  Each power comes from `algebra.binomial_power` with the cyclotomic
 factor map of its binomial, so the product cancels without a gcd.  It is
 cached, keyed by its merged factor list: the package's one memo of such
-products.
+products.  A prefactor that is a product of several such products (h / g,
+the bracket's t-ratio with its qt factors, the h factor with the strip
+ratio) is one merged list too, so it is multiplied out and cancelled once.
 """
 
 from __future__ import annotations
@@ -78,11 +80,11 @@ def poch_factors(a: Vector, m: int, base: Vector = (1, 0, 0), e: int = 1) -> Fac
         yield (a[0] + k * base[0], a[1] + k * base[1], a[2] + k * base[2]), e
 
 
-def partition_factors(a: Vector, lam: Partition, flipped: bool = False) -> Factors:
-    """The factors of (a; q, t)_lam, or of (a; 1/q, 1/t)_lam when flipped."""
+def partition_factors(a: Vector, lam: Partition, flipped: bool = False, e: int = 1) -> Factors:
+    """The factors of (a; q, t)_lam^e, or of (a; 1/q, 1/t)_lam^e when flipped."""
     base = (-1, 0, 0) if flipped else (1, 0, 0)
     for i, part in enumerate(lam):
-        yield from poch_factors((a[0], a[1] + (i if flipped else -i), a[2]), part, base)
+        yield from poch_factors((a[0], a[1] + (i if flipped else -i), a[2]), part, base, e)
 
 
 def pair_factors(mu: Partition, c: int, s: int, e: int = 1) -> Factors:

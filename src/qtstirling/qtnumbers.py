@@ -13,7 +13,7 @@ from itertools import chain
 from operator import index
 from typing import Sequence, Union
 
-from .algebra import ONE, RationalFn, X, ZERO, monomial_rf, q_pow, t_pow
+from .algebra import ONE, RationalFn, ZERO, monomial_rf, q_pow, t_pow
 from .partitions import (
     Partition,
     contains,
@@ -21,11 +21,11 @@ from .partitions import (
     weight,
 )
 from .pochhammer import (
+    Factors,
     binomial_product,
     pair_factors,
     partition_factors,
     poch_factors,
-    poch_partition_flipped,
     qt_factors,
 )
 from .wfunctions import generic_staircase_args, staircase_args, w_multi
@@ -66,19 +66,39 @@ def _z_entries(z: ZVector, n: int) -> tuple:
     return staircase_args(z)
 
 
+def _h_factors(mu: Partition, e: int = 1) -> Factors:
+    """The factors of h_product(mu)^e."""
+    return chain(pair_factors(mu, 1, 0, e), pair_factors(mu, 1, -1, -e))
+
+
+def _g_factors(mu: Partition, e: int = 1) -> Factors:
+    """The factors of g_product(mu)^e."""
+    return partition_factors((1, mu.n - 1, 0), mu, e=e)
+
+
+def _t_ratio_factors(mu: Partition, e: int = 1) -> Factors:
+    """The factors of (prod_{i<j} (t^{j-i})_{mu_i-mu_j} / (t^{j-i+1})_{mu_i-mu_j})^e."""
+    return chain(pair_factors(mu, 0, 0, e), pair_factors(mu, 0, 1, -e))
+
+
 def h_product(mu: Partition) -> RationalFn:
     """prod_{i<j} (q t^{j-i})_{mu_i - mu_j} / (q t^{j-i-1})_{mu_i - mu_j}."""
-    return binomial_product(chain(pair_factors(mu, 1, 0), pair_factors(mu, 1, -1, e=-1)))
+    return binomial_product(_h_factors(mu))
 
 
 def g_product(mu: Partition) -> RationalFn:
     """(q t^{n-1}; q, t)_mu = prod_i (q t^{n-i}; q)_{mu_i}."""
-    return binomial_product(partition_factors((1, mu.n - 1, 0), mu))
+    return binomial_product(_g_factors(mu))
 
 
 def _t_ratio_bracket(mu: Partition) -> RationalFn:
-    # prod_{i<j} (t^{j-i})_{mu_i-mu_j} / (t^{j-i+1})_{mu_i-mu_j}
-    return binomial_product(chain(pair_factors(mu, 0, 0), pair_factors(mu, 0, 1, e=-1)))
+    """The product of _t_ratio_factors(mu)."""
+    return binomial_product(_t_ratio_factors(mu))
+
+
+def _h_over_g(mu: Partition) -> RationalFn:
+    """h_product(mu) / g_product(mu) as one product: the prefactor of qt_binomial and u_matrix."""
+    return binomial_product(chain(_h_factors(mu), _g_factors(mu, -1)))
 
 
 def qt_binomial(z: ZVector, mu: Partition) -> RationalFn:
@@ -88,16 +108,15 @@ def qt_binomial(z: ZVector, mu: Partition) -> RationalFn:
         return ZERO
     args = _z_entries(z, n)
     pref = monomial_rf(e_q=weight(mu), e_t=2 * n_stat(mu) + (1 - n) * weight(mu))
-    return pref / g_product(mu) * h_product(mu) * w_multi(mu, args)
+    return pref * _h_over_g(mu) * w_multi(mu, args)
 
 
 def qt_binomial_rect(mu: Partition) -> RationalFn:
     """Closed form of the qt-binomial at z = x-bar, as a rational function of X."""
     n = mu.n
-    out = t_pow(2 * n_stat(mu) + (1 - n) * weight(mu)) / g_product(mu)
-    out = out * poch_partition_flipped(X, mu)
-    out = out * h_product(mu) / _t_ratio_bracket(mu)
-    return out
+    return t_pow(2 * n_stat(mu) + (1 - n) * weight(mu)) * binomial_product(chain(
+        _g_factors(mu, -1), partition_factors((0, 0, 1), mu, True), _h_factors(mu),
+        _t_ratio_factors(mu, -1)))
 
 
 def gaussian_binomial(m: int, k: int) -> RationalFn:
@@ -118,8 +137,8 @@ def qt_bracket(z: ZVector, mu: Partition, s: RationalFn = ONE) -> RationalFn:
     """The mu-shifted qt-number [z, s]_mu with shift s, a monomial of coefficient 1."""
     n = mu.n
     args = tuple(s * entry for entry in _z_entries(z, n))
-    out = q_pow(weight(mu)) * binomial_product(qt_factors([-m for m in mu]))
-    return out * _t_ratio_bracket(mu) * w_multi(mu, args)
+    out = binomial_product(chain(qt_factors([-m for m in mu]), _t_ratio_factors(mu)))
+    return q_pow(weight(mu)) * out * w_multi(mu, args)
 
 
 def qt_number(z: Sequence[int]) -> RationalFn:

@@ -36,7 +36,7 @@ from .partitions import (
     weight,
 )
 from .pochhammer import binomial_product, qt_factors
-from .qtnumbers import g_product, h_product, qt_binomial
+from .qtnumbers import _h_over_g, qt_binomial
 from .wfunctions import staircase_args, w_bar, w_hat_multi
 
 __all__ = [
@@ -79,7 +79,7 @@ def u_matrix(lam: Partition, mu: Partition) -> RationalFn:
     if not contains(lam, mu):
         return ZERO
     pref = monomial_rf(e_q=weight(mu), e_t=2 * n_stat(mu))
-    return pref / g_product(mu) * h_product(mu) * w_hat_multi(mu, staircase_args(lam.parts))
+    return pref * _h_over_g(mu) * w_hat_multi(mu, staircase_args(lam.parts))
 
 
 @memo

@@ -7,7 +7,9 @@ q -> 1 limits w-bar that feed the Stirling formulas.
 
 The skew closed form keeps the Pochhammer ratio (1/x)_lam / (1/x)_mu as a
 single cancelled product over the strip cells, so no spurious poles appear
-when arguments specialize to staircase points.
+when arguments specialize to staircase points.  That ratio and the h factor
+of the strip are one merged factor list, so w and w-hat share one product
+per strip and argument, times a monomial prefactor each.
 """
 
 from __future__ import annotations
@@ -35,7 +37,14 @@ from .partitions import (
     n_stat_conj,
     weight,
 )
-from .pochhammer import _vector, binomial_product, pair_factors, partition_factors, poch_factors
+from .pochhammer import (
+    Factors,
+    _vector,
+    binomial_product,
+    pair_factors,
+    partition_factors,
+    poch_factors,
+)
 
 __all__ = [
     "NotAStripError",
@@ -67,27 +76,31 @@ def generic_staircase_args(n: int) -> tuple[RationalFn, ...]:
     return tuple(monomial_rf(e_t=n - 1 - i, e_X=1) for i in range(n))
 
 
+def _h_strip_factors(lam: Partition, mu: Partition) -> Factors:
+    """The factors of h_factor(lam, mu), lam / mu a horizontal strip."""
+    for j in range(2, lam.n + 1):
+        m = mu[j - 2] - lam[j - 1]
+        for i in range(1, j):
+            yield from poch_factors((mu[i - 1] - mu[j - 2], j - i, 0), m)
+            yield from poch_factors((lam[i - 1] - mu[j - 2] + 1, j - i - 1, 0), m)
+            yield from poch_factors((mu[i - 1] - mu[j - 2] + 1, j - i - 1, 0), m, e=-1)
+            yield from poch_factors((lam[i - 1] - mu[j - 2], j - i, 0), m, e=-1)
+
+
 def h_factor(lam: Partition, mu: Partition) -> RationalFn:
     """The interlacing factor of the skew closed forms (equals 1 for lam = mu)."""
     if not is_horizontal_strip(lam, mu):
         raise NotAStripError(f"{lam}/{mu} is not a horizontal strip")
-    factors = []
-    for j in range(2, lam.n + 1):
-        m = mu[j - 2] - lam[j - 1]
-        for i in range(1, j):
-            factors += poch_factors((mu[i - 1] - mu[j - 2], j - i, 0), m)
-            factors += poch_factors((lam[i - 1] - mu[j - 2] + 1, j - i - 1, 0), m)
-            factors += poch_factors((mu[i - 1] - mu[j - 2] + 1, j - i - 1, 0), m, e=-1)
-            factors += poch_factors((lam[i - 1] - mu[j - 2], j - i, 0), m, e=-1)
-    return binomial_product(factors)
+    return binomial_product(_h_strip_factors(lam, mu))
 
 
-def _strip_poch_ratio(lam: Partition, mu: Partition, x: RationalFn) -> RationalFn:
-    """(1/x; q, t)_lam / (1/x; q, t)_mu as one cancelled product over strip cells."""
+def _strip_product(lam: Partition, mu: Partition, x: RationalFn) -> RationalFn:
+    """h_factor(lam, mu) * (1/x; q, t)_lam / (1/x; q, t)_mu as one product, the
+    Pochhammer ratio cancelled to the strip cells, lam / mu a horizontal strip."""
     a, b, c = _vector(x, "x")
-    return binomial_product(
+    return binomial_product(chain(_h_strip_factors(lam, mu), (
         f for i, (top, bottom) in enumerate(zip(lam, mu)) if top > bottom
-        for f in poch_factors((bottom - a, -i - b, -c), top - bottom))
+        for f in poch_factors((bottom - a, -i - b, -c), top - bottom))))
 
 
 @memo
@@ -98,7 +111,7 @@ def w_skew_single(lam: Partition, mu: Partition, x: RationalFn) -> RationalFn:
     d = weight(lam) - weight(mu)
     sign = -1 if d % 2 else 1
     pref = sign * x ** d * q_pow(n_stat_conj(mu) - n_stat_conj(lam) - d)
-    return pref * h_factor(lam, mu) * _strip_poch_ratio(lam, mu, x)
+    return pref * _strip_product(lam, mu, x)
 
 
 @memo
@@ -106,8 +119,7 @@ def w_hat_skew_single(lam: Partition, mu: Partition, x: RationalFn) -> RationalF
     """Single-variable skew dual w-hat, x as for w_skew_single; zero off horizontal strips."""
     if not is_horizontal_strip(lam, mu):
         return ZERO
-    pref = t_pow(-n_stat(lam) + weight(mu) + n_stat(mu))
-    return pref * h_factor(lam, mu) * _strip_poch_ratio(lam, mu, x)
+    return t_pow(-n_stat(lam) + weight(mu) + n_stat(mu)) * _strip_product(lam, mu, x)
 
 
 @memo

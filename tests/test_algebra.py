@@ -405,6 +405,51 @@ def test_operators_keep_the_integer_pair_canonical(f, g, k):
         assert d.LC > 0
 
 
+# -- products with a one-term side: a key shift, no cancellation -----------------
+
+_coefficients = st.one_of(st.integers(-12, 12).filter(bool),
+                          st.fractions(min_value=-6, max_value=6, max_denominator=12).filter(bool))
+
+#: one term over one term: an int, a Fraction, or a coefficient times a monomial whose
+#: exponents may be negative, as a RationalFn
+_one_terms = st.one_of(
+    _coefficients,
+    _coefficients.map(const),
+    st.tuples(_coefficients, st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 2))
+    .map(lambda c: const(c[0]) * monomial_rf(*c[1:])),
+)
+
+
+@given(_operands, _one_terms)
+# 2q/(4 - 4t) * 6/q^2: the pair shares the content 2 and the monomial q across
+@example(_rf({(1, 0, 0): 2}, {(0, 0, 0): 4, (0, 1, 0): -4}), const(6) * q_pow(-2))
+@example(_rf({(0, 2, 0): 3, (1, 1, 0): -6}, {(2, 0, 1): 4, (0, 0, 0): 2}),
+         const(Fraction(-4, 9)) * monomial_rf(1, -2, -1))
+@settings(max_examples=200, deadline=None)
+def test_products_with_a_one_term_side_match_reference_reduction(f, g):
+    term = g if isinstance(g, RationalFn) else const(g)
+    want = _reference(f.num * term.num, f.den * term.den)
+    for got in (f * g, g * f):
+        assert got == want
+        assert canonical_str(got) == canonical_str(want)
+        if f:  # the one-term side has no factors, so f's maps carry over as they are
+            assert got._num_map is f._num_map and got._den_map is f._den_map
+    assert f / g == _reference(f.num * term.den, f.den * term.num)
+
+
+def test_a_product_with_a_monomial_cancels_nothing(monkeypatch):
+    from qtstirling import algebra
+
+    f, want = ONE - T, _rf({(3, 0, 0): 1, (3, 1, 0): -1}, {(0, 0, 0): 1})
+    calls = []
+    for name in ("_cancel", "_exquo"):
+        real = getattr(algebra, name)
+        monkeypatch.setattr(algebra, name, lambda *args, real=real, name=name: (
+            calls.append(name), real(*args))[1])
+    assert f * q_pow(3) == want
+    assert calls == []
+
+
 def _integer_terms(p):
     return all(type(c) is int for c in p.values())
 
@@ -551,16 +596,18 @@ def _forget(f):
 
 @st.composite
 def _binomial_values(draw):
-    """(value, plain): a product, quotient or sum of binomials (1 - m)^e, flipped,
-    sent to q = 1, with a variable set to 0, with t = q^alpha and with X sent to
-    q^m t^s along the way, and the same steps replayed on map-free values.
+    """(value, plain): a product, quotient or sum of binomials (1 - m)^e, times
+    coefficients and monomials, flipped, sent to q = 1, with a variable set to
+    0, with t = q^alpha and with X sent to q^m t^s along the way, and the same
+    steps replayed on map-free values.
 
     The last two can send a factor Phi_d(y) with d > 1 to Phi_d(y'^g) with g > 1,
     the image case of the splitting rule that a binomial 1 - y^g never reaches.
     """
     value = plain = binomial_power(draw(_exponents), draw(st.sampled_from([-2, -1, 1, 2])))
     for _ in range(draw(st.integers(0, 5))):
-        op = draw(st.sampled_from(["*", "/", "+", "-", "flip", "limit", "zero", "alpha", "root"]))
+        op = draw(st.sampled_from(["*", "/", "+", "-", "term", "flip", "limit", "zero", "alpha",
+                                   "root"]))
         if op in ("flip", "limit", "zero", "alpha", "root"):
             var = draw(st.sampled_from(["q", "t", "X"]))
             alpha = draw(st.integers(1, 3))
@@ -574,6 +621,13 @@ def _binomial_values(draw):
             except PoleError:
                 with pytest.raises(PoleError):
                     fn(_forget(plain))
+            continue
+        if op == "term":  # one term over one term, on either side of the product
+            term = draw(_coefficients) * draw(_monomials)
+            if draw(st.booleans()):
+                value, plain = value * term, _forget(plain) * term
+            else:
+                value, plain = term * value, term * _forget(plain)
             continue
         other = binomial_power(draw(_exponents), draw(st.sampled_from([-2, -1, 1, 2])))
         if op != "/":
@@ -604,6 +658,9 @@ def _replayed(fn, f):
 @example(_replayed(lambda f: substitute_t_eq_q_pow(f, 2), binomial_power((0, 6, 0), -1)))
 @example(_replayed(lambda f: subs_rational(f, X=monomial_rf(2, -2)),
                    binomial_power((0, 0, 6), 1) / binomial_power((0, 0, 4), 1)))
+# a product with one term over one term keeps the other side's maps
+@example(_replayed(lambda f: const(Fraction(-6, 5)) * monomial_rf(2, -1, 1) * f,
+                   binomial_power((1, 2, 0), 2) / binomial_power((0, 2, 1), 1)))
 @settings(max_examples=120, deadline=None)
 def test_factor_maps_are_complete_and_irreducible(values):
     value, plain = values
@@ -695,6 +752,8 @@ def test_import_and_runs_leave_sympy_unloaded():
     lambda: q_pow(2**40),
     lambda: q_pow(2**29) ** 5,
     lambda: q_pow(2**30) * q_pow(2**30),
+    lambda: (ONE - T) * q_pow(2**31 - 1),
+    lambda: q_pow(1 - 2**31) / (ONE - T),
     lambda: parse_rational("q^99999999999"),
     lambda: substitute_t_eq_q_pow(T ** (2**30), 2),
     lambda: flip_qt(ONE / (ONE - q_pow(2**31 - 1) * T)),

@@ -27,30 +27,39 @@ from qtstirling.algebra import (
 )
 from qtstirling.partitions import (
     Partition,
+    contains,
     is_horizontal_strip,
+    n_stat,
     n_stat_conj,
     partitions_in_box,
     weight,
 )
 from qtstirling.pochhammer import (
     _multiplied,
+    _vector,
     binomial_product,
     poch,
+    poch_factors,
     poch_partition,
     poch_partition_flipped,
+    qt_factors,
 )
 from qtstirling.qtnumbers import (
     _t_ratio_bracket,
     bracket_rect,
+    g_product,
     gaussian_binomial,
     h_product,
+    qt_binomial,
+    qt_binomial_rect,
     qt_bracket,
     qt_number,
 )
-from qtstirling.stirling import f_factor
+from qtstirling.stirling import f_factor, u_matrix
 from qtstirling.verify import _limit_bracket, check_identity
 from qtstirling.wfunctions import (
     h_factor,
+    staircase_args,
     w_hat_multi,
     w_hat_skew_single,
     w_multi,
@@ -169,13 +178,13 @@ def test_binomial_product_is_the_product_memo():
 
 
 def test_w_and_w_hat_share_their_strip_products():
-    # the h factor and the strip ratio of a strip are built once for w and w-hat
+    # the h factor and the strip ratio of a strip are one product, built once for w and w-hat
     clear_cache()
     lam, nu, x = P((2, 1)), P((1, 0)), monomial_rf(e_q=2, e_t=1)
     assert not w_skew_single(lam, nu, x).is_zero
     hits, misses = _product_memo_traffic()
     assert not w_hat_skew_single(lam, nu, x).is_zero
-    assert _product_memo_traffic() == (hits + 2, misses)
+    assert _product_memo_traffic() == (hits + 1, misses)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +321,72 @@ def test_negative_poch_matches_inverted_reference():
                         poch(a, m, base)
                     continue
                 assert poch(a, m, base) == expected
+
+
+# ---------------------------------------------------------------------------
+# merged prefactors against the same values built from separate products
+# ---------------------------------------------------------------------------
+
+def _strip_ratio(lam, mu, x):
+    """(1/x; q, t)_lam / (1/x; q, t)_mu over the strip cells, as its own product."""
+    a, b, c = _vector(x, "x")
+    return binomial_product(
+        f for i, (top, bottom) in enumerate(zip(lam, mu)) if top > bottom
+        for f in poch_factors((bottom - a, -i - b, -c), top - bottom))
+
+
+def _separate_qt_binomial(z, mu):
+    if not contains(z, mu):
+        return ZERO
+    n = mu.n
+    pref = monomial_rf(e_q=weight(mu), e_t=2 * n_stat(mu) + (1 - n) * weight(mu))
+    return pref / g_product(mu) * h_product(mu) * w_multi(mu, staircase_args(z.parts))
+
+
+def _separate_u_matrix(lam, mu):
+    if not contains(lam, mu):
+        return ZERO
+    pref = monomial_rf(e_q=weight(mu), e_t=2 * n_stat(mu))
+    return pref / g_product(mu) * h_product(mu) * w_hat_multi(mu, staircase_args(lam.parts))
+
+
+def _separate_qt_bracket(z, mu):
+    out = q_pow(weight(mu)) * binomial_product(qt_factors([-m for m in mu]))
+    return out * _t_ratio_bracket(mu) * w_multi(mu, staircase_args(z.parts))
+
+
+def _separate_qt_binomial_rect(mu):
+    out = t_pow(2 * n_stat(mu) + (1 - mu.n) * weight(mu)) / g_product(mu)
+    out = out * poch_partition_flipped(X, mu)
+    return out * h_product(mu) / _t_ratio_bracket(mu)
+
+
+def _separate_w_skew_single(lam, mu, x):
+    d = weight(lam) - weight(mu)
+    pref = (-1) ** d * x ** d * q_pow(n_stat_conj(mu) - n_stat_conj(lam) - d)
+    return pref * h_factor(lam, mu) * _strip_ratio(lam, mu, x)
+
+
+def _separate_w_hat_skew_single(lam, mu, x):
+    pref = t_pow(-n_stat(lam) + weight(mu) + n_stat(mu))
+    return pref * h_factor(lam, mu) * _strip_ratio(lam, mu, x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_merged_prefactors_match_the_products_they_replace(n):
+    # each prefactor is one factor list; the reference multiplies h, g, the t-ratio, the h
+    # factor and the strip ratio as products of their own
+    box = list(partitions_in_box(n, 3))
+    for mu in box:
+        assert qt_binomial_rect(mu) == _separate_qt_binomial_rect(mu)
+        for z in box:
+            assert qt_binomial(z, mu) == _separate_qt_binomial(z, mu), (z, mu)
+            assert u_matrix(z, mu) == _separate_u_matrix(z, mu), (z, mu)
+            assert qt_bracket(z, mu) == _separate_qt_bracket(z, mu), (z, mu)
+            if is_horizontal_strip(z, mu):
+                for x in (X, monomial_rf(e_q=2, e_t=1), *staircase_args(z.parts)):
+                    assert w_skew_single(z, mu, x) == _separate_w_skew_single(z, mu, x)
+                    assert w_hat_skew_single(z, mu, x) == _separate_w_hat_skew_single(z, mu, x)
 
 
 #: every public entry point that turns a RationalFn argument into a factor list, directly or
