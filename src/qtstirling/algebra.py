@@ -47,11 +47,20 @@ in every factor list.  Canonical operands are coprime, so a product
 a/b * c/d needs only the cross gcds (a, d) and (c, b).  When c and d are
 one term each, those gcds are a content and the least shared monomial, so
 the product shifts the keys of a/b and scales its coefficients, and a/b
-keeps its factor maps.  A sum follows Henrici: with g = gcd(b, d) the only
-common factor left in a*(d/g) + c*(b/g) over (b/g)*(d/g)*g divides g.
-Each of these gcds has a factor map on one side at least, so `_cancel`
-finds it by exponent arithmetic, or by dividing the other side by the
-known factors with `_exquo`, which is exact because they are irreducible.
+keeps its factor maps.  A sum of any number of terms, `_fsum`, puts them
+over the lcm of their denominators, read off the den maps: the lcm of the
+contents, the largest monomial and the top exponent of each Phi key.  Each
+numerator times its cofactor, a product of known factors, is added without
+a division, and the sum is cancelled once.  By Henrici's argument (JACM 3,
+1956; a + b is its two-term case) a factor that one term alone reaches at
+its top exponent divides every other summand but not that one, so only the
+factors that two or more terms reach are trial-divided, and content and
+monomial by an integer gcd and `_low`.  A term whose den map is unknown is
+added by Henrici's step: with g = gcd(b, d) the only common factor left in
+a*(d/g) + c*(b/g) over (b/g)*(d/g)*g divides g.  Each gcd of a product or
+of that step has a factor map on one side at least, so `_cancel` finds it
+by exponent arithmetic, or by dividing the other side by the known factors
+with `_exquo`, which is exact because they are irreducible.
 A monomial substitution with images of coefficient 1 or 0 (flips, q -> 1,
 t = q^alpha, X -> 0) sends each Phi_d(m') to an integer, a monomial or
 Phi_d of the image of m', which `_split` splits, and reduces the same way.
@@ -199,12 +208,12 @@ class Polynomial(dict):
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return _add(self, other)
+        return _add((self, other))
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return _add(self, -other)
+        return _add((self, -other))
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -261,17 +270,18 @@ Polynomial.ring = SimpleNamespace(one=Polynomial({0: 1}))
 _Z1 = Polynomial.ring.one
 
 
-def _add(f: Polynomial, g: Polynomial) -> Polynomial:
-    if len(f) < len(g):
-        f, g = g, f
-    out = Polynomial(f)
+def _add(polys) -> Polynomial:
+    """The sum of an iterable of polynomials, one at a time, into a copy of the first."""
+    polys = iter(polys)
+    out = Polynomial(next(polys))
     get = out.get
-    for k, c in g.items():
-        c += get(k, 0)
-        if c:
-            out[k] = c
-        else:
-            del out[k]
+    for g in polys:
+        for k, c in g.items():
+            c += get(k, 0)
+            if c:
+                out[k] = c
+            else:
+                del out[k]
     return out
 
 
@@ -604,6 +614,23 @@ def _less(f, common: dict):
     return out
 
 
+def _divide_out(a: Polynomial, fmap: dict) -> tuple:
+    """(a / h, fh, h) for h the factors of fmap that divide a, each as often as it does up to
+    its exponent there, found by `_exquo`, which is exact because they are irreducible."""
+    common, h = {}, _Z1
+    for key, e in fmap.items():
+        p, k = _factor_poly(key), 0
+        while k < e:
+            quotient = _exquo(a, p)
+            if quotient is None:
+                break
+            a, k = quotient, k + 1
+        if k:
+            common[key] = k
+            h = _mul(h, p ** k)
+    return a, common, h
+
+
 def _cancel(a: Polynomial, fa, b: Polynomial, fb) -> tuple:
     """(h, fh, a/h, fa', b/h, fb') for h = gcd(a, b) over ZZ of the nonzero a and b.
 
@@ -647,16 +674,7 @@ def _cancel(a: Polynomial, fa, b: Polynomial, fb) -> tuple:
             if common:
                 a = _exquo(a, h)
         elif len(a) > 1:
-            for key, e in fb.items():
-                p, k = _factor_poly(key), 0
-                while k < e:
-                    quotient = _exquo(a, p)
-                    if quotient is None:
-                        break
-                    a, k = quotient, k + 1
-                if k:
-                    common[key] = k
-                    h = _mul(h, p ** k)
+            a, common, h = _divide_out(a, fb)
         if common:
             b = _exquo(b, h)
             fh, fa, fb = common, _less(fa, common), _less(fb, common)
@@ -725,20 +743,7 @@ class RationalFn:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.num:
-            return self
-        if not self.num:
-            return other
-        # Henrici: num/den below share no factor outside g = gcd(b, d).
-        g, fg, b, fb, d, fd = _cancel(self.den, self._den_map, other.den, other._den_map)
-        num = self.num * d + other.num * b
-        if not num:
-            return ZERO
-        den, fden = b * d, _merge(fb, fd)
-        if g is not _Z1:
-            _, _, num, _, g, fg = _cancel(num, None, g, fg)
-            den, fden = den * g, _merge(fden, fg)
-        return _make(num, den, _one_term_map(num), fden)
+        return _fsum((self, other))
 
     __radd__ = __add__
 
@@ -879,6 +884,77 @@ def _reduce(num: Polynomial, num_map, den: Polynomial, den_map) -> RationalFn:
     if mapless:
         num_map, den_map = _one_term_map(num), _one_term_map(den)
     return _make(num, den, num_map, den_map)
+
+
+def _henrici(f: RationalFn, g: RationalFn) -> RationalFn:
+    """f + g, both nonzero, by Henrici's step, for a den map that is not known."""
+    # num/den below share no factor outside h = gcd(b, d)
+    h, fh, b, fb, d, fd = _cancel(f.den, f._den_map, g.den, g._den_map)
+    num = f.num * d + g.num * b
+    if not num:
+        return ZERO
+    den, fden = b * d, _merge(fb, fd)
+    if h is not _Z1:
+        _, _, num, _, h, fh = _cancel(num, None, h, fh)
+        den, fden = den * h, _merge(fden, fh)
+    return _make(num, den, _one_term_map(num), fden)
+
+
+def _popped(items: list):
+    """(i, items[i]) from the last index down, each item popped off the list as it is yielded."""
+    while items:
+        yield len(items) - 1, items.pop()
+
+
+def _fsum(values) -> RationalFn:
+    """The sum of the RationalFn values over the lcm of their denominators, reduced once;
+    a value whose den map is unknown is added by `_henrici`."""
+    terms, unmapped = [], []
+    for f in values:
+        if f.num:
+            (unmapped if f._den_map is None else terms).append(f)
+    total = terms[0] if len(terms) == 1 else ZERO
+    if len(terms) > 1:
+        # each den is c * x^m * prod P^e with P = _factor_poly(key) leading with 1, so c is
+        # its leading coefficient; top[key] = [the largest e, how many terms reach it]
+        top, leads, heads, lows = {}, [], [], []
+        for f in terms:
+            leads.append(max(f.den))
+            heads.append(f.den[leads[-1]])
+            lows.append(0 if 0 in f.den else _low(f.den, ()))
+            for key, e in f._den_map.items():
+                reach = top.get(key)
+                if reach is None or e > reach[0]:
+                    top[key] = [e, 1]
+                elif e == reach[0]:
+                    reach[1] += 1
+        c, m = lcm(*heads), _pack(*map(max, zip(*map(_unpack, lows))))
+
+        def times_cofactor(p, f, i):  # p times the lcm over the den of term f = terms[i]
+            p = _mul(p, Polynomial({m - lows[i]: c // heads[i]}))
+            for key, (e, _) in top.items():
+                if e > f._den_map.get(key, 0):
+                    p = _mul(p, _factor_poly(key) ** (e - f._den_map.get(key, 0)))
+            return p
+
+        j = leads.index(max(leads))  # a den of the largest degree has the least cofactor
+        least = terms[j]
+        # let each term go once it is added, so that the products are not all held at once
+        num = _add(times_cofactor(f.num, f, i) for i, f in _popped(terms))
+        if not num:
+            return _fsum(unmapped)
+        den = times_cofactor(least.den, least, j)
+        num, common, h = _divide_out(num, {key: e for key, (e, n) in top.items() if n > 1})
+        if common:
+            den = _exquo(den, h)
+        g = 1 if c == 1 else gcd(c, *num.values())
+        low = 0 if not m or 0 in num else _low(num, (m,))
+        if g != 1 or low:
+            num, den = _shift(num, low, g), _shift(den, low, g)
+        total = _make(num, den, _one_term_map(num), _less({k: e for k, (e, _) in top.items()}, common))
+    for f in unmapped:
+        total = _henrici(total, f) if total.num else f
+    return total
 
 
 def _power(fmap, k: int):

@@ -17,13 +17,13 @@ an ambient length in the thousands, in all three commands (`check` reports
 such a box as bad input, not as failing identities), `eval` on an id with an
 integer past 100000 in absolute value (verify._ID_INT_MAX) or on a point
 whose decimal exponent is past that bound (1e3000000 would have 3000001
-digits), and `table` on a bound that holds more than 100000 (nu, mu) pairs
-(verify._TABLE_PAIRS_MAX), as does every bound with a part of 446 or more.
-Neither bound makes every input below it fast: bracket_rect's degree grows
-with the square of its parts, and the pair cap bounds a table's size, not
-its time.  `table --kind s1 --bound N` took 0.08, 0.71, 3.8 and 20 s at
-N = 10, 20, 30 and 40 (2-core x86 host), growing about as N^5, so
---bound 445, which the cap admits, would run for weeks.
+digits), and `table` on a bound that holds more than 20000 chains
+mu <= lam <= nu <= bound (verify._TABLE_CHAINS_MAX), as does every bound with
+a part of 48 or more.  The chains are the terms that the s1 and s2 entries
+sum, so the cap bounds a table's work, not only its size: (5,5,5) holds
+14112 chains and took about 14 s, and (47,) 19600 chains and about 46 s
+and 246 MiB (2-core x86 host).  The id bound does not make every id below
+it fast: bracket_rect's degree grows with the square of its parts.
 
 `eval` prints its value as n/d (or n), with every digit however long, and
 reads such a value back as --q, --t or --x, past CPython's 4300-digit

@@ -19,6 +19,7 @@ from typing import Callable
 from .algebra import (
     RationalFn,
     ZERO,
+    _fsum,
     const,
     flip_qt,
     limit_q_to_1,
@@ -125,10 +126,7 @@ _Entry = Callable[[Partition, Partition], RationalFn]
 
 def _product_entry(a: _Entry, b: _Entry, lam: Partition, mu: Partition) -> RationalFn:
     """sum_{mu <= nu <= lam} a(lam, nu) * b(nu, mu): the (lam, mu) entry of a V-algebra product."""
-    total = ZERO
-    for nu in partitions_between(mu, lam):
-        total = total + a(lam, nu) * b(nu, mu)
-    return total
+    return _fsum(a(lam, nu) * b(nu, mu) for nu in partitions_between(mu, lam))
 
 
 @memo

@@ -43,6 +43,7 @@ from .algebra import (
     T,
     X,
     ZERO,
+    _fsum,
     canonical_str,
     evaluate,
     flip_qt,
@@ -55,6 +56,7 @@ from .algebra import (
 )
 from .partitions import (
     Partition,
+    _bounded_descending,
     contains,
     is_horizontal_strip,
     n_stat,
@@ -218,7 +220,7 @@ _EXPANSIONS: dict[str, tuple[Callable[..., RationalFn], Callable[..., RationalFn
 def _expansion(nu: Partition, kind: str) -> RationalFn:
     """The expansion of kind at nu: coefficient(nu, mu) * basis(mu) summed over mu <= nu."""
     coefficient, basis = _EXPANSIONS[kind]
-    return sum((coefficient(nu, mu) * basis(mu) for mu in subpartitions(nu)), ZERO)
+    return _fsum(coefficient(nu, mu) * basis(mu) for mu in subpartitions(nu))
 
 
 def _terms_at(nu: Partition, kind: str, x) -> Iterator[tuple[Partition, RationalFn]]:
@@ -243,9 +245,9 @@ def _x0_sums(nu: Partition) -> _Verdict:
     lhs = binomial_product(qt_factors([-m for m in nu]))
     first = list(_terms_at(nu, "s1", ZERO))
     outcomes = {
-        "s1_exponent_minus": sum((v for _, v in first), ZERO) == lhs,
-        "s1_exponent_plus": sum((t_pow(2 * (n - 1) * weight(mu)) * v for mu, v in first), ZERO) == lhs,
-        "s2": sum((v for _, v in _terms_at(nu, "s2", ZERO)), ZERO) == lhs,
+        "s1_exponent_minus": _fsum(v for _, v in first) == lhs,
+        "s1_exponent_plus": _fsum(t_pow(2 * (n - 1) * weight(mu)) * v for mu, v in first) == lhs,
+        "s2": _fsum(v for _, v in _terms_at(nu, "s2", ZERO)) == lhs,
     }
     passed = outcomes["s1_exponent_minus"] and outcomes["s2"]
     return outcomes, None if passed else f"outcomes: {outcomes}"
@@ -270,11 +272,11 @@ def _root_vanishing(nu: Partition, j: int, m: int) -> _Verdict:
     checks: dict[str, bool] = {}
     checks["s1_full_sum"] = subs_rational(_expansion(nu, "s1"), X=root).is_zero
     if m == 0:
-        restricted = sum((term for mu, term in _terms_at(nu, "s1", root) if mu[n - j] == 0), ZERO)
+        restricted = _fsum(term for mu, term in _terms_at(nu, "s1", root) if mu[n - j] == 0)
         checks["s1_restricted"] = restricted.is_zero
         if nu[n - j] >= 1:
-            restricted2 = sum((term for mu, term in _terms_at(nu, "s2", root)
-                               if mu[j - 1] == 0 and mu != nu), ZERO)
+            restricted2 = _fsum(term for mu, term in _terms_at(nu, "s2", root)
+                                if mu[j - 1] == 0 and mu != nu)
             checks["s2_restricted"] = restricted2.is_zero
     return checks, None if all(checks.values()) else f"checks: {checks}"
 
@@ -391,7 +393,7 @@ def _qt_number_agrees(z: tuple[int, ...], n: Optional[int] = None) -> _Verdict:
     if n is not None:
         if n != 1 or len(z) != 1:
             raise ValueError("the q-number reduction takes n = 1 and one entry z = (m,)")
-        return _equal(sum((q_pow(i) for i in range(z[0])), ZERO), rhs)
+        return _equal(_fsum(q_pow(i) for i in range(z[0])), rhs)
     ones = rectangle(1, len(z))
     bracket = qt_bracket(z, ones)
     ok = bracket == rhs and qt_binomial(z, ones) == rhs
@@ -700,28 +702,37 @@ def run_suite(cfg: SuiteConfig) -> list[IdentityReport]:
 
 #: The eval ids `table` can emit, each built by its `_EVAL_EXPRS` builder.
 _TABLE_KINDS = ("s1", "s2", "binomial", "bracket")
-#: The most (nu, mu) pairs a table may hold.  The pairs under one part N
-#: number about N^2/2, so the id bound on parts is no bound on a table's work.
-#: Real tables hold far fewer: (4,4,4) and (3,3,3,3) hold 490 pairs each, and
-#: s1 and s2 over (4,4,4) take about 6 s.  Counting pairs up to the cap takes
-#: about 0.35 s (2-core x86 host, CPython 3.11).
-_TABLE_PAIRS_MAX = 100000
+#: The most chains mu <= lam <= nu <= bound a table may hold: the terms that its
+#: s1 and s2 entries sum.  They bound a table's work, where its (nu, mu) pairs
+#: did not: the pairs under one part N number about N^2/2 and the chains
+#: C(N+3, 3).  (4,4,4) and (3,3,3,3) hold 4116 chains each, (5,5,5) 14112
+#: and (47,) 19600; (48,) holds 20825 and (10,10) 26026.
+_TABLE_CHAINS_MAX = 20000
+
+
+def _chains(bound: Partition) -> Iterator[int]:
+    """A 1 for each chain mu <= lam <= nu <= bound, walked lazily, never through the lattice memo."""
+    for nu in _bounded_descending([(0, p) for p in bound.parts]):
+        for lam in _bounded_descending([(0, p) for p in nu]):
+            for _ in _bounded_descending([(0, p) for p in lam]):
+                yield 1
 
 
 def emit_table(kind: str, bound: Partition, fmt: str = "json") -> str:
     """The text of all entries (nu, mu, value) for mu <= nu <= bound, as JSON or CSV.
 
-    A bound with more than _TABLE_PAIRS_MAX pairs, as every bound with a
-    part past that number has, is a ValueError before any entry is
-    computed; the pairs are counted lazily, up to one past the cap.
+    A bound with more than _TABLE_CHAINS_MAX chains, as every bound with a
+    part of 48 or more has, is a ValueError before any entry is computed;
+    the chains are counted lazily, up to one past the cap.
     """
     if kind not in _TABLE_KINDS:
         raise ValueError(f"unknown table kind {kind!r}")
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
-    if next(islice(_pairs(bound), _TABLE_PAIRS_MAX, None), None) is not None:
+    if sum(islice(_chains(bound), _TABLE_CHAINS_MAX + 1)) > _TABLE_CHAINS_MAX:
         spelled = ",".join(map(str, bound.parts))
-        raise ValueError(f"the bound {spelled} holds more than {_TABLE_PAIRS_MAX} (nu, mu) pairs")
+        raise ValueError(f"the bound {spelled} holds more than {_TABLE_CHAINS_MAX} chains "
+                         "mu <= lam <= nu")
     fn = _EVAL_EXPRS[kind][1]
     entries = [(nu, mu, canonical_str(fn(nu.parts, mu.parts))) for nu, mu in _pairs(bound)]
     if fmt == "json":

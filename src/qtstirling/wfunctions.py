@@ -22,6 +22,7 @@ from .algebra import (
     ONE,
     RationalFn,
     ZERO,
+    _fsum,
     flip_qt,
     limit_q_to_1,
     memo,
@@ -132,7 +133,7 @@ def _w_rec(lam: Partition, xs: tuple[RationalFn, ...], dual: bool) -> RationalFn
     # read each argument before the inner values, since a vanishing rest skips the skew w's
     a, b, c = _vector(xs[0], "x")
     y_shift = monomial_rf(a, b - ell, c)
-    total = ZERO
+    terms = []
     for nu in horizontal_strip_predecessors(lam):
         inner = _w_rec(nu, rest, dual)
         if inner.is_zero:
@@ -143,8 +144,8 @@ def _w_rec(lam: Partition, xs: tuple[RationalFn, ...], dual: bool) -> RationalFn
         term = skew * inner
         if not dual:
             term = t_pow(ell * (weight(lam) - weight(nu))) * term
-        total = total + term
-    return total
+        terms.append(term)
+    return _fsum(terms)
 
 
 def _argument_tuple(mu: Partition, xs: Sequence[RationalFn]) -> tuple[RationalFn, ...]:

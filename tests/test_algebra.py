@@ -23,6 +23,7 @@ from qtstirling.algebra import (
     _cyclotomic,
     _exquo,
     _factor_poly,
+    _fsum,
     _make,
     _pack,
     _unpack,
@@ -607,7 +608,7 @@ def _binomial_values(draw):
     value = plain = binomial_power(draw(_exponents), draw(st.sampled_from([-2, -1, 1, 2])))
     for _ in range(draw(st.integers(0, 5))):
         op = draw(st.sampled_from(["*", "/", "+", "-", "term", "flip", "limit", "zero", "alpha",
-                                   "root"]))
+                                   "root", "sum"]))
         if op in ("flip", "limit", "zero", "alpha", "root"):
             var = draw(st.sampled_from(["q", "t", "X"]))
             alpha = draw(st.integers(1, 3))
@@ -628,6 +629,11 @@ def _binomial_values(draw):
                 value, plain = value * term, _forget(plain) * term
             else:
                 value, plain = term * value, term * _forget(plain)
+            continue
+        if op == "sum":  # the n-ary sum, with one to three more terms
+            others = [binomial_power(draw(_exponents), draw(st.sampled_from([-2, -1, 1, 2])))
+                      * draw(_monomials) for _ in range(draw(st.integers(1, 3)))]
+            value, plain = _fsum([value, *others]), _fsum([_forget(plain), *map(_forget, others)])
             continue
         other = binomial_power(draw(_exponents), draw(st.sampled_from([-2, -1, 1, 2])))
         if op != "/":
@@ -658,6 +664,9 @@ def _replayed(fn, f):
 @example(_replayed(lambda f: substitute_t_eq_q_pow(f, 2), binomial_power((0, 6, 0), -1)))
 @example(_replayed(lambda f: subs_rational(f, X=monomial_rf(2, -2)),
                    binomial_power((0, 0, 6), 1) / binomial_power((0, 0, 4), 1)))
+# two terms reach the top exponent of 1 - q, which cancels once: 1/(1 - q) + 1/(1 - t)
+@example(_replayed(lambda f: _fsum([f, -Q * f, binomial_power((0, 1, 0), -1)]),
+                   binomial_power((1, 0, 0), -2)))
 # a product with one term over one term keeps the other side's maps
 @example(_replayed(lambda f: const(Fraction(-6, 5)) * monomial_rf(2, -1, 1) * f,
                    binomial_power((1, 2, 0), 2) / binomial_power((0, 2, 1), 1)))
@@ -678,6 +687,108 @@ def test_factor_maps_are_complete_and_irreducible(values):
         got = {frozenset(_factor_poly(key).items()): e for key, e in fmap.items()}
         assert len(got) == len(fmap)
         assert got == _sympy_factors(p)
+
+
+# -- the n-ary sum -----------------------------------------------------------------
+
+#: Exponent vectors that share cyclotomic factors: 1 - q^2 = (1 - q)(1 + q), and so on.
+_shared_exponents = st.sampled_from([(1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (2, 2, 0),
+                                     (1, -1, 0), (0, 0, 1)])
+
+
+@st.composite
+def _binomial_products(draw):
+    """A coefficient times a monomial times up to three binomial powers (1 - m)^e."""
+    value = const(draw(_coefficients)) * draw(_monomials)
+    for _ in range(draw(st.integers(0, 3))):
+        m = draw(st.one_of(_shared_exponents, _exponents))
+        value = value * binomial_power(m, draw(st.sampled_from([-2, -1, 1, 2])))
+    return value
+
+
+_summands = st.one_of(
+    _binomial_products(),
+    # a sum of two: its num map is not known
+    st.tuples(_binomial_products(), _binomial_products()).map(lambda fg: fg[0] + fg[1]),
+    _coefficients.map(const),
+    st.tuples(_coefficients, _exponents).map(lambda c: const(c[0]) * monomial_rf(*c[1])),
+    # rebuilt from its pair: its den map is not known, so Henrici's step adds it
+    _binomial_products().map(_forget),
+    st.just(ZERO),
+)
+
+
+@st.composite
+def _summand_lists(draw):
+    """Up to five summands, and sometimes the negatives of some of them, so that terms cancel."""
+    values = draw(st.lists(_summands, max_size=5))
+    if values and draw(st.booleans()):
+        values += [-f for f in draw(st.lists(st.sampled_from(values), max_size=len(values)))]
+        values = draw(st.permutations(values))
+    return values
+
+
+def _pairwise_reference(values):
+    """The canonical pair of the sum, added one term at a time over the product of the
+    two denominators, each partial sum reduced by sympy's cancel over ZZ."""
+    num, den = _SZZ.zero, _SZZ.one
+    for f in values:
+        num, den = (num * _to_sympy(f.den) + _to_sympy(f.num) * den).cancel(den * _to_sympy(f.den))
+    return _make(_from_sympy(num), _from_sympy(den))
+
+
+@given(_summand_lists())
+@example([binomial_power((1, 0, 0), -1), -binomial_power((1, 0, 0), -1)])
+# (1 - q)^2 at the top twice, and the sum keeps one of them
+@example([binomial_power((1, 0, 0), -2), -Q * binomial_power((1, 0, 0), -2),
+          binomial_power((0, 1, 0), -1)])
+@example([binomial_power((2, 0, 0), -1), Q * binomial_power((2, 0, 0), -1),
+          -binomial_power((1, 0, 0), -1)])
+@example([const(Fraction(1, 6)) * q_pow(-2), const(Fraction(1, 4)) * monomial_rf(-1, -3),
+          const(Fraction(-5, 12)) * t_pow(-1)])
+@settings(max_examples=150, deadline=None)
+def test_the_nary_sum_matches_the_reduced_pairwise_sum(values):
+    got = _fsum(values)
+    want = _pairwise_reference(values)
+    assert got == want
+    assert canonical_str(got) == canonical_str(want)
+    assert _fsum(reversed(values)) == got
+    if all(f._den_map is not None for f in values):
+        assert got._den_map is not None
+        expanded = _P1
+        for key, e in got._den_map.items():
+            expanded = expanded * _factor_poly(key) ** e
+        assert len(_exquo(got.den, expanded)) == 1
+
+
+def test_the_empty_and_one_term_sums():
+    assert _fsum([]) is ZERO and _fsum([ZERO, ZERO]) is ZERO
+    f = binomial_power((1, 1, 0), -2)
+    for values in ([f], [ZERO, f, ZERO], iter([f])):
+        assert _fsum(values) is f
+    g = _forget(f)  # its den map is not known
+    assert g._den_map is None and _fsum([g]) is g
+    assert f + ZERO is f and ZERO + f is f
+
+
+def test_a_sum_that_reaches_each_top_exponent_once_divides_nothing(monkeypatch):
+    from qtstirling import algebra
+
+    # the top exponents: (1 - q)^2 in the first term alone, (1 - t) in the second, (1 - q t) in
+    # the third, so by Henrici's argument no factor can divide the summed numerator
+    terms = [binomial_power((1, 0, 0), -2),
+             q_pow(-1) * binomial_power((0, 1, 0), -1) * binomial_power((1, 0, 0), -1),
+             const(Fraction(1, 3)) * binomial_power((1, 1, 0), -1) * binomial_power((0, 1, 0), 2)]
+    want = _pairwise_reference(terms)
+    same_top = [binomial_power((1, 0, 0), -1), -Q * binomial_power((1, 0, 0), -1)]
+    calls = []
+    real = algebra._exquo
+    monkeypatch.setattr(algebra, "_exquo", lambda f, g: (calls.append(g), real(f, g))[1])
+    assert _fsum(terms) == want
+    assert calls == []
+    # two terms reach the top exponent of 1 - q: that factor is tried, and it cancels
+    assert _fsum(same_top) == ONE
+    assert calls and all(g == _factor_poly((1, (1, 0, 0))) for g in calls)
 
 
 def test_cyclotomic_coefficients_match_sympy():

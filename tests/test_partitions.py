@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtstirling import partitions
+from qtstirling.algebra import _MEMOS, clear_cache
 from qtstirling.partitions import (
     Partition,
     contains,
@@ -193,3 +195,54 @@ def test_box_enumeration_matches_subpartitions():
     box = list(partitions_in_box(2, 3))
     assert len(box) == 10
     assert box == list(subpartitions(P((3, 3))))
+
+
+def _decreasing_grid(n, top):
+    """Every weakly decreasing n-tuple of parts <= top, by filtering the full grid, ascending."""
+    return [g for g in product(range(top + 1), repeat=n)
+            if all(g[i] >= g[i + 1] for i in range(n - 1))]
+
+
+def test_enumerators_match_a_filtered_grid_up_to_four_parts_of_four():
+    for n in range(1, 5):
+        grid = _decreasing_grid(n, 4)
+        assert [p.parts for p in partitions_in_box(n, 4)] == grid
+        for lam in map(P, grid):
+            below = [g for g in grid if contains(lam, P(g))]
+            assert [p.parts for p in subpartitions(lam)] == below
+            assert [p.parts for p in horizontal_strip_predecessors(lam)] == [
+                g for g in below if is_horizontal_strip(lam, P(g))]
+            for mu in map(P, below):
+                assert [p.parts for p in partitions_between(mu, lam)] == [
+                    g for g in below if contains(P(g), mu)]
+
+
+def test_enumerated_partitions_equal_and_hash_as_built_ones():
+    lam = P((3, 2, 2, 1))
+    for got in (*subpartitions(lam), *horizontal_strip_predecessors(lam),
+                *partitions_between(P((1, 1, 0, 0)), lam), *partitions_in_box(2, 3)):
+        built = P(got.parts)
+        assert got == built and hash(got) == hash(built) == hash((got.parts,))
+        with pytest.raises(AttributeError):
+            got.parts = (0,)
+
+
+def test_the_box_memo_is_one_package_memo_that_clear_cache_empties():
+    assert partitions._box in _MEMOS
+    list(subpartitions(P((2, 1))))
+    assert partitions._box.cache_info().currsize > 0
+    clear_cache()
+    assert partitions._box.cache_info().currsize == 0
+    # an interval visited again is the kept tuple, not a new enumeration
+    first = list(partitions_between(P((0, 0)), P((2, 1))))
+    assert all(a is b for a, b in zip(first, subpartitions(P((2, 1)))))
+
+
+def test_a_box_past_the_memo_limit_is_enumerated_afresh(monkeypatch):
+    monkeypatch.setattr(partitions, "_BOX_MAX", 4)
+    clear_cache()
+    lam = P((2, 1))  # 5 subpartitions
+    assert [p.parts for p in subpartitions(lam)] == brute_force_subpartitions(lam)
+    assert partitions._box(((0, 2), (0, 1))) is None
+    assert len(partitions._box(((0, 2), (0, 0)))) == 3
+    clear_cache()

@@ -14,7 +14,7 @@ from itertools import product
 import pytest
 
 import qtstirling
-from qtstirling import algebra, cli, verify
+from qtstirling import algebra, cli, partitions, verify
 from qtstirling.algebra import (
     ONE,
     ZERO,
@@ -31,6 +31,7 @@ from qtstirling.partitions import (
     Partition,
     n_stat,
     n_stat_conj,
+    partitions_between,
     partitions_in_box,
     subpartitions,
     weight,
@@ -509,6 +510,27 @@ def test_emit_table_rejects_unknown():
         emit_table("s1", P((1,)), "xml")
 
 
+def test_emit_table_caps_the_chains_it_would_sum():
+    # the chains mu <= lam <= nu <= bound are the terms of the s1 and s2 entries, one
+    # interval partitions_between(mu, nu) per entry
+    counts = {(4, 4, 4): 4116, (3, 3, 3, 3): 4116, (5, 5, 5): 14112, (47,): 19600,
+              (48,): 20825, (10, 10): 26026}
+    assert {b: sum(verify._chains(P(b))) for b in counts} == counts
+    for bound in ((2, 2, 1), (3, 2), (4,)):
+        assert sum(verify._chains(P(bound))) == sum(
+            len(list(partitions_between(mu, nu))) for nu, mu in verify._pairs(P(bound)))
+    assert verify._TABLE_CHAINS_MAX == 20000
+
+
+def test_a_refused_table_enumerates_nothing_through_the_lattice_memo():
+    # the cap counts lazily, so a part of 3e9 is refused at once and caches no box
+    size = partitions._box.cache_info().currsize
+    for bound in ((3000000000,), (48,), (10, 10)):
+        with pytest.raises(ValueError, match="chains"):
+            emit_table("s1", P(bound))
+    assert partitions._box.cache_info().currsize == size
+
+
 def test_eval_point_examples():
     assert eval_point("qt_number(2,1)", Fraction(1, 2), Fraction(1, 3)) == Fraction(11, 10)
     assert eval_point("s1(2,1;2,1)", Fraction(2, 7), Fraction(3, 5)) == 1
@@ -599,12 +621,15 @@ def test_cli_eval_prints_every_digit_past_the_str_limit():
     ("table", "--kind", "s1", "--bound", ",".join(["0"] * 2000)),
     # a part past the id bound, which ran without end before it
     ("table", "--kind", "s1", "--bound", "3000000000"),
-    # a part at the id bound: about 5e9 pairs, past the cap on a table's pairs
+    # a part at the id bound: about 1.7e14 chains, past the cap on a table's chains
     ("table", "--kind", "s1", "--bound", "100000"),
-    # the first one-part bound past the cap: 100128 pairs, where 445 holds 99681
+    # the last one-part bound that a cap of 100000 (nu, mu) pairs admitted was 445, and it
+    # would have run for weeks; 446 holds 14985824 chains
     ("table", "--kind", "s1", "--bound", "446"),
     # (q)_m has a pole at every m < 0, where gaussian once gave 0
     ("eval", "--expr", "gaussian(-1;0)", "--q", "2", "--t", "3"),
+    # the first one-part bound past the cap: 20825 chains, where 47 holds 19600
+    ("table", "--kind", "s1", "--bound", "48"),
 ])
 def test_cli_bad_input_exit_code(args):
     proc = _run_cli(*args)
@@ -670,7 +695,7 @@ def test_too_deep_is_bad_input_in_every_command(tmp_path, args):
 
 def test_table_out_is_left_alone_by_a_failed_table(tmp_path):
     # an ambient length of 2000 is deeper than Python's recursion limit,
-    # 3000000000 is past the id bound, and 100000 holds more pairs than a table may
+    # 3000000000 is past the id bound, and 100000 holds more chains than a table may
     deep = ",".join(["0"] * 2000)
     missing, kept = tmp_path / "new.json", tmp_path / "kept.json"
     kept.write_text("earlier table\n")
