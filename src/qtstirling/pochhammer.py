@@ -13,9 +13,11 @@ vectors first, so a factor that a quotient divides out again is never
 formed.  Each power comes from `algebra.binomial_power` with the cyclotomic
 factor map of its binomial, so the product cancels without a gcd.  It is
 cached, keyed by its merged factor list: the package's one memo of such
-products.  A prefactor that is a product of several such products (h / g,
-the bracket's t-ratio with its qt factors, the h factor with the strip
-ratio) is one merged list too, so it is multiplied out and cancelled once.
+products.  A list of several factors is multiplied from its single-factor
+entries, so that memo holds every binomial power too, and each is built
+once.  A prefactor that is a product of several such products (h / g, the
+bracket's t-ratio with its qt factors, the h factor with the strip ratio)
+is one merged list too, so it is multiplied out and cancelled once.
 """
 
 from __future__ import annotations
@@ -56,10 +58,16 @@ def binomial_product(factors: Iterable[tuple[Vector, int]]) -> RationalFn:
 
 @memo
 def _multiplied(factors: tuple[tuple[Vector, int], ...]) -> RationalFn:
-    """prod (1 - q^a t^b X^x)^e over the merged pairs ((a, b, x), e), in their order."""
+    """prod (1 - q^a t^b X^x)^e over the merged pairs ((a, b, x), e), in their order.
+
+    Only a one-factor list calls `binomial_power`; a longer one multiplies
+    the memoised single-factor entries, so each power is built once.
+    """
+    if len(factors) == 1:
+        return binomial_power(*factors[0])
     out = ONE
-    for m, e in factors:
-        out = out * binomial_power(m, e)
+    for factor in factors:
+        out = out * _multiplied((factor,))
     return out
 
 

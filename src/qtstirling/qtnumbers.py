@@ -151,7 +151,12 @@ def qt_number(z: Sequence[int]) -> RationalFn:
     return binomial_product(chain(qt_factors([-1] * n), zs))
 
 
+def _bracket_rect_factors(mu: Partition) -> Factors:
+    """The factors of bracket_rect(mu)."""
+    return chain(partition_factors((0, 0, 1), mu, True), qt_factors([-m for m in mu]))
+
+
 def bracket_rect(mu: Partition) -> RationalFn:
     """The bracket at the generic diagonal point, prod_i (X t^{i-1}; 1/q)_{mu_i} / (1-q t^{n-i})^{mu_i}."""
-    return binomial_product(chain(partition_factors((0, 0, 1), mu, True), qt_factors([-m for m in mu])))
+    return binomial_product(_bracket_rect_factors(mu))
 

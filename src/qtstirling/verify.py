@@ -15,9 +15,10 @@ chosen indices.
 Nothing here reads or writes a file: `run_suite` and `emit_table` return
 their results, and the command line writes them.
 The paper's expansions are data too: a row of `_EXPANSIONS` gives
-coefficient(nu, mu) and basis(mu), and the expansion at nu sums their
-products over mu <= nu.  The sum is memoised per (nu, kind); the rows
-that substitute X term by term substitute into the basis alone.
+coefficient(nu, mu) and basis(mu), an X power and a factor list, and the
+expansion at nu sums their products over mu <= nu.  The sum is memoised
+per (nu, kind); the rows that substitute X term by term substitute into
+the basis's exponent vectors alone, and `binomial_product` builds it.
 Bounds: every row that enumerates partitions takes one box per ambient
 length n in 1..n_max, the partitions with parts up to part_max (by default
 n <= 3 and parts <= 3).
@@ -44,6 +45,7 @@ from .algebra import (
     X,
     ZERO,
     _fsum,
+    _image,
     canonical_str,
     evaluate,
     flip_qt,
@@ -68,7 +70,9 @@ from .partitions import (
     zeros,
 )
 from .pochhammer import (
+    Factors,
     binomial_product,
+    partition_factors,
     poch,
     poch_partition,
     poch_partition_flipped,
@@ -76,6 +80,7 @@ from .pochhammer import (
 )
 from .qtnumbers import (
     XBAR,
+    _bracket_rect_factors,
     _t_ratio_bracket,
     bracket_rect,
     g_product,
@@ -104,7 +109,6 @@ from .wfunctions import (
     generic_staircase_args,
     h_factor,
     staircase_args,
-    w_bar,
     w_hat_multi,
     w_multi,
     w_skew_single,
@@ -193,44 +197,66 @@ def _holds(ok: bool, witness: str) -> _Verdict:
     return {}, None if ok else witness
 
 
-def _limit_bracket(mu: Partition) -> RationalFn:
-    # prod_i (1 - X t^{n-i})^{mu_i} / (1 - q t^{n-i})^{mu_i}
+def _limit_bracket_factors(mu: Partition) -> Factors:
+    """The factors of prod_i (1 - X t^{n-i})^{mu_i} / (1 - q t^{n-i})^{mu_i}."""
     xs = [((0, mu.n - i, 1), m) for i, m in enumerate(mu, start=1) if m]
-    return binomial_product(chain(xs, qt_factors([-m for m in mu])))
+    return chain(xs, qt_factors([-m for m in mu]))
+
+
+def _limit_bracket(mu: Partition) -> RationalFn:
+    """The product of _limit_bracket_factors(mu)."""
+    return binomial_product(_limit_bracket_factors(mu))
 
 
 #: kind -> (coefficient(nu, mu), basis(mu)): the binomial theorem (its coefficient
 #: (-1)^|mu| q^{n(mu')} t^{-n(mu)} [nu mu] is v(nu, mu)), the changes of basis u and v,
-#: and the defining expansions s1 and s2.  No term has X in its denominator.
+#: and the defining expansions s1 and s2.  A basis is a pair (k, factors), X^k times
+#: the product of the factor list: X^|mu|, (X; 1/q, 1/t)_mu, `_limit_bracket` and
+#: `bracket_rect`.  No term has X in its denominator.
 #: Each lambda looks its names up per call, so a traced or patched function is the one run.
-_EXPANSIONS: dict[str, tuple[Callable[..., RationalFn], Callable[..., RationalFn]]] = {
-    "binomial": (lambda nu, mu: v_matrix(nu, mu), lambda mu: x_pow(weight(mu))),
-    "u": (lambda nu, mu: u_matrix(nu, mu), lambda mu: x_pow(weight(mu))),
-    "v": (lambda nu, mu: v_matrix(nu, mu), lambda mu: poch_partition_flipped(X, mu)),
+_EXPANSIONS: dict[str, tuple[Callable[..., RationalFn], Callable[..., tuple[int, Iterable]]]] = {
+    "binomial": (lambda nu, mu: v_matrix(nu, mu), lambda mu: (weight(mu), ())),
+    "u": (lambda nu, mu: u_matrix(nu, mu), lambda mu: (weight(mu), ())),
+    "v": (lambda nu, mu: v_matrix(nu, mu), lambda mu: (0, partition_factors((0, 0, 1), mu, True))),
     "s1": (lambda nu, mu: monomial_rf(e_q=-n_stat_conj(nu),
                                       e_t=2 * n_stat(mu) - (nu.n - 1) * weight(mu)) * s1(nu, mu),
-           lambda mu: _limit_bracket(mu)),
+           lambda mu: (0, _limit_bracket_factors(mu))),
     "s2": (lambda nu, mu: monomial_rf(e_q=n_stat_conj(mu),
                                       e_t=-2 * n_stat(nu) + (nu.n - 1) * weight(nu)) * s2(nu, mu),
-           lambda mu: bracket_rect(mu)),
+           lambda mu: (0, _bracket_rect_factors(mu))),
 }
 
 
 @memo
 def _expansion(nu: Partition, kind: str) -> RationalFn:
     """The expansion of kind at nu: coefficient(nu, mu) * basis(mu) summed over mu <= nu."""
-    coefficient, basis = _EXPANSIONS[kind]
-    return _fsum(coefficient(nu, mu) * basis(mu) for mu in subpartitions(nu))
+    return _fsum(term for _, term in _terms_at(nu, kind, X))
 
 
 def _terms_at(nu: Partition, kind: str, x) -> Iterator[tuple[Partition, RationalFn]]:
     """(mu, term at X = x) for every term of the expansion of kind at nu.
 
-    No coefficient has X in it, so only the basis, a short product of
-    binomials with a known factor map, is substituted, not the expanded term.
+    x is 0 or a monomial q^a0 t^b0 X^c0 of coefficient 1.  No coefficient has
+    X in it, and a basis is X^k times a factor list, so the substitution acts
+    on exponent vectors: (a, b, c) -> (a + c a0, b + c b0, c c0), and X = 0
+    drops every factor with c > 0 (no basis has c < 0) and zeroes a positive
+    X power.
+    `binomial_product` then builds the substituted basis; nothing is
+    multiplied out before X is substituted.
     """
     coefficient, basis = _EXPANSIONS[kind]
-    return ((mu, coefficient(nu, mu) * subs_rational(basis(mu), X=x)) for mu in subpartitions(nu))
+    c0, (a0, b0, x0) = _image(x)
+    if c0 not in (0, 1):
+        raise ValueError(f"X = {x!r} is neither 0 nor a monomial of coefficient 1")
+    for mu in subpartitions(nu):
+        k, factors = basis(mu)
+        if c0 == 0:
+            power = ZERO if k > 0 else ONE
+            factors = [(m, e) for m, e in factors if m[2] == 0]
+        else:
+            power = monomial_rf(e_q=k * a0, e_t=k * b0, e_X=k * x0)
+            factors = [((a + c * a0, b + c * b0, c * x0), e) for (a, b, c), e in factors]
+        yield mu, coefficient(nu, mu) * (power * binomial_product(factors))
 
 
 def _x0_sums(nu: Partition) -> _Verdict:
@@ -371,8 +397,15 @@ def _w_duality(mu: Partition, args: tuple[RationalFn, ...]) -> _Verdict:
 
 
 def _w_bar_exists(mu: Partition, lam: Partition) -> _Verdict:
-    for invert in (False, True):
-        w_bar(mu, lam, invert=invert)  # PoleError would escape as failure
+    """Both limits w-bar(mu, lam), plain and inverted, exist.
+
+    They are read through the memoised u_limit and v_limit, which call w_bar
+    without and with inversion and raise exactly when it raises, so the
+    limit rows and the Stirling numbers reuse them.  A PoleError escapes as
+    the failure.
+    """
+    u_limit(lam, mu)
+    v_limit(lam, mu)
     return {}, None
 
 

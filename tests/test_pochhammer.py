@@ -10,6 +10,7 @@ from math import factorial
 
 import pytest
 
+from qtstirling import algebra, pochhammer
 from qtstirling.algebra import (
     ONE,
     PoleError,
@@ -175,6 +176,27 @@ def test_binomial_product_is_the_product_memo():
     assert misses >= 1
     assert h_product(mu) == value
     assert _product_memo_traffic() == (hits + 1, misses)
+
+
+def test_a_binomial_power_two_lists_share_is_built_once(monkeypatch):
+    # a list is multiplied from its single-factor entries, so the product memo
+    # holds each power and a second list that shares one does not build it again
+    clear_cache()
+    calls = []
+    real = algebra.binomial_power
+
+    def counted(m, e):
+        calls.append((m, e))
+        return real(m, e)
+
+    monkeypatch.setattr(algebra, "binomial_power", counted)
+    monkeypatch.setattr(pochhammer, "binomial_power", counted)
+    shared = ((1, 1, 0), 2)
+    first = binomial_product([shared, (_VQ, 1)])
+    second = binomial_product([shared, ((0, 1, 0), -1)])
+    assert calls.count(shared) == 1
+    assert first == (ONE - Q * T) ** 2 * (ONE - Q)
+    assert second == (ONE - Q * T) ** 2 / (ONE - T)
 
 
 def test_w_and_w_hat_share_their_strip_products():

@@ -14,9 +14,10 @@ from itertools import product
 import pytest
 
 import qtstirling
-from qtstirling import algebra, cli, partitions, verify
+from qtstirling import algebra, cli, partitions, stirling, verify
 from qtstirling.algebra import (
     ONE,
+    X,
     ZERO,
     PoleError,
     Polynomial,
@@ -36,6 +37,7 @@ from qtstirling.partitions import (
     subpartitions,
     weight,
 )
+from qtstirling.pochhammer import binomial_product, poch_partition_flipped
 from qtstirling.qtnumbers import XBAR, bracket_rect, qt_binomial, qt_bracket
 from qtstirling.stirling import s1, s2
 from qtstirling.verify import (
@@ -172,6 +174,8 @@ _REPORT_DIGESTS = [
     (2, 2, 0, 447, "3d622370146c023f43dca1c217f96d25e1fcbbb113fcb98b905b2b4537e9702b"),
     (3, 1, 7, 403, "3488f8e994c8a4214da737db0f3548b66d6375b25fd81a644b2edb87987dd1f8"),
     (3, 3, 0, 2428, "a12d22ed3a66b93d525b935b8dadc414496fc5a13f1f1608692a273788300dba"),
+    # the n = 4 roots of root-vanishing and x0-sums, about 1.1 s
+    (4, 2, 0, 2037, "613027e1d98b0d4fdebb051a8d891633051b46b423fba05c36e2c2c943cafcad"),
 ]
 
 
@@ -266,16 +270,20 @@ def test_failures_are_reported_not_raised(monkeypatch):
     def pole(*args, **kwargs):
         raise PoleError("no limit")
 
-    monkeypatch.setattr(verify, "w_bar", pole)
-    reports = run_suite(SuiteConfig(n_max=1, part_max=1, identities=["w-bar-limit-exists"]))
-    # each raising check fails at its own indices, and the others still run
-    assert [(r.identity_id, r.index_data, r.passed, r.witness) for r in reports] == [
-        ("w-bar-limit-exists", {"mu": [0], "lam": [0]}, False, "PoleError: no limit"),
-        ("w-bar-limit-exists", {"mu": [0], "lam": [1]}, False, "PoleError: no limit"),
-        ("w-bar-limit-exists", {"mu": [1], "lam": [1]}, False, "PoleError: no limit"),
-    ]
-    with pytest.raises(PoleError):
-        check_identity("w-bar-limit-exists", mu=P((0,)), lam=P((1,)))
+    # the row reads w_bar through the memoised u_limit and v_limit, so a limit
+    # cached by an earlier test would bypass the patch
+    clear_cache()
+    with monkeypatch.context() as m:
+        m.setattr(stirling, "w_bar", pole)
+        reports = run_suite(SuiteConfig(n_max=1, part_max=1, identities=["w-bar-limit-exists"]))
+        # each raising check fails at its own indices, and the others still run
+        assert [(r.identity_id, r.index_data, r.passed, r.witness) for r in reports] == [
+            ("w-bar-limit-exists", {"mu": [0], "lam": [0]}, False, "PoleError: no limit"),
+            ("w-bar-limit-exists", {"mu": [0], "lam": [1]}, False, "PoleError: no limit"),
+            ("w-bar-limit-exists", {"mu": [1], "lam": [1]}, False, "PoleError: no limit"),
+        ]
+        with pytest.raises(PoleError):
+            check_identity("w-bar-limit-exists", mu=P((0,)), lam=P((1,)))
 
     monkeypatch.setattr(verify, "s2", lambda nu, mu: ZERO)
     (r,) = run_suite(SuiteConfig(n_max=1, part_max=0, identities=["stirling-diagonal"]))
@@ -407,25 +415,57 @@ def test_root_sums_match_sums_substituted_after(nu):
         assert by_hand == _table_sum_at(nu, "s2", root, keep2)
 
 
+def _basis(kind, mu):
+    """The basis of kind at mu multiplied out: X^k times the product of its factor list."""
+    k, factors = verify._EXPANSIONS[kind][1](mu)
+    return x_pow(k) * binomial_product(factors)
+
+
 @pytest.mark.parametrize("lam", _EXPANSION_NUS, ids=str)
 def test_binomial_terms_match_explicit_coefficient(lam):
-    coefficient, basis = verify._EXPANSIONS["binomial"]
+    coefficient, _ = verify._EXPANSIONS["binomial"]
     for mu in subpartitions(lam):
         wt = weight(mu)
         sign = -1 if wt % 2 else 1
         coeff = sign * monomial_rf(e_q=n_stat_conj(mu), e_t=-n_stat(mu)) * qt_binomial(lam, mu)
-        assert coefficient(lam, mu) * basis(mu) == coeff * x_pow(wt)
+        assert coefficient(lam, mu) * _basis("binomial", mu) == coeff * x_pow(wt)
+
+
+def test_expansion_bases_are_the_named_products():
+    named = {"binomial": lambda mu: x_pow(weight(mu)), "u": lambda mu: x_pow(weight(mu)),
+             "v": lambda mu: poch_partition_flipped(X, mu), "s1": verify._limit_bracket,
+             "s2": bracket_rect}
+    assert set(named) == set(verify._EXPANSIONS)
+    for kind, basis in named.items():
+        for mu in (mu for n in range(1, 4) for mu in partitions_in_box(n, 2)):
+            assert _basis(kind, mu) == basis(mu)
+    # an image of X with a coefficient other than 1 is no exponent shift
+    with pytest.raises(ValueError):
+        list(verify._terms_at(P((1,)), "s1", 2 * X))
 
 
 @pytest.mark.parametrize("kind", list(verify._EXPANSIONS))
-def test_terms_at_match_the_substituted_expanded_terms(kind):
-    # the reference route: multiply each term out, then substitute X
-    coefficient, basis = verify._EXPANSIONS[kind]
-    for nu in (nu for n in range(1, 4) for nu in partitions_in_box(n, 2)):
+def test_terms_at_match_the_substituted_expanded_terms(kind, monkeypatch):
+    # the reference route: multiply each term out, then substitute X; the roots
+    # at n = 4 have t^-3
+    coefficient, _ = verify._EXPANSIONS[kind]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return subs_rational(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "subs_rational", counted)
+    monkeypatch.setattr(algebra, "subs_rational", counted)
+    nus = [*(nu for n in range(1, 4) for nu in partitions_in_box(n, 2)), *partitions_in_box(4, 1)]
+    for nu in nus:
         roots = [monomial_rf(e_q=m, e_t=1 - j) for j in range(1, nu.n + 1) for m in range(nu[j - 1])]
         for x in (ZERO, *roots):
-            want = {mu: subs_rational(coefficient(nu, mu) * basis(mu), X=x) for mu in subpartitions(nu)}
+            want = {mu: subs_rational(coefficient(nu, mu) * _basis(kind, mu), X=x)
+                    for mu in subpartitions(nu)}
             assert dict(verify._terms_at(nu, kind, x)) == want
+    # the substitution acts on the factor lists: no value is substituted
+    assert calls == []
 
 
 def test_root_vanishing_examples():
