@@ -55,27 +55,26 @@ a division, and the sum is cancelled once.  By Henrici's argument (JACM 3,
 1956; a + b is its two-term case) a factor that one term alone reaches at
 its top exponent divides every other summand but not that one, so only the
 factors that two or more terms reach are trial-divided, and content and
-monomial by an integer gcd and `_low`.  A term whose den map is unknown is
-added by Henrici's step: with g = gcd(b, d) the only common factor left in
-a*(d/g) + c*(b/g) over (b/g)*(d/g)*g divides g.  Each gcd of a product or
-of that step has a factor map on one side at least, so `_cancel` finds it
-by exponent arithmetic, or by dividing the other side by the known factors
-with `_exquo`, which is exact because they are irreducible.
+monomial by an integer gcd and `_low`.  Each cross gcd of a product has a
+factor map on one side at least, so `_cancel` finds it by exponent
+arithmetic, or by dividing the other side by the known factors with
+`_exquo`, which is exact because they are irreducible.
 A monomial substitution with images of coefficient 1 or 0 (flips, q -> 1,
 t = q^alpha, X -> 0) sends each Phi_d(m') to an integer, a monomial or
 Phi_d of the image of m', which `_split` splits, and reduces the same way.
 Every gcd divided out has a positive leading coefficient, and leading
 coefficients multiply under a monomial order, so the new denominator's
-stays positive.  Every other pair, from `RationalFn(num, den)`,
-`parse_rational` or a substitution, becomes a value in one place,
-`_reduce`.  Only where no map is known does `_cancel` fall back to
-`Polynomial.gcd`.  No row of `check`, `eval` or `table` reaches that
-fallback.  Only values built by `RationalFn(num, den)` or `parse_rational`
+stays positive.  Every other pair becomes a value in one place, `_reduce`:
+those of `RationalFn(num, den)`, `parse_rational` and a substitution, and
+the cross product by which `_fsum` adds a term whose den map is unknown.
+Only where neither map is known does `_cancel` fall back to
+`Polynomial.gcd`, and no row of `check`, `eval` or `table` reaches that
+fallback: only values built by `RationalFn(num, den)` or `parse_rational`
 with a denominator of several terms do, with what is computed from them,
 and the images of a substitution with an image of another coefficient.
 
 The canonical string grammar of `canonical_str` is regular, so
-`parse_rational` reads it with a few compiled patterns, not a parser.
+`parse_rational` reads it with a few regular expressions, not a parser.
 """
 
 from __future__ import annotations
@@ -135,8 +134,9 @@ _MEMOS: list = []
 
 
 def memo(fn: Callable) -> Callable:
-    """Memoise fn in an LRU cache of _MEMO_SIZE entries that clear_cache() empties."""
-    cached = lru_cache(maxsize=_MEMO_SIZE)(fn)
+    """Memoise fn in an LRU cache of _MEMO_SIZE entries that clear_cache() empties,
+    keyed by type too, so that 2 and 2.0 are two keys."""
+    cached = lru_cache(maxsize=_MEMO_SIZE, typed=True)(fn)
     _MEMOS.append(cached)
     return cached
 
@@ -364,14 +364,17 @@ def _content(p: Polynomial) -> int:
     return gcd(*p.values())
 
 
-def _shift(p: Polynomial, low: int, c: int) -> Polynomial:
-    """p divided by c times the monomial of key low, which divides it exactly."""
-    return Polynomial({k - low: v // c for k, v in p.items()})
+def _moved(p: Polynomial, shift: int, div: int, c: int) -> Polynomial:
+    """p with every key plus shift and every coefficient divided exactly by div, times c.
 
-
-def _scale(p: Polynomial, c: int) -> Polynomial:
-    """p times the nonzero integer c."""
-    return p if c == 1 else Polynomial({k: v * c for k, v in p.items()})
+    The new keys are valid monomials; only a positive shift can raise the
+    degree field, which is the top one, past its guard bit.
+    """
+    if not shift and div == c == 1:
+        return p
+    if shift > 0 and (max(p) + shift) & _DEG_GUARD:
+        raise OverflowError(f"a monomial degree exceeds {_MASK}")
+    return Polynomial({k + shift: v // div * c for k, v in p.items()})
 
 
 #: Evaluation points heugcd tries before it gives up.
@@ -426,8 +429,7 @@ def _heugcd(f: Polynomial, g: Polynomial, v: int) -> tuple[Polynomial, Polynomia
     sympy raises HeuristicGCDFailed.
     """
     c = gcd(_content(f), _content(g))
-    if c != 1:
-        f, g = _shift(f, 0, c), _shift(g, 0, c)
+    f, g = _moved(f, 0, c, 1), _moved(g, 0, c, 1)
     f_norm, g_norm = max(map(abs, f.values())), max(map(abs, g.values()))
     bound = 2 * min(f_norm, g_norm) + 29
     x = max(min(bound, 99 * isqrt(bound)),
@@ -441,24 +443,24 @@ def _heugcd(f: Polynomial, g: Polynomial, v: int) -> tuple[Polynomial, Polynomia
             else:
                 h, cff, cfg = _heugcd(ff, gg, v + 1)
             h = _interpolate(h, v, x)
-            h = _shift(h, 0, _content(h))
+            h = _moved(h, 0, _content(h), 1)
             cff_ = _exquo(f, h)
             if cff_ is not None:
                 cfg_ = _exquo(g, h)
                 if cfg_ is not None:
-                    return _scale(h, c), cff_, cfg_
+                    return _moved(h, 0, 1, c), cff_, cfg_
             cff = _interpolate(cff, v, x)
             h = _exquo(f, cff)
             if h is not None:
                 cfg_ = _exquo(g, h)
                 if cfg_ is not None:
-                    return _scale(h, c), cff, cfg_
+                    return _moved(h, 0, 1, c), cff, cfg_
             cfg = _interpolate(cfg, v, x)
             h = _exquo(g, cfg)
             if h is not None:
                 cff_ = _exquo(f, h)
                 if cff_ is not None:
-                    return _scale(h, c), cff_, cfg
+                    return _moved(h, 0, 1, c), cff_, cfg
         x = 73794 * x * isqrt(isqrt(x)) // 27011
     raise ArithmeticError("heuristic gcd failed")
 
@@ -632,55 +634,50 @@ def _divide_out(a: Polynomial, fmap: dict) -> tuple:
 
 
 def _cancel(a: Polynomial, fa, b: Polynomial, fb) -> tuple:
-    """(h, fh, a/h, fa', b/h, fb') for h = gcd(a, b) over ZZ of the nonzero a and b.
+    """(a/h, fa', b/h, fb') for h = gcd(a, b) over ZZ of the nonzero a and b.
 
     fa and fb are the complete factor maps of a and b, or None where
-    unknown; fh is h's and fa', fb' those of the cofactors.  h is the integer
+    unknown, and fa', fb' are those of the cofactors.  h is the integer
     content and monomial that a and b share, times the factors of the maps.
     With both maps known those factors are exponent arithmetic; with one,
     each factor of it divides the other polynomial as often as `_exquo`
     allows, which is exact because the factors are irreducible.  Only with
-    neither does the rest of h come from `Polynomial.gcd`, and then only
-    the one-term maps are known.  h has positive leading coefficient and is
-    _Z1 itself when it is 1, which is found at once when a or b is 1.
+    neither does the rest of h come from `Polynomial.gcd`, and then the
+    cofactors get their one-term maps.  Given a map, h is found to be 1 at
+    once when a or b is 1.
     """
     if fb is None and fa is not None:
-        h, fh, b, fb, a, fa = _cancel(b, fb, a, fa)
-        return h, fh, a, fa, b, fb
-    if (len(a) == 1 and a.get(0) == 1) or (len(b) == 1 and b.get(0) == 1):
-        return _Z1, _NO_FACTORS, a, fa, b, fb
+        b, fb, a, fa = _cancel(b, fb, a, fa)
+        return a, fa, b, fb
+    if fb is not None and ((len(a) == 1 and a.get(0) == 1) or (len(b) == 1 and b.get(0) == 1)):
+        return a, fa, b, fb
     low = 0 if 0 in a or 0 in b else _low(a, b)
     c = gcd(*b.values(), *a.values())
-    if c != 1 or low:
-        a, b = _shift(a, low, c), _shift(b, low, c)
-    h, fh = _Z1, _NO_FACTORS
+    a, b = _moved(a, -low, c, 1), _moved(b, -low, c, 1)
     if fb is None:
         # a and b now share no content and no monomial, so their gcd is 1 or
         # has several terms
         if len(a) > 1 and len(b) > 1:
             g = a.gcd(b)
             if len(g) > 1:
-                h, fh, a, b = g, None, _exquo(a, g), _exquo(b, g)
-        fa, fb = _one_term_map(a), _one_term_map(b)
-    else:
-        common = {}
-        if fa is not None:
-            small, big = (fa, fb) if len(fa) <= len(fb) else (fb, fa)
-            for key, e in small.items():
-                k = min(e, big.get(key, 0))
-                if k:
-                    common[key] = k
-                    h = _mul(h, _factor_poly(key) ** k)
-            if common:
-                a = _exquo(a, h)
-        elif len(a) > 1:
-            a, common, h = _divide_out(a, fb)
+                a, b = _exquo(a, g), _exquo(b, g)
+        return a, _one_term_map(a), b, _one_term_map(b)
+    common, h = {}, _Z1
+    if fa is not None:
+        small, big = (fa, fb) if len(fa) <= len(fb) else (fb, fa)
+        for key, e in small.items():
+            k = min(e, big.get(key, 0))
+            if k:
+                common[key] = k
+                h = _mul(h, _factor_poly(key) ** k)
         if common:
-            b = _exquo(b, h)
-            fh, fa, fb = common, _less(fa, common), _less(fb, common)
-    if c != 1 or low:
-        h = _mul(h, Polynomial({low: c}))
-    return h, fh, a, fa, b, fb
+            a = _exquo(a, h)
+    elif len(a) > 1:
+        a, common, h = _divide_out(a, fb)
+    if common:
+        b = _exquo(b, h)
+        fa, fb = _less(fa, common), _less(fb, common)
+    return a, fa, b, fb
 
 
 class RationalFn:
@@ -707,7 +704,7 @@ class RationalFn:
         num, num_scale = _integer_parts(num)
         den, den_scale = (_Z1, 1) if den is None else _integer_parts(den)
         # num/den == (num * den_scale) / (den * num_scale)
-        return _reduce(_scale(num, den_scale), None, _scale(den, num_scale), None)
+        return _reduce(_moved(num, 0, 1, den_scale), None, _moved(den, 0, 1, num_scale), None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFn is immutable")
@@ -772,8 +769,8 @@ class RationalFn:
             return _by_term(self, other)
         if len(self.num) == 1 == len(self.den):
             return _by_term(other, self)
-        _, _, a, fa, d, fd = _cancel(self.num, self._num_map, other.den, other._den_map)
-        _, _, c, fc, b, fb = _cancel(other.num, other._num_map, self.den, self._den_map)
+        a, fa, d, fd = _cancel(self.num, self._num_map, other.den, other._den_map)
+        c, fc, b, fb = _cancel(other.num, other._num_map, self.den, self._den_map)
         return _make(a * c, b * d, _merge(fa, fc), _merge(fb, fd))
 
     __rmul__ = __mul__
@@ -834,19 +831,6 @@ def _make(n: Polynomial, d: Polynomial, num_map=None, den_map=None) -> RationalF
     return f
 
 
-def _moved(p: Polynomial, shift: int, div: int, c: int) -> Polynomial:
-    """p with every key plus shift and every coefficient divided exactly by div, times c.
-
-    The new keys are valid monomials; only a positive shift can raise the
-    degree field, which is the top one, past its guard bit.
-    """
-    if not shift and div == c == 1:
-        return p
-    if shift > 0 and (max(p) + shift) & _DEG_GUARD:
-        raise OverflowError(f"a monomial degree exceeds {_MASK}")
-    return Polynomial({k + shift: v // div * c for k, v in p.items()})
-
-
 def _by_term(f: RationalFn, g: RationalFn) -> RationalFn:
     """f * g for g one term over one term: a key shift of f's pair that keeps f's maps.
 
@@ -877,27 +861,10 @@ def _reduce(num: Polynomial, num_map, den: Polynomial, den_map) -> RationalFn:
         raise ZeroDivisionError("division by the zero rational function")
     if not num:
         return ZERO
-    mapless = num_map is None and den_map is None
-    _, _, num, num_map, den, den_map = _cancel(num, num_map, den, den_map)
+    num, num_map, den, den_map = _cancel(num, num_map, den, den_map)
     if den.LC < 0:
         num, den = -num, -den
-    if mapless:
-        num_map, den_map = _one_term_map(num), _one_term_map(den)
     return _make(num, den, num_map, den_map)
-
-
-def _henrici(f: RationalFn, g: RationalFn) -> RationalFn:
-    """f + g, both nonzero, by Henrici's step, for a den map that is not known."""
-    # num/den below share no factor outside h = gcd(b, d)
-    h, fh, b, fb, d, fd = _cancel(f.den, f._den_map, g.den, g._den_map)
-    num = f.num * d + g.num * b
-    if not num:
-        return ZERO
-    den, fden = b * d, _merge(fb, fd)
-    if h is not _Z1:
-        _, _, num, _, h, fh = _cancel(num, None, h, fh)
-        den, fden = den * h, _merge(fden, fh)
-    return _make(num, den, _one_term_map(num), fden)
 
 
 def _popped(items: list):
@@ -908,7 +875,7 @@ def _popped(items: list):
 
 def _fsum(values) -> RationalFn:
     """The sum of the RationalFn values over the lcm of their denominators, reduced once;
-    a value whose den map is unknown is added by `_henrici`."""
+    a value whose den map is unknown is cross-multiplied onto the total by `_reduce`."""
     terms, unmapped = [], []
     for f in values:
         if f.num:
@@ -931,7 +898,7 @@ def _fsum(values) -> RationalFn:
         c, m = lcm(*heads), _pack(*map(max, zip(*map(_unpack, lows))))
 
         def times_cofactor(p, f, i):  # p times the lcm over the den of term f = terms[i]
-            p = _mul(p, Polynomial({m - lows[i]: c // heads[i]}))
+            p = _moved(p, m - lows[i], 1, c // heads[i])
             for key, (e, _) in top.items():
                 if e > f._den_map.get(key, 0):
                     p = _mul(p, _factor_poly(key) ** (e - f._den_map.get(key, 0)))
@@ -949,11 +916,11 @@ def _fsum(values) -> RationalFn:
             den = _exquo(den, h)
         g = 1 if c == 1 else gcd(c, *num.values())
         low = 0 if not m or 0 in num else _low(num, (m,))
-        if g != 1 or low:
-            num, den = _shift(num, low, g), _shift(den, low, g)
+        num, den = _moved(num, -low, g, 1), _moved(den, -low, g, 1)
         total = _make(num, den, _one_term_map(num), _less({k: e for k, (e, _) in top.items()}, common))
     for f in unmapped:
-        total = _henrici(total, f) if total.num else f
+        total = (_reduce(total.num * f.den + f.num * total.den, None, total.den * f.den, None)
+                 if total.num else f)
     return total
 
 
@@ -989,7 +956,9 @@ def _coerce(v):
 
 @memo
 def const(c: Union[int, Fraction]) -> RationalFn:
-    """The constant rational function c."""
+    """The constant rational function c, an int or a Fraction; anything else is a TypeError."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"a constant is an int or a Fraction, not {type(c).__name__}")
     c = Fraction(c)
     num = _ground(c.numerator)
     return _make(num, _ground(c.denominator), _one_term_map(num), _NO_FACTORS)
@@ -997,7 +966,9 @@ def const(c: Union[int, Fraction]) -> RationalFn:
 
 @memo
 def monomial_rf(e_q: int = 0, e_t: int = 0, e_X: int = 0) -> RationalFn:
-    """The monomial q^e_q * t^e_t * X^e_X; negative exponents go to the denominator."""
+    """The monomial q^e_q * t^e_t * X^e_X; negative exponents go to the denominator.
+    An exponent that is not an integer (operator.index) is a TypeError."""
+    e_q, e_t, e_X = index(e_q), index(e_t), index(e_X)
     num = _pack(max(e_q, 0), max(e_t, 0), max(e_X, 0))
     den = _pack(max(-e_q, 0), max(-e_t, 0), max(-e_X, 0))
     return _make(Polynomial({num: 1}), Polynomial({den: 1}), _NO_FACTORS, _NO_FACTORS)
@@ -1271,14 +1242,15 @@ def canonical_str(f: RationalFn) -> str:
 #: *-product of factors; a polynomial is signed terms.  Whitespace may
 #: separate any two tokens but not split a digit run.  Every repetition is
 #: delimited by a character (/, ^, *, a sign) that no digit run contains, so
-#: a failed match backtracks at most linearly.
+#: a failed match backtracks at most linearly.  The patterns stay strings, so
+#: import compiles none: `re` compiles each on first use and caches it.
 _FACTOR = r"(?:\d+(?:\s*/\s*\d+)?|[qtX](?:\s*\^\s*\d+)?)"
 _TERM = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
-_POLY = re.compile(rf"\s*[+-]?\s*{_TERM}(?:\s*[+-]\s*{_TERM})*\s*")
-_SIGNED_TERMS = re.compile(rf"([+-]?)\s*({_TERM})")
-_FACTOR_PARTS = re.compile(r"(\d+)(?:\s*/\s*(\d+))?|([qtX])(?:\s*\^\s*(\d+))?")
+_POLY = rf"\s*[+-]?\s*{_TERM}(?:\s*[+-]\s*{_TERM})*\s*"
+_SIGNED_TERMS = rf"([+-]?)\s*({_TERM})"
+_FACTOR_PARTS = r"(\d+)(?:\s*/\s*(\d+))?|([qtX])(?:\s*\^\s*(\d+))?"
 #: "(num)/(den)" with paren-free parts, whitespace allowed inside the parentheses only.
-_QUOTIENT = re.compile(r"\(([^()]*)\)/\(([^()]*)\)")
+_QUOTIENT = r"\(([^()]*)\)/\(([^()]*)\)"
 
 
 def _parse_poly(s: str) -> tuple[Polynomial, int]:
@@ -1290,13 +1262,13 @@ def _parse_poly(s: str) -> tuple[Polynomial, int]:
     string has matched.  An exponent past the degree a key holds raises
     OverflowError.
     """
-    if not _POLY.fullmatch(s):
+    if not re.fullmatch(_POLY, s):
         raise ValueError(f"not a polynomial in the canonical grammar: {s!r}")
     terms: dict[tuple, Fraction] = {}
-    for sign, term in _SIGNED_TERMS.findall(s):
+    for sign, term in re.findall(_SIGNED_TERMS, s):
         coeff = Fraction(-1 if sign == "-" else 1)
         exps = [0, 0, 0]
-        for num, den, var, e in _FACTOR_PARTS.findall(term):
+        for num, den, var, e in re.findall(_FACTOR_PARTS, term):
             if var:
                 exps[_VARS.index(var)] += _parse_int(e or "1")
             else:
@@ -1316,10 +1288,10 @@ def parse_rational(text: str) -> RationalFn:
     "(num)/(den)", and fraction coefficients like "1/2*q".
     """
     s = text.strip()
-    while s.startswith("(") and s.endswith(")") and not _QUOTIENT.fullmatch(s):
+    while s.startswith("(") and s.endswith(")") and not re.fullmatch(_QUOTIENT, s):
         s = s[1:-1].strip()
-    quotient = _QUOTIENT.fullmatch(s)
+    quotient = re.fullmatch(_QUOTIENT, s)
     if quotient:
         (num, a), (den, b) = map(_parse_poly, quotient.groups())
-        return RationalFn(_scale(num, b), _scale(den, a))
+        return RationalFn(_moved(num, 0, 1, b), _moved(den, 0, 1, a))
     return RationalFn(*_parse_poly(s))

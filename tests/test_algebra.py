@@ -29,6 +29,7 @@ from qtstirling.algebra import (
     _unpack,
     binomial_power,
     canonical_str,
+    clear_cache,
     const,
     evaluate,
     flip_qt,
@@ -178,6 +179,18 @@ def test_monomial_rf_negative_exponents():
     assert canonical_str(f) == "(t)/(q^2)"
     with pytest.raises(ValueError):  # a packed key holds no negative exponent
         _pack(-1, 0, 0)
+
+
+def test_memoised_constructors_refuse_non_integers_before_and_after_caching():
+    # the memos key by type, so a float never reads the entry of an equal int
+    clear_cache()
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            q_pow(2.0)
+        for c in (1.0, 0.1, "1/2"):
+            with pytest.raises(TypeError):
+                const(c)
+        assert q_pow(2) == Q * Q and const(1) == ONE and const(True) == ONE
 
 
 def test_fraction_coefficients_are_refused():
@@ -712,7 +725,7 @@ _summands = st.one_of(
     st.tuples(_binomial_products(), _binomial_products()).map(lambda fg: fg[0] + fg[1]),
     _coefficients.map(const),
     st.tuples(_coefficients, _exponents).map(lambda c: const(c[0]) * monomial_rf(*c[1])),
-    # rebuilt from its pair: its den map is not known, so Henrici's step adds it
+    # rebuilt from its pair: its den map is not known, so it is cross-multiplied onto the sum
     _binomial_products().map(_forget),
     st.just(ZERO),
 )

@@ -325,6 +325,26 @@ def test_suite_takes_no_polynomial_gcd_or_full_reduction(monkeypatch):
     assert calls == []
 
 
+def test_rows_eval_ids_and_tables_never_take_a_polynomial_gcd(monkeypatch):
+    # the gcd fallback of algebra._cancel serves only pairs built outside the operators
+    def refused(f, g):
+        raise AssertionError("Polynomial.gcd called")
+
+    ids = ["qt_number(2,1)", "binomial(2,1;1,0)", "bracket(2,1;1,0)", "bracket_rect(2,1)",
+           "gaussian(4;2)", "s1(2,1;1,0)", "s2(2,1;1,0)", "u(2,1;1,0)", "v(2,1;1,0)", "f(2,1)",
+           "h(2,1;1,0)", "w(1,0;2,1)", "w_hat(1,0;2,1)", "w_staircase(2,1)"]
+    assert {expr.partition("(")[0] for expr in ids} == set(_EVAL_EXPRS)
+    clear_cache()  # a memoised value would skip the arithmetic that builds it
+    monkeypatch.setattr(Polynomial, "gcd", refused)
+    reports = run_suite(SuiteConfig(3, 2))
+    assert len(reports) == 996
+    assert all(r.passed for r in reports), [r.witness for r in reports if not r.passed]
+    for expr in ids:
+        eval_point(expr, Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+    for kind in verify._TABLE_KINDS:
+        emit_table(kind, P((2, 1)))
+
+
 def test_sampled_arguments_reach_ten_variables():
     # w-rect and w-duality draw n distinct exponents per box, so the population
     # must hold at least n of them
